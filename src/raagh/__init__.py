@@ -22,7 +22,7 @@ from .hbounds import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                       HEX_THEOREM, STRING_THEOREM, THEOREM_GRADE, TRIVIAL_H4,
                       DecompositionPiece, DecompositionReport, ExactValue,
                       HReport, certified_h, compute_h, decompose_h, h_family,
-                      h_free_abelian, lower_bound, upper_bound)
+                      h_free_abelian)
 from .solver import (CapExceeded, M2Result, RadicalBasis, SolverConfig,
                      compute_m2, m2_heuristic, parity_ceiling, radical_at)
 
@@ -39,9 +39,9 @@ __all__ = [
     "certified_h", "compute_h", "compute_m2", "connected_components",
     "decompose_h", "disjoint_union", "dump_matrix", "dump_template",
     "enumerate_cliques", "generate_family", "h_family", "h_free_abelian",
-    "induced_subgraph", "is_isomorphic", "kernel_basis", "lower_bound",
+    "induced_subgraph", "is_isomorphic", "kernel_basis",
     "m2_heuristic", "make_graph", "max_isotropic", "maximal_cliques",
     "parity_ceiling", "parse_graph", "radical_at", "rank_gf2",
     "recognize_family", "render_vector", "serialize_graph", "substitute",
-    "symplectic_reduce", "to_dot", "upper_bound", "verify_certificate",
+    "symplectic_reduce", "to_dot", "verify_certificate",
 ]

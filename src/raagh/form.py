@@ -133,9 +133,6 @@ class Gf2Matrix:
     def entry(self, r: int, c: int) -> int:
         return self.rows[r] >> c & 1
 
-    def column_mask(self) -> int:
-        return (1 << self.ncols) - 1
-
 
 def substitute(template: CupFormTemplate, alpha: AlphaVector) -> Gf2Matrix:
     """Evaluate the template at alpha over GF(2) (signs drop out mod 2).

@@ -291,47 +291,6 @@ def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     return parts
 
 
-def articulation_points(g: Graph) -> tuple[int, ...]:
-    """Cut vertices of g (iterative lowlink DFS), sorted."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    cut = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack = [(root, iter(_mask_bits(g.adjacency[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if disc[v] == -1:
-                    parent[v] = u
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    if u == root:
-                        root_children += 1
-                    stack.append((v, iter(_mask_bits(g.adjacency[v]))))
-                    advanced = True
-                    break
-                elif v != parent[u]:
-                    low[u] = min(low[u], disc[v])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        cut.add(p)
-        if root_children >= 2:
-            cut.add(root)
-    return tuple(sorted(cut))
-
-
 def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the biconnected components (blocks), i.e. the maximal
     pieces that share at most an articulation point.  Isolated vertices do

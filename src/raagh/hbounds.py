@@ -93,9 +93,15 @@ class HReport:
         return self.betti_numbers[4] if len(self.betti_numbers) > 4 else 0
 
     def __post_init__(self):
-        assert self.lower_trivial <= self.lower_cohomological <= self.upper
-        if self.exact is not None:
-            assert self.lower_trivial <= self.exact.value <= self.upper
+        if not self.lower_trivial <= self.lower_cohomological <= self.upper:
+            raise ValueError(
+                f"violates lower_trivial <= lower_cohomological <= upper: "
+                f"{self.lower_trivial}, {self.lower_cohomological}, {self.upper}")
+        if self.exact is not None \
+                and not self.lower_trivial <= self.exact.value <= self.upper:
+            raise ValueError(
+                f"violates lower_trivial <= exact <= upper: "
+                f"{self.lower_trivial}, {self.exact.value}, {self.upper}")
 
 
 @dataclass(frozen=True)
@@ -142,13 +148,15 @@ def h_free_abelian(n: int) -> int:
     return b2 + (b2 & 1)
 
 
-def h_family(cert: FamilyCertificate,
-             config: SolverConfig = DEFAULT_CONFIG) -> ExactValue:
+def h_family(cert: FamilyCertificate, config: SolverConfig = DEFAULT_CONFIG,
+             m2: int | None = None) -> ExactValue:
     """Proven h value for a catalog family member.
 
-    Strings and complete graphs come from closed formulas.  Grids and hex
-    triangles regenerate the graph and certify m2 exhaustively (the theorem
-    pins h to the cohomological bound), so they may raise CapExceeded.
+    Strings and complete graphs come from closed formulas.  For grids and
+    hex triangles the theorem pins h to the cohomological bound 2 b2 - m2
+    of the regenerated model graph.  A given m2 must be certified for a
+    graph isomorphic to the member and is reused; only without one is the
+    model scanned exhaustively, which may raise CapExceeded.
     """
     fam = cert.family
     if fam == "edgeless":
@@ -173,10 +181,10 @@ def h_family(cert: FamilyCertificate,
         return ExactValue(3 * k + 6 if k % 2 == 0 else 3 * k + 5, STRING_THEOREM)
     if fam in ("grid", "hex-triangle"):
         g = generate_family(cert)
-        res = compute_m2(g, config)
-        b2 = len(g.edges)
+        if m2 is None:
+            m2 = compute_m2(g, config).m2
         provenance = GRID_THEOREM if fam == "grid" else HEX_THEOREM
-        return ExactValue(2 * b2 - res.m2, provenance)
+        return ExactValue(2 * len(g.edges) - m2, provenance)
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -252,8 +260,10 @@ def _piece_report(g: Graph, config: SolverConfig, heuristic: bool,
     exact: ExactValue | None = None
     cert = _resolve_certificate(g)
     if cert is not None:
+        # an m2 certified within the cap is the one h_family would scan for
+        known_m2 = res.m2 if res.exhaustive and b4 <= config.cap else None
         try:
-            exact = h_family(cert, config)
+            exact = h_family(cert, config, known_m2)
         except CapExceeded:
             exact = None
     if exact is None:
@@ -279,7 +289,9 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     Pieces are the biconnected blocks of the graph left after deleting every
     edge that lies in no 4-clique, together with one single-vertex piece per
     vertex isolated by the deletion.  Each piece keeps a map back to parent
-    vertices; pieces are ordered by those maps.
+    vertices; pieces are ordered by those maps.  When nothing is deleted and
+    one block spans every vertex, that piece is g itself with the identity
+    map, so a certificate attached to g is still honored.
     """
     _covered, free = classify_edges(g)
     covered_g = make_graph(g.n, _covered, labels=g.labels)
@@ -291,7 +303,10 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
 
     pieces = []
     for vset in piece_vertex_sets:
-        sub, vmap = induced_subgraph(covered_g, vset)
+        if not free and len(vset) == g.n:
+            sub, vmap = g, tuple(range(g.n))
+        else:
+            sub, vmap = induced_subgraph(covered_g, vset)
         report = _piece_report(sub, config, heuristic, strict)
         pieces.append(DecompositionPiece(vmap, sub, report))
 
@@ -343,7 +358,7 @@ def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     decomp = decompose_h(g, config, heuristic, strict)
     if not decomp.free_edges and len(decomp.pieces) == 1 \
             and decomp.pieces[0].graph.n == g.n:
-        return _piece_report(g, config, heuristic, strict)
+        return decomp.pieces[0].report
 
     res, mode = _assemble_m2(g, decomp)
     exact = decomp.aggregate_exact
@@ -356,16 +371,3 @@ def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     return HReport(g, numbers, res, mode, b2, lower_coh, 2 * b2, exact,
                    decomposition=decomp)
 
-
-# --------------------------------------------------------------------------
-# convenience wrappers
-# --------------------------------------------------------------------------
-
-def lower_bound(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> tuple[int, int]:
-    """(trivial, cohomological) lower bounds for h."""
-    report = compute_h(g, config)
-    return report.lower_trivial, report.lower_cohomological
-
-
-def upper_bound(g: Graph) -> int:
-    return 2 * len(g.edges)

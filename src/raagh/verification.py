@@ -3,8 +3,9 @@
 Every check pins numbers that were verified by hand against the reference
 worked examples (the 5-vertex join graph, glued 4-clique pairs, the string
 families, K8 minus a perfect matching, ...), or re-derives values through
-independent naive reimplementations.  Each check raises AssertionError with
-a readable message on failure and returns a short summary string on success.
+the slow oracles defined here, which the test suite shares.  Each check
+raises AssertionError with a readable message on failure and returns a short
+summary string on success.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from math import comb
 
 from .form import (AlphaVector, build_cup_form, dump_template, kernel_basis,
                    max_isotropic, rank_gf2, substitute)
-from .graphs import (FamilyCertificate, Graph, betti, enumerate_cliques,
+from .graphs import (FamilyCertificate, Graph, enumerate_cliques,
                      generate_family, make_graph, parse_graph)
 from .hbounds import (DECOMPOSITION_AGGREGATE, CLIQUE_STRING_6,
                       CLIQUE_STRING_7, FREE_ABELIAN, compute_h,
-                      decompose_h, h_family, h_free_abelian, lower_bound)
+                      h_family, h_free_abelian)
 from .solver import SolverConfig, compute_m2, m2_heuristic, radical_at
 
 # The 5-vertex graph joining two 4-cliques along a triangle, exactly as its
@@ -73,29 +74,24 @@ def _assembly_graph() -> Graph:
 
 
 # --------------------------------------------------------------------------
-# naive reimplementations used as differential oracles
+# slow oracles
 # --------------------------------------------------------------------------
+#
+# Independent reimplementations that cross-check the fast paths.  They use
+# nothing of the package but Graph: cliques come from itertools, ranks from
+# list-of-lists elimination, the form matrix from an adjacency test on pairs
+# of edges, and m2 from a full scan with no early exit.
 
-def naive_form_matrix(g: Graph, alpha_bits) -> list:
-    """Cup-form matrix built the slow way: an entry for a pair of edges is
-    set when they are disjoint, their four endpoints are pairwise adjacent,
-    and alpha selects that 4-clique.  Shares no code with substitute()."""
-    edges = enumerate_cliques(g, 2).cliques
-    cliques = list(enumerate_cliques(g, 4).cliques)
-    dim = len(edges)
-    mat = [[0] * dim for _ in range(dim)]
-    for i, e in enumerate(edges):
-        for j, f in enumerate(edges):
-            if set(e) & set(f):
-                continue
-            quad = tuple(sorted(set(e) | set(f)))
-            if all(g.has_edge(a, b) for a, b in combinations(quad, 2)):
-                if alpha_bits[cliques.index(quad)]:
-                    mat[i][j] ^= 1
-    return mat
+def cliques_oracle(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """k-cliques in lexicographic order, by testing every k-subset."""
+    out = []
+    for combo in combinations(range(g.n), k):
+        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
+            out.append(combo)
+    return out
 
 
-def naive_rank(mat: list) -> int:
+def rank_oracle(mat: list[list[int]]) -> int:
     """Textbook GF(2) Gaussian elimination on a list-of-lists matrix."""
     mat = [row[:] for row in mat]
     rank = 0
@@ -112,16 +108,35 @@ def naive_rank(mat: list) -> int:
     return rank
 
 
-def naive_m2(g: Graph) -> tuple[int, int]:
-    """(m2, first witness encoding) by scanning every functional with no
-    early exit, ranking via naive elimination."""
-    b4 = len(enumerate_cliques(g, 4))
+def form_matrix_oracle(g: Graph, alpha_bits) -> list[list[int]]:
+    """Substituted cup form, built from first principles: edges pair iff
+    they are disjoint and their four endpoints are pairwise adjacent."""
+    edges = cliques_oracle(g, 2)
+    quads = cliques_oracle(g, 4)
+    dim = len(edges)
+    mat = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            e, f = edges[i], edges[j]
+            if set(e) & set(f):
+                continue
+            quad = tuple(sorted(e + f))
+            if all(g.has_edge(u, v) for u, v in combinations(quad, 2)):
+                if alpha_bits[quads.index(quad)]:
+                    mat[i][j] = 1
+    return mat
+
+
+def m2_oracle(g: Graph) -> tuple[int, int]:
+    """(m2, first witness encoding), scanning every functional without any
+    early exit or parity shortcut."""
+    b4 = len(cliques_oracle(g, 4))
     best_rank, best_alpha = 0, 0
     for value in range(1 << b4):
         bits = [value >> q & 1 for q in range(b4)]
-        r = naive_rank(naive_form_matrix(g, bits))
-        if r > best_rank:
-            best_rank, best_alpha = r, value
+        rank = rank_oracle(form_matrix_oracle(g, bits))
+        if rank > best_rank:
+            best_rank, best_alpha = rank, value
     return best_rank, best_alpha
 
 
@@ -148,9 +163,9 @@ def random_graph_battery(count: int = 200, seed: int = 20260814,
 def check_join_graph_bound() -> str:
     start = time.perf_counter()
     g = _join_graph()
-    res = compute_m2(g)
-    assert res.m2 == 6, f"m2 = {res.m2}, expected 6"
-    lo = lower_bound(g)
+    report = compute_h(g)
+    assert report.m2.m2 == 6, f"m2 = {report.m2.m2}, expected 6"
+    lo = (report.lower_trivial, report.lower_cohomological)
     assert lo == (9, 12), f"bounds {lo}, expected (9, 12)"
     rad = radical_at(g, AlphaVector.from_bits((1, 1)))
     assert rad.dim == 3, f"radical dim {rad.dim}, expected 3"
@@ -184,9 +199,9 @@ def check_glued_pair() -> str:
     start = time.perf_counter()
     g = _glued_pair()
     assert len(g.edges) == 11
-    res = compute_m2(g)
-    assert res.m2 == 10, f"m2 = {res.m2}, expected 10"
-    assert lower_bound(g) == (11, 12)
+    report = compute_h(g)
+    assert report.m2.m2 == 10, f"m2 = {report.m2.m2}, expected 10"
+    assert (report.lower_trivial, report.lower_cohomological) == (11, 12)
     rad = radical_at(g, AlphaVector.from_bits((1, 1)))
     assert rad.dim == 1 and rad.rendered == ("z12+z56",), rad.rendered
     elapsed = time.perf_counter() - start
@@ -267,11 +282,10 @@ def check_k6() -> str:
 def check_boxes() -> str:
     start = time.perf_counter()
     g = _boxes_graph()
-    numbers = betti(g)
-    assert numbers[2] == 24 and numbers[4] == 16
-    res = compute_m2(g)
-    assert res.m2 == 22, f"m2 {res.m2}, expected 22"
-    assert lower_bound(g) == (24, 26)
+    report = compute_h(g)
+    assert report.b2 == 24 and report.b4 == 16
+    assert report.m2.m2 == 22, f"m2 {report.m2.m2}, expected 22"
+    assert (report.lower_trivial, report.lower_cohomological) == (24, 26)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s, budget 60s"
     return f"b2=24, b4=16, m2=22, bound 26 ({elapsed:.2f}s)"
@@ -327,7 +341,7 @@ def check_random_battery() -> str:
                 assert alt == res, f"workers={workers} changed the result"
             determinism += 1
         if oracle < 8 and b4 <= 8 and b2 <= 20:
-            want_m2, want_alpha = naive_m2(g)
+            want_m2, want_alpha = m2_oracle(g)
             assert (want_m2, want_alpha) == (res.m2, res.witness.value), \
                 "naive scan disagrees"
             oracle += 1

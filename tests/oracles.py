@@ -1,72 +1,20 @@
 """Slow, independent reimplementations used to cross-check the fast paths.
 
-Nothing here shares algorithmic structure with the package: cliques come
-from itertools, ranks from list-of-lists elimination, the form matrix from
-an adjacency test on pairs of edges, and m2 from a full scan with no early
-exit.  Expected values in the tests were frozen from these.
+The clique, rank, form-matrix and m2 oracles live in raagh.verification,
+which the acceptance checks share; they are re-exported here under the same
+names.  The helpers below stay test-only.  Expected values in the tests were
+frozen from these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from raagh import Graph
+from raagh.verification import (cliques_oracle, form_matrix_oracle,
+                                m2_oracle, rank_oracle)
 
-
-def cliques_oracle(g: Graph, k: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in combinations(range(g.n), k):
-        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
-            out.append(combo)
-    return out
-
-
-def rank_oracle(mat: list[list[int]]) -> int:
-    mat = [row[:] for row in mat]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                mat[i] = [a ^ b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def form_matrix_oracle(g: Graph, alpha_bits) -> list[list[int]]:
-    """Substituted cup form, built from first principles: edges pair iff
-    they are disjoint and their four endpoints are pairwise adjacent."""
-    edges = cliques_oracle(g, 2)
-    quads = cliques_oracle(g, 4)
-    dim = len(edges)
-    mat = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            e, f = edges[i], edges[j]
-            if set(e) & set(f):
-                continue
-            quad = tuple(sorted(e + f))
-            if all(g.has_edge(u, v) for u, v in combinations(quad, 2)):
-                if alpha_bits[quads.index(quad)]:
-                    mat[i][j] = 1
-    return mat
-
-
-def m2_oracle(g: Graph) -> tuple[int, int]:
-    """(m2, first witness encoding), scanning every functional without any
-    early exit or parity shortcut."""
-    b4 = len(cliques_oracle(g, 4))
-    best_rank, best_alpha = 0, 0
-    for value in range(1 << b4):
-        bits = [value >> q & 1 for q in range(b4)]
-        rank = rank_oracle(form_matrix_oracle(g, bits))
-        if rank > best_rank:
-            best_rank, best_alpha = rank, value
-    return best_rank, best_alpha
+__all__ = ["cliques_oracle", "form_matrix_oracle", "m2_oracle", "random_gnp",
+           "rank_oracle", "rows_to_lists"]
 
 
 def rows_to_lists(rows, ncols: int) -> list[list[int]]:

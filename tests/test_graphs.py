@@ -9,8 +9,7 @@ from raagh import (FamilyCertificate, ParseError, betti, canonical_key,
                    generate_family, is_isomorphic, make_graph,
                    maximal_cliques, parse_graph, recognize_family,
                    serialize_graph, to_dot, verify_certificate)
-from raagh.graphs import (articulation_points, biconnected_blocks,
-                          classify_edges, induced_subgraph)
+from raagh.graphs import biconnected_blocks, classify_edges, induced_subgraph
 
 from oracles import cliques_oracle, random_gnp
 
@@ -320,13 +319,11 @@ def test_components_and_induced_subgraphs():
     assert sub.edges == ((0, 1),) and vmap == (3, 4)
 
 
-def test_articulation_points_and_blocks():
+def test_biconnected_blocks():
     path = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert articulation_points(path) == (1, 2)
     assert sorted(biconnected_blocks(path)) == [(0, 1), (1, 2), (2, 3)]
     wedge = make_graph(7, list(combinations(range(4), 2))
                        + list(combinations((3, 4, 5, 6), 2)))
-    assert articulation_points(wedge) == (3,)
     assert sorted(biconnected_blocks(wedge)) == [(0, 1, 2, 3), (3, 4, 5, 6)]
 
 

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -7,10 +10,11 @@ import pytest
 from raagh import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                    DECOMPOSITION_AGGREGATE, FREE_ABELIAN, GRID_THEOREM,
                    HEX_THEOREM, STRING_THEOREM, THEOREM_GRADE, TRIVIAL_H4,
-                   CapExceeded, ExactValue, FamilyCertificate, SolverConfig,
-                   betti, certified_h, compute_h, compute_m2, decompose_h,
-                   disjoint_union, generate_family, h_family, h_free_abelian,
-                   lower_bound, make_graph, upper_bound)
+                   CapExceeded, ExactValue, FamilyCertificate, HReport,
+                   SolverConfig, betti, certified_h, compute_h, compute_m2,
+                   decompose_h, disjoint_union, generate_family, h_family,
+                   h_free_abelian, make_graph)
+import raagh.hbounds
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
 from oracles import random_gnp
@@ -160,15 +164,38 @@ def test_compute_h_on_boxes_graph_is_certified():
     assert rep.m2.m2 == 22 and rep.m2.exhaustive
     assert (rep.lower_trivial, rep.lower_cohomological) == (24, 26)
     assert rep.exact == ExactValue(26, CERTIFIED_EXAMPLE)
-    assert lower_bound(boxes_graph()) == (24, 26)
 
 
-def test_lower_and_upper_bound_wrappers():
-    assert lower_bound(join_graph()) == (9, 12)
-    glued = generate_family(FamilyCertificate.clique_string(4, 2))
-    assert lower_bound(glued) == (11, 12)
-    assert upper_bound(glued) == 22
-    assert upper_bound(make_graph(3, [(0, 1)])) == 2
+def test_bounds_of_join_graph_glued_pair_and_single_edge():
+    rep = compute_h(join_graph())
+    assert (rep.lower_trivial, rep.lower_cohomological) == (9, 12)
+    glued = compute_h(generate_family(FamilyCertificate.clique_string(4, 2)))
+    assert (glued.lower_trivial, glued.lower_cohomological) == (11, 12)
+    assert glued.upper == 2 * glued.b2 == 22
+    edge = compute_h(make_graph(3, [(0, 1)]))
+    assert edge.upper == 2 * edge.b2 == 2
+
+
+def test_hreport_rejects_inconsistent_bounds_even_under_optimization():
+    g = make_graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="lower_cohomological <= upper"):
+        HReport(g, (2, 1), None, "exhaustive", 1, 3, 2, None)
+    with pytest.raises(ValueError, match="exact <= upper"):
+        HReport(g, (2, 1), None, "exhaustive", 1, 2, 2,
+                ExactValue(3, TRIVIAL_H4))
+    script = (
+        "from raagh import HReport, make_graph\n"
+        "try:\n"
+        "    HReport(make_graph(2, [(0, 1)]), (2, 1), None, 'exhaustive',"
+        " 1, 3, 2, None)\n"
+        "except ValueError:\n"
+        "    print('rejected')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
 
 
 @pytest.mark.parametrize("cert", [
@@ -309,6 +336,46 @@ def test_assembled_m2_matches_direct_solve_on_random_unions():
             assert rep.m2.witness == direct.witness
 
 
+def test_each_piece_is_scanned_once(monkeypatch):
+    calls = []
+
+    def counting(g, *args):
+        calls.append(g)
+        return compute_m2(g, *args)
+
+    monkeypatch.setattr(raagh.hbounds, "compute_m2", counting)
+    string = generate_family(FamilyCertificate.clique_string(5, 2))
+    perm = [(5 * v + 3) % string.n for v in range(string.n)]
+    relabeled = make_graph(string.n, [(perm[u], perm[v]) for u, v in string.edges])
+    square = FamilyCertificate.grid([(0, 0), (1, 0), (0, 1), (1, 1)])
+    for g, exact in [
+        (boxes_graph(), ExactValue(26, CERTIFIED_EXAMPLE)),
+        (generate_family(FamilyCertificate.hex_triangle(2)),
+         ExactValue(18, HEX_THEOREM)),
+        (generate_family(square), ExactValue(24, GRID_THEOREM)),
+        (relabeled, ExactValue(26, CLIQUE_STRING_5)),
+    ]:
+        calls.clear()
+        rep = compute_h(g)
+        assert len(calls) == 1
+        assert rep.exact == exact and rep.decomposition is None
+
+    calls.clear()
+    rep = compute_h(assembly_graph())
+    assert len(calls) == sum(1 for p in rep.decomposition.pieces
+                             if p.report.b4) == 3
+    assert rep.exact == ExactValue(62, DECOMPOSITION_AGGREGATE)
+
+
+def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():
+    g = generate_family(FamilyCertificate.grid([(0, 0), (1, 0), (1, 1)]))
+    decomp = decompose_h(g)
+    assert decomp.r == 0 and len(decomp.pieces) == 1
+    piece = decomp.pieces[0]
+    assert piece.graph is g and piece.vertices == tuple(range(g.n))
+    assert piece.report.exact == ExactValue(18, GRID_THEOREM)
+
+
 # --------------------------------------------------------------------------
 # heuristic mode and soundness
 # --------------------------------------------------------------------------
@@ -334,6 +401,16 @@ def test_cap_fallback_degrades_to_heuristic_unless_strict():
     assert rep.lower_cohomological == 30
     with pytest.raises(CapExceeded):
         compute_h(g, strict=True)
+
+
+def test_grid_theorem_is_claimed_only_within_the_cap():
+    # over the cap the heuristic certifies m2 at the parity ceiling, but the
+    # grid value stays what h_family(cert, config) gives: none
+    g = generate_family(FamilyCertificate.grid([(x, 0) for x in range(4)]))
+    rep = compute_h(g, SolverConfig(cap=2))
+    assert rep.m2_mode == "heuristic" and rep.m2.exhaustive
+    assert rep.exact == ExactValue(22, CONJECTURAL_MINIMAL)
+    assert compute_h(g).exact == ExactValue(22, GRID_THEOREM)
 
 
 def test_forged_certificates_are_ignored():
