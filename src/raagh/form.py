@@ -137,8 +137,8 @@ class Gf2Matrix:
 def substitute(template: CupFormTemplate, alpha: AlphaVector) -> Gf2Matrix:
     """Evaluate the template at alpha over GF(2) (signs drop out mod 2).
 
-    Rebuilt from scratch on every call; callers that sweep many alphas
-    should use rank_rows / the solver's incremental paths instead.
+    Rebuilt from scratch on every call; sweeping many alphas is the job of
+    the solver's block scanner, which updates one clique at a time.
     """
     if alpha.length != template.num_cliques:
         raise ValueError(
@@ -154,7 +154,7 @@ def substitute(template: CupFormTemplate, alpha: AlphaVector) -> Gf2Matrix:
     return Gf2Matrix(n, n, tuple(rows))
 
 
-def rank_gf2(rows, ncols: int | None = None) -> int:
+def rank_gf2(rows) -> int:
     """Rank of a GF(2) matrix given as an iterable of row bitmasks."""
     basis: dict[int, int] = {}
     rank = 0

@@ -6,11 +6,22 @@ and m2 can never exceed the parity ceiling (b2 rounded down to even); a
 functional reaching the ceiling certifies the maximum without scanning the
 rest of the space, which is what makes several large examples tractable.
 
-Functionals are scanned in increasing integer encoding (bit q = 4-clique q),
-so the reported witness is the first maximizer in that canonical order.  The
-parallel path splits the encoding range into fixed-size chunks and folds the
-per-chunk results in order, which keeps the result — including the witness —
-independent of the worker count.
+A functional is encoded as an integer (bit q = 4-clique q), and the
+reported witness is the first maximizer in increasing encoding order.
+
+The exhaustive scan splits [0, 2^b4) into aligned blocks: [0,1), [1,2),
+[2,4), ... doubling up to 8192 wide, then 8192-wide blocks.  Inside a block
+the encodings are visited in Gray order (Knuth, TAOCP 4A, 7.2.1.1), so each
+step flips one clique: six XORs on the matrix rows, then a re-reduction of
+only the rows that clique can reach (see _plan and _scan_block).  A block
+reports its best rank and the smallest encoding reaching it, so visiting
+order inside the block does not matter.  The blocks are folded in integer
+order, a later block winning only with a strictly higher rank, which makes
+the folded witness the global first maximizer.  The scan stops at the
+parity ceiling only at a block boundary; with doubling blocks that costs at
+most twice the work up to the first hit.  Serial and pooled scans fold the
+same block list with the same helper, so the result — witness included —
+does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
 from .graphs import Graph, maximal_cliques
 
-_CHUNK = 8192
+_BLOCK = 1 << 13
 _DEFAULT_HEURISTIC_SEED = 0x5EED
 
 
@@ -86,6 +97,7 @@ def parity_ceiling(b2: int) -> int:
 # --------------------------------------------------------------------------
 
 def _rank_of_encoding(clique_rows, dim: int, value: int) -> int:
+    """Rank at one encoding, with the matrix built from scratch."""
     rows = [0] * dim
     v = value
     while v:
@@ -96,33 +108,118 @@ def _rank_of_encoding(clique_rows, dim: int, value: int) -> int:
     return rank_gf2(rows)
 
 
-def _scan_range(clique_rows, dim: int, ceiling: int, start: int, stop: int):
-    """Best (rank, encoding) in [start, stop), stopping at the ceiling.
+def _plan(clique_rows) -> tuple:
+    """Row layout for the block scanner: (nrows, start, flips).
 
-    Returns (rank, encoding, hit) where hit marks an early ceiling exit;
-    the encoding is the first in the range achieving the returned rank.
+    Edges in no 4-clique have identically zero rows and columns and are
+    dropped.  The other rows are ordered by the lowest clique that touches
+    them, descending, and columns are permuted the same way, so flipping
+    clique q changes only rows from start[q] onward.  flips[q] holds
+    clique q's six (row, column-bit) contributions in the new layout.
     """
-    best_rank, best_alpha = -1, start
-    for value in range(start, stop):
-        r = _rank_of_encoding(clique_rows, dim, value)
-        if r > best_rank:
+    first: dict[int, int] = {}  # row -> index of first appearance, by clique
+    seen = []                   # rows touched by cliques 0..q
+    for contribs in clique_rows:
+        for r, _bit in contribs:
+            if r not in first:
+                first[r] = len(first)
+        seen.append(len(first))
+    nrows = len(first)
+    pos = {r: nrows - 1 - k for r, k in first.items()}
+    start = tuple(nrows - k for k in seen)
+    flips = tuple(tuple((pos[r], 1 << pos[bit.bit_length() - 1]) for r, bit in contribs)
+                  for contribs in clique_rows)
+    return nrows, start, flips
+
+
+def _blocks(b4: int) -> list[tuple[int, int]]:
+    """[0, 2^b4) as aligned blocks in integer order: [0,1), [1,2), [2,4),
+    ... doubling up to _BLOCK wide, then _BLOCK-wide blocks."""
+    total = 1 << b4
+    out, lo = [(0, 1)], 1
+    while lo < total:
+        hi = lo + min(lo, _BLOCK)
+        out.append((lo, hi))
+        lo = hi
+    return out
+
+
+def _scan_block(plan, lo: int, hi: int) -> tuple[int, int]:
+    """Best rank over the aligned block [lo, hi) and the smallest encoding
+    reaching it, visiting the block in Gray order.
+
+    Each step flips one clique q.  The pivots found while reducing the rows
+    before start[q] stay valid, so the step undoes the pivot insertions
+    logged since row start[q] and re-reduces only that suffix.
+    """
+    nrows, start, flips = plan
+    rows = [0] * nrows
+    v = lo
+    while v:
+        for p, bit in flips[(v & -v).bit_length() - 1]:
+            rows[p] ^= bit
+        v &= v - 1
+    pivots: dict[int, int] = {}
+    log: list[int] = []        # pivot keys in insertion order
+    mark = [0] * nrows         # len(log) before row p was reduced
+    get, append = pivots.get, log.append
+    best_rank, best_alpha = -1, lo
+    value, s, i = lo, 0, 0
+    while True:
+        r = mark[s]
+        for key in log[r:]:
+            del pivots[key]
+        del log[r:]
+        for p in range(s, nrows):
+            mark[p] = r
+            row = rows[p]
+            while row:
+                low = row & -row
+                pivot = get(low)
+                if pivot is None:
+                    pivots[low] = row
+                    append(low)
+                    r += 1
+                    break
+                row ^= pivot
+        if r >= best_rank and (r > best_rank or value < best_alpha):
             best_rank, best_alpha = r, value
-            if r >= ceiling:
-                return best_rank, best_alpha, True
-    return best_rank, best_alpha, False
+        i += 1
+        if lo + i == hi:
+            return best_rank, best_alpha
+        q = (i & -i).bit_length() - 1
+        value ^= 1 << q
+        for p, bit in flips[q]:
+            rows[p] ^= bit
+        s = start[q]
 
 
-_worker_state: tuple = ()
+def _fold(results, ceiling: int) -> tuple[int, int]:
+    """Fold per-block (rank, encoding) results given in integer order.
+
+    A later block replaces the best only with a strictly higher rank, so
+    the encoding kept is the first maximizer.  Stops after the first block
+    that reaches the ceiling.
+    """
+    best_rank, best_alpha = -1, 0
+    for rank, alpha in results:
+        if rank > best_rank:
+            best_rank, best_alpha = rank, alpha
+            if rank >= ceiling:
+                break
+    return best_rank, best_alpha
 
 
-def _init_worker(clique_rows, dim, ceiling):
-    global _worker_state
-    _worker_state = (clique_rows, dim, ceiling)
+_worker_plan: tuple = ()
 
 
-def _scan_chunk(bounds):
-    clique_rows, dim, ceiling = _worker_state
-    return _scan_range(clique_rows, dim, ceiling, *bounds)
+def _init_worker(plan):
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _scan_block_in_worker(bounds):
+    return _scan_block(_worker_plan, *bounds)
 
 
 def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
@@ -135,33 +232,24 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     if b4 == 0:
         return M2Result(0, AlphaVector(0, 0), b2, True)
 
-    clique_rows = template.clique_rows
+    plan = _plan(template.clique_rows)
     ceiling = parity_ceiling(b2)
-    total = 1 << b4
+    blocks = _blocks(b4)
 
-    if config.workers > 1 and total >= config.parallel_threshold:
-        best = _parallel_scan(clique_rows, b2, ceiling, total, config.workers)
+    # where fork is missing the serial fold gives the identical result
+    if (config.workers > 1 and 1 << b4 >= config.parallel_threshold
+            and "fork" in multiprocessing.get_all_start_methods()):
+        rank, alpha = _parallel_scan(plan, blocks, ceiling, config.workers)
     else:
-        best = _scan_range(clique_rows, b2, ceiling, 0, total)
-
-    rank, alpha, hit = best
+        rank, alpha = _fold((_scan_block(plan, lo, hi) for lo, hi in blocks),
+                            ceiling)
     return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
 
 
-def _parallel_scan(clique_rows, dim, ceiling, total, workers):
-    bounds = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
+def _parallel_scan(plan, blocks, ceiling, workers):
     ctx = multiprocessing.get_context("fork")
-    best_rank, best_alpha = -1, 0
-    with ctx.Pool(workers, initializer=_init_worker,
-                  initargs=(clique_rows, dim, ceiling)) as pool:
-        for rank, alpha, hit in pool.imap(_scan_chunk, bounds):
-            if rank > best_rank:
-                best_rank, best_alpha = rank, alpha
-            if hit:
-                # chunks are folded in encoding order, so the first reported
-                # ceiling hit is the globally first one
-                return best_rank, best_alpha, True
-    return best_rank, best_alpha, False
+    with ctx.Pool(workers, initializer=_init_worker, initargs=(plan,)) as pool:
+        return _fold(pool.imap(_scan_block_in_worker, blocks), ceiling)
 
 
 # --------------------------------------------------------------------------

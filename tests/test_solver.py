@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from itertools import combinations
 
@@ -7,7 +8,7 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    SolverConfig, betti, build_cup_form, compute_m2,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
-from raagh.solver import heuristic_seed_values
+from raagh.solver import _blocks, heuristic_seed_values
 
 from oracles import m2_oracle, random_gnp
 
@@ -41,6 +42,63 @@ def test_exhaustive_m2_and_witness_match_full_scan(idx):
     # when the parity ceiling lets it stop at the first one it proves maximal
     if res.m2 < parity_ceiling(betti(g)[2]):
         assert res.witness.value == witness
+
+
+def integer_order_scan(g):
+    """(m2, first witness) by substitute + rank_gf2 over every encoding in
+    increasing order; stops at the parity ceiling, which no rank passes."""
+    t = build_cup_form(g)
+    ceiling = parity_ceiling(t.dim)
+    best, witness = -1, 0
+    for value in range(1 << t.num_cliques):
+        rank = rank_gf2(substitute(t, AlphaVector(value, t.num_cliques)).rows)
+        if rank > best:
+            best, witness = rank, value
+            if rank >= ceiling:
+                break
+    return best, witness
+
+
+def k4_glued_on_last_edge(n, p, seed):
+    """G(n, p) plus a K4 on n-2, n-1, n, n+1: its 4-clique sorts last."""
+    k4 = combinations(range(n - 2, n + 2), 2)
+    return make_graph(n + 2, sorted(set(random_gnp(n, p, seed)) | set(k4)))
+
+
+# b4 >= 14, so the scan folds several 8192-wide blocks after the doubling
+# ones: two full scans whose first maximizers lie past 8192, and a ceiling
+# hit at 17869 that needs the last clique, in the second 8192-wide block
+MANY_BLOCK_GRAPHS = {
+    "gnp-11-b4-15": lambda: make_graph(11, random_gnp(11, 0.5, 9)),
+    "gnp-8-b4-14": lambda: make_graph(8, random_gnp(8, 0.75, 148)),
+    "glued-ceiling-b4-15": lambda: k4_glued_on_last_edge(9, 0.65, 1641),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_BLOCK_GRAPHS))
+def test_scan_across_many_blocks_matches_integer_order(name):
+    g = MANY_BLOCK_GRAPHS[name]()
+    b4 = len(build_cup_form(g).cliques)
+    assert b4 >= 14
+    m2, witness = integer_order_scan(g)
+    assert witness > 8192
+    if name.startswith("glued-ceiling"):
+        assert m2 == parity_ceiling(betti(g)[2])
+    for cfg in (SolverConfig(), SolverConfig(workers=2, parallel_threshold=64)):
+        res = compute_m2(g, cfg)
+        assert (res.m2, res.witness, res.exhaustive) == (
+            m2, AlphaVector(witness, b4), True)
+
+
+def test_blocks_are_aligned_subcubes_covering_the_range_in_order():
+    for b4 in range(21):
+        blocks = _blocks(b4)
+        assert blocks[0][0] == 0 and blocks[-1][1] == 1 << b4
+        assert all(hi == nxt for (_, hi), (nxt, _) in zip(blocks, blocks[1:]))
+        widths = [hi - lo for lo, hi in blocks]
+        assert widths == sorted(widths) and widths[-1] <= 8192
+        for (lo, _), w in zip(blocks, widths):
+            assert w & (w - 1) == 0 and lo % w == 0
 
 
 def test_ceiling_early_exit_keeps_first_maximiser():
@@ -107,6 +165,19 @@ def test_worker_count_does_not_change_results():
         for workers in (2, 8):
             cfg = SolverConfig(workers=workers, parallel_threshold=64)
             assert compute_m2(g, cfg) == baseline
+
+
+def test_pool_falls_back_to_serial_without_fork(monkeypatch):
+    g = make_graph(6, combinations(range(6), 2))
+    expected = compute_m2(g)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert compute_m2(g, SolverConfig(workers=2, parallel_threshold=64)) == expected
 
 
 # --------------------------------------------------------------------------
