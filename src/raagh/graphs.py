@@ -220,7 +220,18 @@ def max_clique_size(g: Graph) -> int:
 def betti(g: Graph) -> tuple[int, ...]:
     """Cohomology ranks of the associated group: b_k = number of k-cliques
     for k >= 1, and b_0 = number of connected components."""
-    b0 = len(connected_components(g))
+    adj = g.adjacency
+    unseen = (1 << g.n) - 1
+    b0 = 0
+    while unseen:
+        frontier = unseen & -unseen
+        while frontier:  # flood the component of the least unseen vertex
+            unseen &= ~frontier
+            reach = 0
+            for v in _mask_bits(frontier):
+                reach |= adj[v]
+            frontier = reach & unseen
+        b0 += 1
     out = [b0]
     k = 1
     while True:
@@ -481,10 +492,28 @@ _RECOGNIZE_MAX_N = 40
 def canonical_key(g: Graph):
     """Canonical form of g: the lexicographically least edge tuple over all
     relabelings compatible with iterated colour refinement.  Equal keys
-    characterize isomorphism.  Intended for small graphs (n <= ~30)."""
+    characterize isomorphism.
+
+    The search is pruned by twins: u and v are twins when they have the
+    same neighbours apart from each other.  Swapping two twins is an
+    automorphism that fixes every other vertex, so it fixes the path of
+    individualized vertices and the refined colouring, and it maps the
+    subtree under u onto the subtree under v with the same leaf keys.  Each
+    target cell therefore branches on one vertex per twin class, and the key
+    is exactly the one the unpruned search finds.  Other symmetries are not
+    pruned, so a graph whose automorphisms are not twin swaps still costs
+    about one leaf per automorphism: keep such graphs to a few dozen
+    vertices."""
     n, adj = g.n, g.adjacency
     if n == 0:
         return (0, ())
+
+    twin = list(range(n))  # least vertex of each vertex's twin class
+    for u in range(n):
+        if twin[u] == u:
+            for v in range(u + 1, n):
+                if twin[v] == v and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    twin[v] = u
 
     def refine(colors):
         while True:
@@ -517,7 +546,11 @@ def canonical_key(g: Graph):
                 best[0] = key
             return
         fresh = max(colors) + 1
+        tried = set()
         for v in target:
+            if twin[v] in tried:
+                continue
+            tried.add(twin[v])
             split = list(colors)
             split[v] = fresh
             search(refine(tuple(split)))
@@ -736,7 +769,6 @@ def _parse_edge_list(text: str) -> Graph:
     if declared_n is not None:
         if declared_n < 0:
             raise ParseError("vertices directive must be non-negative")
-        ids = {str(i): i for i in range(declared_n)}
 
     def vertex(token: str, lineno: int) -> int:
         try:

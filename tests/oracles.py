@@ -1,20 +1,20 @@
 """Slow, independent reimplementations used to cross-check the fast paths.
 
-The clique, rank, form-matrix and m2 oracles live in raagh.verification,
-which the acceptance checks share; they are re-exported here under the same
-names.  The helpers below stay test-only.  Expected values in the tests were
-frozen from these.
+The clique, rank, form-matrix, m2 and canonical-key oracles live in
+raagh.verification, which the acceptance checks share; they are re-exported
+here under the same names.  The helpers below stay test-only.  Expected
+values in the tests were frozen from these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from raagh.verification import (cliques_oracle, form_matrix_oracle,
-                                m2_oracle, rank_oracle)
+from raagh.verification import (canonical_key_oracle, cliques_oracle,
+                                form_matrix_oracle, m2_oracle, rank_oracle)
 
-__all__ = ["cliques_oracle", "form_matrix_oracle", "m2_oracle", "random_gnp",
-           "rank_oracle", "rows_to_lists"]
+__all__ = ["canonical_key_oracle", "cliques_oracle", "form_matrix_oracle",
+           "m2_oracle", "random_gnp", "rank_oracle", "rows_to_lists"]
 
 
 def rows_to_lists(rows, ncols: int) -> list[list[int]]:

@@ -11,7 +11,7 @@ from raagh import (FamilyCertificate, ParseError, betti, canonical_key,
                    serialize_graph, to_dot, verify_certificate)
 from raagh.graphs import biconnected_blocks, classify_edges, induced_subgraph
 
-from oracles import cliques_oracle, random_gnp
+from oracles import canonical_key_oracle, cliques_oracle, random_gnp
 
 
 def join_graph():
@@ -51,6 +51,16 @@ def test_betti_counts_components_in_degree_zero():
                        make_graph(2, []))
     assert betti(g)[0] == 3
     assert betti(make_graph(0, ())) == (0,)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_betti_b0_matches_connected_components(seed):
+    rnd = random.Random(seed)
+    for _ in range(20):
+        n = rnd.randint(0, 14)
+        g = make_graph(n, random_gnp(n, rnd.choice((0.05, 0.15, 0.3)),
+                                     rnd.randrange(2 ** 31)))
+        assert betti(g)[0] == len(connected_components(g))
 
 
 def test_betti_k5_with_pendant_triangle_fan():
@@ -351,3 +361,44 @@ def test_canonical_key_separates_non_isomorphic_graphs():
     b = make_graph(4, [(0, 1), (0, 2), (0, 3)])        # star
     assert canonical_key(a) != canonical_key(b)
     assert not is_isomorphic(a, b)
+
+
+def _twin_blowup(rnd):
+    """Random graph of at most 7 vertices whose vertices come in classes of
+    twins: class 0 is a clique (true twins), the others independent sets
+    (false twins), and two classes are fully joined or not at all."""
+    sizes = [rnd.randint(2, 3), rnd.randint(2, 3)]
+    while sum(sizes) < 7 and rnd.random() < 0.7:
+        sizes.append(rnd.randint(1, 7 - sum(sizes)))
+    joined = set(random_gnp(len(sizes), 0.5, rnd.randrange(2 ** 31)))
+    classes = [c for c, size in enumerate(sizes) for _ in range(size)]
+    edges = [(u, v) for u, v in combinations(range(len(classes)), 2)
+             if (classes[u], classes[v]) in joined
+             or classes[u] == classes[v] == 0]
+    return _shuffled(make_graph(len(classes), edges), rnd.randrange(2 ** 31))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_canonical_key_matches_unpruned_oracle(seed):
+    rnd = random.Random(seed)
+    for _ in range(25):
+        n = rnd.randint(0, 7)
+        gnp = make_graph(n, random_gnp(n, rnd.choice((0.3, 0.5, 0.7)),
+                                       rnd.randrange(2 ** 31)))
+        blowup = _twin_blowup(rnd)
+        for g in (gnp, blowup):
+            assert canonical_key(g) == canonical_key_oracle(g)
+
+
+def test_relabeled_one_row_grid_certificate_verifies():
+    # |Aut| >= 2^9: the two corners of each of the 9 columns are twins
+    cert = FamilyCertificate.grid(tuple((x, 0) for x in range(8)))
+    assert verify_certificate(_shuffled(generate_family(cert), 3), cert)
+
+
+@pytest.mark.parametrize("g", [
+    generate_family(FamilyCertificate.clique_string(7, 2)),
+    make_graph(10, combinations(range(10), 2)),
+], ids=["clique-string-7x2", "K10"])
+def test_is_isomorphic_on_graphs_made_of_twins(g):
+    assert is_isomorphic(g, _shuffled(g, 11))

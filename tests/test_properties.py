@@ -26,11 +26,23 @@ graph_params = {
     "seed": st.integers(0, 2 ** 31),
 }
 
+# (n, p_idx) pairs where 47-75% of the samples have 0 < b4 <= 10 (seeds
+# 0..599 each).  Over all of graph_params only about 30% do, and Hypothesis
+# fails its filter_too_much health check when 50 draws are filtered out
+# before 10 pass.
+CLIQUEY_PAIRS = ((9, 2), (6, 3), (8, 2), (12, 1), (7, 3), (10, 2), (11, 1),
+                 (10, 1), (7, 2), (5, 3), (8, 3))
+
+cliquey_params = {
+    "n_p": st.sampled_from(CLIQUEY_PAIRS),
+    "seed": st.integers(0, 2 ** 31),
+}
+
 
 @settings(max_examples=60, deadline=None)
-@given(**graph_params)
-def test_witness_achieves_m2_and_nullity_complements(n, p_idx, seed):
-    g = sample_graph(n, p_idx, seed)
+@given(**cliquey_params)
+def test_witness_achieves_m2_and_nullity_complements(n_p, seed):
+    g = sample_graph(*n_p, seed)
     b4 = betti(g)[4] if len(betti(g)) > 4 else 0
     assume(0 < b4 <= 12)
     res = compute_m2(g)
@@ -82,9 +94,9 @@ def test_decomposition_preserves_b2(n, p_idx, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(**graph_params)
-def test_assembled_m2_equals_direct_solve(n, p_idx, seed):
-    g = sample_graph(n, p_idx, seed)
+@given(**cliquey_params)
+def test_assembled_m2_equals_direct_solve(n_p, seed):
+    g = sample_graph(*n_p, seed)
     numbers = betti(g)
     b4 = numbers[4] if len(numbers) > 4 else 0
     assume(0 < b4 <= 10)
