@@ -14,6 +14,11 @@ from raagh import (FamilyCertificate, compute_h, generate_family, h_family,
                    h_free_abelian, make_graph)
 
 
+# b4 = k for face strings, and the default cap is 28; branch and bound
+# settles all of k <= 28 exhaustively in well under a second
+FACE_STRING_MAX_K = 28
+
+
 def row(label, g, h_expected):
     start = time.perf_counter()
     rep = compute_h(g)
@@ -110,7 +115,7 @@ def main(argv=None):
 
     four_strings(args.max_k)
     five_strings(min(args.max_k, 3))
-    face_strings(args.max_k + 2)
+    face_strings(FACE_STRING_MAX_K)
     complete_graphs(args.max_n)
     certified_examples()
     grids_and_hexes()

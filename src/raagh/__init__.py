@@ -12,11 +12,11 @@ from .form import (AlphaVector, CupFormTemplate, Gf2Matrix,
                    dump_template, kernel_basis, max_isotropic, rank_gf2,
                    render_vector, substitute, symplectic_reduce)
 from .graphs import (FORMATS, CliqueIndex, FamilyCertificate, Graph,
-                     ParseError, betti, canonical_key, connected_components,
-                     disjoint_union, enumerate_cliques, generate_family,
-                     induced_subgraph, is_isomorphic, make_graph,
-                     maximal_cliques, parse_graph, recognize_family,
-                     serialize_graph, to_dot, verify_certificate)
+                     ParseError, betti, canonical_key, enumerate_cliques,
+                     generate_family, induced_subgraph, is_isomorphic,
+                     make_graph, maximal_cliques, parse_graph,
+                     recognize_family, serialize_graph, to_dot,
+                     verify_certificate)
 from .hbounds import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                       DECOMPOSITION_AGGREGATE, FREE_ABELIAN, GRID_THEOREM,
                       HEX_THEOREM, STRING_THEOREM, THEOREM_GRADE, TRIVIAL_H4,
@@ -36,10 +36,9 @@ __all__ = [
     "HEX_THEOREM", "HReport", "M2Result", "ParseError", "RadicalBasis",
     "STRING_THEOREM", "SolverConfig", "SymplecticDecomposition",
     "THEOREM_GRADE", "TRIVIAL_H4", "betti", "build_cup_form", "canonical_key",
-    "certified_h", "compute_h", "compute_m2", "connected_components",
-    "decompose_h", "disjoint_union", "dump_matrix", "dump_template",
-    "enumerate_cliques", "generate_family", "h_family", "h_free_abelian",
-    "induced_subgraph", "is_isomorphic", "kernel_basis",
+    "certified_h", "compute_h", "compute_m2", "decompose_h", "dump_matrix",
+    "dump_template", "enumerate_cliques", "generate_family", "h_family",
+    "h_free_abelian", "induced_subgraph", "is_isomorphic", "kernel_basis",
     "m2_heuristic", "make_graph", "max_isotropic", "maximal_cliques",
     "parity_ceiling", "parse_graph", "radical_at", "rank_gf2",
     "recognize_family", "render_vector", "serialize_graph", "substitute",

@@ -282,26 +282,6 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     return make_graph(len(vmap), edges, labels=labels), vmap
 
 
-def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Components as (subgraph, vertex map) pairs, ordered by least vertex."""
-    seen = [False] * g.n
-    parts = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack, part = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            part.append(u)
-            for v in _mask_bits(g.adjacency[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        parts.append(induced_subgraph(g, part))
-    return parts
-
-
 def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the biconnected components (blocks), i.e. the maximal
     pieces that share at most an articulation point.  Isolated vertices do
@@ -362,16 +342,6 @@ def classify_edges(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[i
     covered = tuple(e for e in g.edges if e in in4)
     free = tuple(e for e in g.edges if e not in in4)
     return covered, free
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    """Disjoint union with vertices renumbered block by block."""
-    edges = []
-    offset = 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return make_graph(offset, edges)
 
 
 # --------------------------------------------------------------------------
@@ -718,6 +688,11 @@ def verify_certificate(g: Graph, cert: FamilyCertificate) -> bool:
 
 FORMATS = ("edges", "csv", "json")
 
+# Largest vertex count a parsed graph may have.  Vertex-indexed lists, such
+# as Graph.adjacency and biconnected_blocks' tables, are N long whatever the
+# edges, so a "# vertices: N" directive alone must not be able to size them.
+MAX_VERTICES = 1 << 14
+
 
 def parse_graph(text: str, fmt: str = "edges") -> Graph:
     """Parse a graph from one of the supported text formats.
@@ -736,6 +711,14 @@ def parse_graph(text: str, fmt: str = "edges") -> Graph:
     if fmt == "json":
         return _parse_json(text)
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+
+
+def _check_vertex_count(n: int, what: str) -> int:
+    if n < 0:
+        raise ParseError(f"{what} must be non-negative")
+    if n > MAX_VERTICES:
+        raise ParseError(f"{what} {n} is over the limit of {MAX_VERTICES} vertices")
+    return n
 
 
 def _parse_edge_list(text: str) -> Graph:
@@ -767,8 +750,7 @@ def _parse_edge_list(text: str) -> Graph:
 
     ids: dict[str, int] = {}
     if declared_n is not None:
-        if declared_n < 0:
-            raise ParseError("vertices directive must be non-negative")
+        _check_vertex_count(declared_n, "vertices directive")
 
     def vertex(token: str, lineno: int) -> int:
         try:
@@ -798,7 +780,10 @@ def _parse_edge_list(text: str) -> Graph:
         seen.add(key)
         edges.append(key)
 
-    n = declared_n if declared_n is not None else len(ids)
+    if declared_n is None:
+        n = _check_vertex_count(len(ids), "vertex count")
+    else:
+        n = declared_n
     labels = None
     if declared_n is None and any(ids[k] != int(k) for k in ids):
         labels = tuple(sorted(ids, key=ids.get))
@@ -818,7 +803,7 @@ def _parse_adjacency_csv(text: str) -> Graph:
             parsed.append(int(cell))
         rows.append((lineno, parsed))
 
-    n = len(rows)
+    n = _check_vertex_count(len(rows), "row count")
     for lineno, row in rows:
         if len(row) != n:
             raise ParseError(f"line {lineno}: row has {len(row)} entries, expected {n}")
@@ -847,8 +832,7 @@ def _parse_json(text: str) -> Graph:
         n = int(data["vertices"])
     except (KeyError, TypeError, ValueError):
         raise ParseError("missing or invalid 'vertices' count") from None
-    if n < 0:
-        raise ParseError("'vertices' must be non-negative")
+    _check_vertex_count(n, "'vertices'")
     raw = data.get("edges", [])
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")

@@ -9,19 +9,28 @@ rest of the space, which is what makes several large examples tractable.
 A functional is encoded as an integer (bit q = 4-clique q), and the
 reported witness is the first maximizer in increasing encoding order.
 
-The exhaustive scan splits [0, 2^b4) into aligned blocks: [0,1), [1,2),
-[2,4), ... doubling up to 8192 wide, then 8192-wide blocks.  Inside a block
-the encodings are visited in Gray order (Knuth, TAOCP 4A, 7.2.1.1), so each
-step flips one clique: six XORs on the matrix rows, then a re-reduction of
-only the rows that clique can reach (see _plan and _scan_block).  A block
-reports its best rank and the smallest encoding reaching it, so visiting
-order inside the block does not matter.  The blocks are folded in integer
-order, a later block winning only with a strictly higher rank, which makes
-the folded witness the global first maximizer.  The scan stops at the
-parity ceiling only at a block boundary; with doubling blocks that costs at
-most twice the work up to the first hit.  Serial and pooled scans fold the
-same block list with the same helper, so the result — witness included —
-does not depend on the worker count.
+The exhaustive scan is a depth-first branch and bound over the clique bits,
+fixed from high to low with 0 tried before 1, so encodings are visited in
+integer order.  Rows are laid out so that once cliques >= q are decided, a
+prefix of rows is final (see _plan); with r the rank of that prefix, no
+encoding below the node has rank above r + (rows left), capped at the
+parity ceiling and rounded down to even, because every rank is even.  A
+subtree whose bound does not beat the best rank so far is skipped whole.
+Only a strictly higher rank replaces the best; a skipped subtree holds no
+higher rank, and any tie in it comes after the witness already kept, so
+the witness stays the first maximizer.  Once the best reaches the ceiling
+no bound beats it, so the ceiling exit is the bound pruning everything
+left.  Each step to the next encoding flips the cliques that changed and
+re-reduces only the rows they reach, reusing the pivots of the rows before
+them (see _scan).
+
+The pool splits [0, 2^b4) into aligned blocks: [0,1), [1,2), [2,4), ...
+doubling up to 8192 wide, then 8192-wide blocks.  Each block runs the same
+scan with no incumbent, so it returns its own maximum and first maximizer;
+the blocks are folded in integer order, a later block winning only with a
+strictly higher rank, and the fold stops after the first block that
+reaches the ceiling.  The result, witness included, does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -109,13 +118,22 @@ def _rank_of_encoding(clique_rows, dim: int, value: int) -> int:
 
 
 def _plan(clique_rows) -> tuple:
-    """Row layout for the block scanner: (nrows, start, flips).
+    """Row layout for the branch-and-bound scan: (nrows, flips, cuts,
+    levels, entry).
 
     Edges in no 4-clique have identically zero rows and columns and are
     dropped.  The other rows are ordered by the lowest clique that touches
-    them, descending, and columns are permuted the same way, so flipping
-    clique q changes only rows from start[q] onward.  flips[q] holds
-    clique q's six (row, column-bit) contributions in the new layout.
+    them, descending, and columns are permuted the same way, so clique q
+    touches only rows and columns from start[q] = nrows - (rows touched by
+    cliques 0..q) onward.  flips[q] holds clique q's six (row, column-bit)
+    contributions in the new layout.
+
+    Once the cliques >= q are decided, rows [0, ends[q]) are final, where
+    ends[0] = nrows and ends[q] = start[q-1].  cuts lists the distinct
+    ends in increasing order; levels[i] is the largest q with
+    ends[q] = cuts[i], the biggest subtree those final rows bound.
+    entry[q] is the index of start[q] in cuts: after a step whose highest
+    changed clique is q, reduction resumes there.
     """
     first: dict[int, int] = {}  # row -> index of first appearance, by clique
     seen = []                   # rows touched by cliques 0..q
@@ -126,10 +144,15 @@ def _plan(clique_rows) -> tuple:
         seen.append(len(first))
     nrows = len(first)
     pos = {r: nrows - 1 - k for r, k in first.items()}
-    start = tuple(nrows - k for k in seen)
     flips = tuple(tuple((pos[r], 1 << pos[bit.bit_length() - 1]) for r, bit in contribs)
                   for contribs in clique_rows)
-    return nrows, start, flips
+    ends = [nrows] + [nrows - k for k in seen]
+    level_of = {cut: q for q, cut in enumerate(ends)}  # last, so largest, q wins
+    cuts = tuple(sorted(level_of))
+    index = {cut: i for i, cut in enumerate(cuts)}
+    levels = tuple(level_of[cut] for cut in cuts)
+    entry = tuple(index[cut] for cut in ends[1:])
+    return nrows, flips, cuts, levels, entry
 
 
 def _blocks(b4: int) -> list[tuple[int, int]]:
@@ -144,15 +167,22 @@ def _blocks(b4: int) -> list[tuple[int, int]]:
     return out
 
 
-def _scan_block(plan, lo: int, hi: int) -> tuple[int, int]:
-    """Best rank over the aligned block [lo, hi) and the smallest encoding
-    reaching it, visiting the block in Gray order.
+def _scan(plan, lo: int, hi: int, ceiling: int) -> tuple[int, int, int]:
+    """(best rank, first encoding reaching it, nodes) over [lo, hi), by
+    depth-first branch and bound in integer order.
 
-    Each step flips one clique q.  The pivots found while reducing the rows
-    before start[q] stay valid, so the step undoes the pivot insertions
-    logged since row start[q] and re-reduces only that suffix.
+    Reducing the rows of the current encoding passes the cuts in order.
+    The rows before cut i are final in the subtree of levels[i]; with r
+    their rank, no encoding there has rank above r + (rows after the cut),
+    capped at the ceiling and rounded down to even.  When that bound does
+    not beat the best, the scan jumps past the subtree; at the last cut
+    (nrows) the bound is the rank itself.  A step to the next encoding
+    flips the cliques that changed; the pivots of the rows before start[t]
+    (t the highest changed clique) stay valid, so it undoes the pivot
+    insertions logged since that cut and re-reduces only the suffix.
+    nodes counts the encodings at which the reduction resumed.
     """
-    nrows, start, flips = plan
+    nrows, flips, cuts, levels, entry = plan
     rows = [0] * nrows
     v = lo
     while v:
@@ -160,49 +190,65 @@ def _scan_block(plan, lo: int, hi: int) -> tuple[int, int]:
             rows[p] ^= bit
         v &= v - 1
     pivots: dict[int, int] = {}
-    log: list[int] = []        # pivot keys in insertion order
-    mark = [0] * nrows         # len(log) before row p was reduced
+    log: list[int] = []         # pivot keys in insertion order
+    mark = [0] * len(cuts)      # len(log) when cut i was reached
     get, append = pivots.get, log.append
-    best_rank, best_alpha = -1, lo
-    value, s, i = lo, 0, 0
+    best_rank, best_alpha, nodes = -1, lo, 0
+    # the bound at a cut does not beat best_rank iff r - cut <= slack:
+    # never before any rank is known, always once the ceiling is reached
+    slack = -nrows - 1
+    value, i = lo, 0
     while True:
-        r = mark[s]
+        nodes += 1
+        r = mark[i]
         for key in log[r:]:
             del pivots[key]
         del log[r:]
-        for p in range(s, nrows):
-            mark[p] = r
-            row = rows[p]
-            while row:
-                low = row & -row
-                pivot = get(low)
-                if pivot is None:
-                    pivots[low] = row
-                    append(low)
-                    r += 1
-                    break
-                row ^= pivot
-        if r >= best_rank and (r > best_rank or value < best_alpha):
-            best_rank, best_alpha = r, value
-        i += 1
-        if lo + i == hi:
-            return best_rank, best_alpha
-        q = (i & -i).bit_length() - 1
-        value ^= 1 << q
-        for p, bit in flips[q]:
-            rows[p] ^= bit
-        s = start[q]
+        while True:
+            cut = cuts[i]
+            if r - cut <= slack:
+                skip = (1 << levels[i]) - 1
+                break
+            if cut == nrows:
+                best_rank, best_alpha, skip = r, value, 0
+                slack = nrows if r >= ceiling else r + 1 - nrows
+                break
+            mark[i] = r
+            i += 1
+            for p in range(cut, cuts[i]):
+                row = rows[p]
+                while row:
+                    low = row & -row
+                    pivot = get(low)
+                    if pivot is None:
+                        pivots[low] = row
+                        append(low)
+                        r += 1
+                        break
+                    row ^= pivot
+        nxt = (value | skip) + 1
+        if nxt >= hi:
+            return best_rank, best_alpha, nodes
+        changed = value ^ nxt
+        value = nxt
+        i = entry[changed.bit_length() - 1]
+        while changed:
+            low = changed & -changed
+            for p, bit in flips[low.bit_length() - 1]:
+                rows[p] ^= bit
+            changed ^= low
 
 
 def _fold(results, ceiling: int) -> tuple[int, int]:
-    """Fold per-block (rank, encoding) results given in integer order.
+    """Fold per-block (rank, encoding, nodes) results given in integer
+    order.
 
     A later block replaces the best only with a strictly higher rank, so
     the encoding kept is the first maximizer.  Stops after the first block
     that reaches the ceiling.
     """
     best_rank, best_alpha = -1, 0
-    for rank, alpha in results:
+    for rank, alpha, _nodes in results:
         if rank > best_rank:
             best_rank, best_alpha = rank, alpha
             if rank >= ceiling:
@@ -218,8 +264,8 @@ def _init_worker(plan):
     _worker_plan = plan
 
 
-def _scan_block_in_worker(bounds):
-    return _scan_block(_worker_plan, *bounds)
+def _scan_in_worker(task):
+    return _scan(_worker_plan, *task)
 
 
 def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
@@ -234,22 +280,21 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
 
     plan = _plan(template.clique_rows)
     ceiling = parity_ceiling(b2)
-    blocks = _blocks(b4)
 
-    # where fork is missing the serial fold gives the identical result
+    # where fork is missing the serial scan gives the identical result
     if (config.workers > 1 and 1 << b4 >= config.parallel_threshold
             and "fork" in multiprocessing.get_all_start_methods()):
-        rank, alpha = _parallel_scan(plan, blocks, ceiling, config.workers)
+        rank, alpha = _parallel_scan(plan, b4, ceiling, config.workers)
     else:
-        rank, alpha = _fold((_scan_block(plan, lo, hi) for lo, hi in blocks),
-                            ceiling)
+        rank, alpha, _nodes = _scan(plan, 0, 1 << b4, ceiling)
     return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
 
 
-def _parallel_scan(plan, blocks, ceiling, workers):
+def _parallel_scan(plan, b4, ceiling, workers):
+    tasks = [(lo, hi, ceiling) for lo, hi in _blocks(b4)]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker, initargs=(plan,)) as pool:
-        return _fold(pool.imap(_scan_block_in_worker, blocks), ceiling)
+        return _fold(pool.imap(_scan_in_worker, tasks), ceiling)
 
 
 # --------------------------------------------------------------------------

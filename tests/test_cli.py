@@ -5,6 +5,7 @@ from itertools import combinations
 import jsonschema
 import pytest
 
+import raagh.graphs
 from raagh import (FamilyCertificate, build_cup_form, dump_matrix,
                    dump_template, generate_family, make_graph, parse_graph,
                    serialize_graph, substitute)
@@ -150,6 +151,16 @@ def test_parse_error_exits_2(capsys, tmp_path):
     bad.write_text("0 0\n")
     code, _, err = run(capsys, "compute", str(bad))
     assert code == 2 and "self-loop" in err
+
+
+def test_vertex_count_over_the_limit_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(raagh.graphs, "MAX_VERTICES", 8)
+    path = tmp_path / "wide.edges"
+    path.write_text("# vertices: 9\n0 1\n")
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2 and out == "" and "limit of 8" in err
+    path.write_text("# vertices: 8\n0 1\n")
+    assert run(capsys, "compute", str(path))[0] == 0
 
 
 def test_strict_cap_exits_3(capsys, tmp_path):

@@ -4,14 +4,15 @@ from itertools import combinations
 
 import pytest
 
+import raagh.graphs
 from raagh import (FamilyCertificate, ParseError, betti, canonical_key,
-                   connected_components, disjoint_union, enumerate_cliques,
-                   generate_family, is_isomorphic, make_graph,
-                   maximal_cliques, parse_graph, recognize_family,
+                   enumerate_cliques, generate_family, is_isomorphic,
+                   make_graph, maximal_cliques, parse_graph, recognize_family,
                    serialize_graph, to_dot, verify_certificate)
 from raagh.graphs import biconnected_blocks, classify_edges, induced_subgraph
 
-from oracles import canonical_key_oracle, cliques_oracle, random_gnp
+from oracles import (canonical_key_oracle, cliques_oracle,
+                     connected_components, disjoint_union, random_gnp)
 
 
 def join_graph():
@@ -301,6 +302,20 @@ def test_edge_list_compacts_sparse_ids_and_keeps_labels():
 def test_parse_errors_are_specific(text, fmt, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_graph(text, fmt)
+
+
+@pytest.mark.parametrize("text,fmt", [
+    ("# vertices: 5\n", "edges"),
+    ("0 1\n2 3\n4 5\n", "edges"),
+    ('{"vertices": 5, "edges": []}', "json"),
+    ("\n".join([",".join("0" * 5)] * 5), "csv"),
+])
+def test_parsers_reject_more_vertices_than_the_limit(text, fmt, monkeypatch):
+    monkeypatch.setattr(raagh.graphs, "MAX_VERTICES", 4)
+    with pytest.raises(ParseError, match="over the limit of 4"):
+        parse_graph(text, fmt)
+    monkeypatch.setattr(raagh.graphs, "MAX_VERTICES", 6)
+    assert parse_graph(text, fmt).n in (5, 6)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -12,12 +12,12 @@ from raagh import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                    HEX_THEOREM, STRING_THEOREM, THEOREM_GRADE, TRIVIAL_H4,
                    CapExceeded, ExactValue, FamilyCertificate, HReport,
                    SolverConfig, betti, certified_h, compute_h, compute_m2,
-                   decompose_h, disjoint_union, generate_family, h_family,
-                   h_free_abelian, make_graph)
+                   decompose_h, generate_family, h_family, h_free_abelian,
+                   make_graph)
 import raagh.hbounds
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
-from oracles import random_gnp
+from oracles import disjoint_union, random_gnp
 
 
 def join_graph():
@@ -210,6 +210,17 @@ def test_cohomological_bound_is_tight_on_string_families(cert):
     rep = compute_h(g)
     assert rep.exact is not None and rep.exact.theorem_grade
     assert rep.lower_cohomological == rep.exact.value == h_family(cert).value
+
+
+def test_scan_reaches_the_face_string_theorem_up_to_k_28():
+    # b4 = k up to the default cap; the branch-and-bound scan proves m2
+    # exhaustively, and the bound meets 3k+6 (even k) / 3k+5 (odd k)
+    for k in range(7, 29):
+        cert = FamilyCertificate.face_string(k)
+        rep = compute_h(generate_family(cert))
+        assert rep.b4 == k and rep.m2_mode == "exhaustive" and rep.m2.exhaustive
+        expect = 3 * k + 6 if k % 2 == 0 else 3 * k + 5
+        assert rep.lower_cohomological == h_family(cert).value == expect, k
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -8,7 +8,7 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    SolverConfig, betti, build_cup_form, compute_m2,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
-from raagh.solver import _blocks, heuristic_seed_values
+from raagh.solver import _blocks, _fold, _plan, _scan, heuristic_seed_values
 
 from oracles import m2_oracle, random_gnp
 
@@ -88,6 +88,69 @@ def test_scan_across_many_blocks_matches_integer_order(name):
         res = compute_m2(g, cfg)
         assert (res.m2, res.witness, res.exhaustive) == (
             m2, AlphaVector(witness, b4), True)
+
+
+def scan_battery(count, seed):
+    """Seeded graphs with 1 <= b4 <= 14, drawn in turn as G(n, p), G(n, p)
+    plus a relabeled copy, and unions of K4s, where every edge lies in a
+    4-clique and the parity ceiling is often reached."""
+    rnd = random.Random(seed)
+    out, draws = [], 0
+    while len(out) < count:
+        n = rnd.randint(5, 8)
+        kind = draws % 3
+        if kind < 2:
+            edges = random_gnp(n, rnd.choice((0.45, 0.6, 0.75, 0.9)),
+                               rnd.getrandbits(32))
+        else:
+            edges = set()
+            for _ in range(rnd.randint(2, 4)):
+                edges |= set(combinations(sorted(rnd.sample(range(n), 4)), 2))
+        g = make_graph(n, sorted(edges))
+        if not 1 <= len(build_cup_form(g).cliques) <= 14:
+            continue
+        draws += 1
+        out.append(g)
+        if kind == 1:
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            out.append(make_graph(n, [tuple(sorted((perm[u], perm[v])))
+                                      for u, v in g.edges]))
+    return out
+
+
+def test_branch_and_bound_matches_integer_order_on_a_seeded_battery():
+    graphs = scan_battery(300, 6)
+    pooled = SolverConfig(workers=2, parallel_threshold=64)
+    ceiling_hits = 0
+    for idx, g in enumerate(graphs):
+        t = build_cup_form(g)
+        b4, ceiling = t.num_cliques, parity_ceiling(t.dim)
+        m2, witness = integer_order_scan(g)
+        ceiling_hits += m2 == ceiling
+        expected = (m2, AlphaVector(witness, b4), True)
+        res = compute_m2(g)
+        assert (res.m2, res.witness, res.exhaustive) == expected, idx
+        # what the pool computes: every block scanned with no incumbent,
+        # folded in integer order; the pool itself runs on every fourth
+        plan = _plan(t.clique_rows)
+        blocks = (_scan(plan, lo, hi, ceiling) for lo, hi in _blocks(b4))
+        assert _fold(blocks, ceiling) == (m2, witness), idx
+        if idx % 4 == 3:
+            res = compute_m2(g, pooled)
+            assert (res.m2, res.witness, res.exhaustive) == expected, idx
+    assert ceiling_hits >= 20
+
+
+def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
+    # m2 = 60 is one below b2 = 63 and two below what 63 rows could give,
+    # so most subtrees are capped at the incumbent; the full tree of
+    # 2^20 encodings has 2^21 - 1 nodes
+    t = build_cup_form(generate_family(FamilyCertificate.face_string(20)))
+    rank, _alpha, nodes = _scan(_plan(t.clique_rows), 0, 1 << 20,
+                                parity_ceiling(t.dim))
+    assert t.num_cliques == 20 and rank == 60
+    assert nodes < (1 << 21) // 100
 
 
 def test_blocks_are_aligned_subcubes_covering_the_range_in_order():
