@@ -63,7 +63,7 @@ class CupFormTemplate:
 
 def build_cup_form(g: Graph) -> CupFormTemplate:
     """Template of the cup-product pairing on degree-2 classes of g."""
-    edges = enumerate_cliques(g, 2)
+    edges = CliqueIndex(2, g.edges)  # the lex-sorted 2-cliques
     cliques = enumerate_cliques(g, 4)
     pos = edges.position
     entries: dict = {}
@@ -138,7 +138,7 @@ def substitute(template: CupFormTemplate, alpha: AlphaVector) -> Gf2Matrix:
     """Evaluate the template at alpha over GF(2) (signs drop out mod 2).
 
     Rebuilt from scratch on every call; sweeping many alphas is the job of
-    the solver's block scanner, which updates one clique at a time.
+    solver._scan, which re-reduces only the rows the changed cliques reach.
     """
     if alpha.length != template.num_cliques:
         raise ValueError(
@@ -147,10 +147,12 @@ def substitute(template: CupFormTemplate, alpha: AlphaVector) -> Gf2Matrix:
     n = template.dim
     rows = [0] * n
     value = alpha.value
-    for q, contribs in enumerate(template.clique_rows):
-        if value >> q & 1:
-            for r, bit in contribs:
-                rows[r] ^= bit
+    clique_rows = template.clique_rows
+    while value:
+        low = value & -value
+        for r, bit in clique_rows[low.bit_length() - 1]:
+            rows[r] ^= bit
+        value ^= low
     return Gf2Matrix(n, n, tuple(rows))
 
 

@@ -88,11 +88,14 @@ class FamilyCertificate:
         if not isinstance(data, dict) or "family" not in data:
             raise ParseError("certificate must be an object with a 'family' key")
         kwargs = {}
-        for key in ("n", "clique_size", "count", "side"):
-            if data.get(key) is not None:
-                kwargs[key] = int(data[key])
-        if data.get("cells") is not None:
-            kwargs["cells"] = tuple(sorted((int(x), int(y)) for x, y in data["cells"]))
+        try:
+            for key in ("n", "clique_size", "count", "side"):
+                if data.get(key) is not None:
+                    kwargs[key] = int(data[key])
+            if data.get("cells") is not None:
+                kwargs["cells"] = tuple(sorted((int(x), int(y)) for x, y in data["cells"]))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"certificate parameters are not integers ({exc})") from None
         return cls(str(data["family"]), **kwargs)
 
 
@@ -180,46 +183,42 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
-def enumerate_cliques(g: Graph, k: int) -> CliqueIndex:
-    """All k-cliques in lexicographic vertex-tuple order.
-
-    Ordered DFS extension: each clique is grown by vertices larger than its
-    last member that are adjacent to every current member, so the output
-    order matches sorted(itertools.combinations) restricted to cliques.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _walk(g: Graph, k: int, counts: list[int], out: list | None = None) -> None:
+    """Ordered DFS over the cliques of g with at most k vertices, from the
+    empty clique: a clique grows by vertices above its last member that are
+    adjacent to every member, so the k-cliques arrive in lexicographic order
+    (out, when given, collects them).  counts[d] gains the number of
+    d-cliques, read off each parent's mask of allowed extensions."""
     adj = g.adjacency
-    out: list[tuple[int, ...]] = []
-    if k == 1:
-        return CliqueIndex(1, tuple((v,) for v in range(g.n)))
 
-    def extend(prefix: list[int], allowed: int, depth: int):
-        if depth == k:
-            out.append(tuple(prefix))
+    def extend(prefix: tuple[int, ...], allowed: int, depth: int):
+        counts[depth + 1] += allowed.bit_count()
+        if depth + 1 == k:
+            if out is not None:
+                out.extend(prefix + (v,) for v in _mask_bits(allowed))
             return
         for v in _mask_bits(allowed):
-            prefix.append(v)
-            extend(prefix, allowed & adj[v] & ~((1 << (v + 1)) - 1), depth + 1)
-            prefix.pop()
+            nxt = allowed & adj[v] & ~((1 << (v + 1)) - 1)
+            if nxt:
+                extend(prefix + (v,), nxt, depth + 1)
 
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        extend([v], adj[v] & full & ~((1 << (v + 1)) - 1), 1)
+    extend((), (1 << g.n) - 1, 0)
+
+
+def enumerate_cliques(g: Graph, k: int) -> CliqueIndex:
+    """All k-cliques in lexicographic vertex-tuple order, which matches
+    sorted(itertools.combinations) restricted to cliques."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    out: list[tuple[int, ...]] = []
+    _walk(g, k, [0] * (k + 1), out)
     return CliqueIndex(k, tuple(out))
-
-
-def max_clique_size(g: Graph) -> int:
-    """Clique number; 0 for the empty graph."""
-    size = 1 if g.n else 0
-    while size >= 1 and len(enumerate_cliques(g, size + 1)) > 0:
-        size += 1
-    return size
 
 
 def betti(g: Graph) -> tuple[int, ...]:
     """Cohomology ranks of the associated group: b_k = number of k-cliques
-    for k >= 1, and b_0 = number of connected components."""
+    for k >= 1, and b_0 = number of connected components.  One clique walk
+    counts every size."""
     adj = g.adjacency
     unseen = (1 << g.n) - 1
     b0 = 0
@@ -232,15 +231,9 @@ def betti(g: Graph) -> tuple[int, ...]:
                 reach |= adj[v]
             frontier = reach & unseen
         b0 += 1
-    out = [b0]
-    k = 1
-    while True:
-        count = len(enumerate_cliques(g, k))
-        if count == 0:
-            break
-        out.append(count)
-        k += 1
-    return tuple(out)
+    counts = [b0] + [0] * (g.n + 1)
+    _walk(g, g.n + 1, counts)  # no clique has n + 1 vertices
+    return tuple(counts[:counts.index(0, 1)])
 
 
 def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -334,14 +327,17 @@ def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
 
 
 def classify_edges(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Partition edges into (in some 4-clique, in no 4-clique)."""
-    in4 = set()
-    for c in enumerate_cliques(g, 4).cliques:
-        for u, v in combinations(c, 2):
-            in4.add((u, v))
-    covered = tuple(e for e in g.edges if e in in4)
-    free = tuple(e for e in g.edges if e not in in4)
-    return covered, free
+    """Partition edges into (in some 4-clique, in no 4-clique).  uv lies in
+    a 4-clique exactly when its common neighbourhood spans an edge."""
+    adj = g.adjacency
+    covered, free = [], []
+    for u, v in g.edges:
+        common = adj[u] & adj[v]
+        if any(adj[w] & common for w in _mask_bits(common)):
+            covered.append((u, v))
+        else:
+            free.append((u, v))
+    return tuple(covered), tuple(free)
 
 
 # --------------------------------------------------------------------------
@@ -553,7 +549,7 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
     if g.n > _RECOGNIZE_MAX_N:
         return None
 
-    omega = max_clique_size(g)
+    omega = len(betti(g)) - 1
     if omega in (4, 5, 6, 7):
         s = omega
         if (g.n - 2) % (s - 2) == 0:
@@ -661,18 +657,44 @@ def _is_face_string(g: Graph, k: int) -> bool:
     return want == set(g.edges)
 
 
+def _family_vertex_count(cert: FamilyCertificate) -> int | None:
+    """Vertex count of the graph cert describes, worked out without
+    building it; None when a parameter it needs is missing."""
+    fam = cert.family
+    try:
+        if fam in ("edgeless", "complete"):
+            return cert.n
+        if fam == "clique-string":
+            return (cert.clique_size - 2) * cert.count + 2
+        if fam == "face-string":
+            return cert.count + 3
+        if fam == "hex-triangle":
+            return (cert.side + 1) * (cert.side + 2) // 2
+        if fam == "grid":
+            return len({(x + dx, y + dy) for x, y in cert.cells
+                        for dx in (0, 1) for dy in (0, 1)})
+    except TypeError:
+        pass
+    return None
+
+
 def verify_certificate(g: Graph, cert: FamilyCertificate) -> bool:
     """Check that g really is the graph cert describes, up to isomorphism.
-    Run before trusting a certificate that arrived with parsed input."""
+    Run before trusting a certificate that arrived with parsed input.
+
+    The vertex counts are compared before the model is built, so a forged
+    certificate with huge parameters costs nothing."""
+    if _family_vertex_count(cert) != g.n:
+        return False
+    fam = cert.family
+    if fam in ("edgeless", "complete"):  # the counts pin these
+        return len(g.edges) == (0 if fam == "edgeless" else g.n * (g.n - 1) // 2)
     try:
         model = generate_family(cert)
     except (ValueError, TypeError):
         return False
-    if g.n != model.n or len(g.edges) != len(model.edges):
+    if len(g.edges) != len(model.edges):
         return False
-    fam = cert.family
-    if fam in ("edgeless", "complete"):
-        return True  # the counts already pin these
     if fam == "clique-string":
         return cert.count == 1 or _is_clique_string(g, cert.clique_size, cert.count)
     if fam == "face-string":
@@ -738,7 +760,7 @@ def _parse_edge_list(text: str) -> Graph:
                 try:
                     certificate = FamilyCertificate.from_dict(
                         json.loads(body.split(":", 1)[1]))
-                except (json.JSONDecodeError, ParseError) as exc:
+                except ValueError as exc:  # ParseError, bad JSON, too many digits
                     raise ParseError(f"line {lineno}: bad certificate comment ({exc})") from None
             continue
         if not stripped:
@@ -821,17 +843,24 @@ def _parse_adjacency_csv(text: str) -> Graph:
     return make_graph(n, edges)
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; json.loads gives booleans as bool, an int
+    subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_json(text: str) -> Graph:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise ParseError(f"invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
-    try:
-        n = int(data["vertices"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("missing or invalid 'vertices' count") from None
+    n = data.get("vertices")
+    if not _is_int(n):
+        raise ParseError("missing or invalid 'vertices' count")
     _check_vertex_count(n, "'vertices'")
     raw = data.get("edges", [])
     if not isinstance(raw, list):
@@ -842,7 +871,7 @@ def _parse_json(text: str) -> Graph:
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ParseError(f"edge #{pos}: expected [u, v]")
         u, v = pair
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not (_is_int(u) and _is_int(v)):
             raise ParseError(f"edge #{pos}: endpoints must be integers")
         if u == v:
             raise ParseError(f"edge #{pos}: self-loop at vertex {u}")

@@ -236,14 +236,31 @@ def _resolve_certificate(g: Graph) -> FamilyCertificate | None:
     return recognize_family(g)
 
 
-def _piece_report(g: Graph, config: SolverConfig, heuristic: bool,
-                  strict: bool) -> HReport:
-    """Report for a graph treated as one piece (no decomposition inside)."""
-    numbers = betti(g)
+def _report(g: Graph, numbers: tuple[int, ...], res: M2Result, mode: str,
+            exact: ExactValue | None,
+            decomposition: DecompositionReport | None = None) -> HReport:
+    """HReport from an m2 result and the exact value found for it, if any.
+    Without one, an exhaustive m2 offers the cohomological bound as the
+    conjectured value."""
+    b2 = _b(numbers, 2)
+    if exact is None and res.exhaustive:
+        exact = ExactValue(2 * b2 - res.m2, CONJECTURAL_MINIMAL)
+    lower_coh = 2 * b2 - res.m2
+    if exact is not None and exact.theorem_grade:
+        # a heuristic that under-finds m2 would otherwise overstate the bound
+        lower_coh = min(lower_coh, exact.value)
+    return HReport(g, numbers, res, mode, b2, lower_coh, 2 * b2, exact,
+                   decomposition)
+
+
+def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
+                  heuristic: bool, strict: bool) -> HReport:
+    """Report for a graph treated as one piece (no decomposition inside);
+    numbers is betti(g)."""
     b2, b4 = _b(numbers, 2), _b(numbers, 4)
     if b4 == 0:
         res = M2Result(0, AlphaVector(0, 0), b2, True)
-        return HReport(g, numbers, res, "exhaustive", b2, 2 * b2, 2 * b2,
+        return _report(g, numbers, res, "exhaustive",
                        ExactValue(2 * b2, TRIVIAL_H4))
 
     mode = "heuristic" if heuristic else "exhaustive"
@@ -268,14 +285,7 @@ def _piece_report(g: Graph, config: SolverConfig, heuristic: bool,
             exact = None
     if exact is None:
         exact = certified_h(g)
-    if exact is None and res.exhaustive:
-        exact = ExactValue(2 * b2 - res.m2, CONJECTURAL_MINIMAL)
-
-    lower_coh = 2 * b2 - res.m2
-    if exact is not None and exact.theorem_grade:
-        # a heuristic that under-finds m2 would otherwise overstate the bound
-        lower_coh = min(lower_coh, exact.value)
-    return HReport(g, numbers, res, mode, b2, lower_coh, 2 * b2, exact)
+    return _report(g, numbers, res, mode, exact)
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +317,7 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
             sub, vmap = g, tuple(range(g.n))
         else:
             sub, vmap = induced_subgraph(covered_g, vset)
-        report = _piece_report(sub, config, heuristic, strict)
+        report = _piece_report(sub, betti(sub), config, heuristic, strict)
         pieces.append(DecompositionPiece(vmap, sub, report))
 
     aggregate = None
@@ -318,32 +328,32 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     return DecompositionReport(tuple(free), tuple(pieces), aggregate)
 
 
-def _assemble_m2(g: Graph, decomp: DecompositionReport) -> tuple[M2Result, str]:
+def _assemble_m2(g: Graph, decomp: DecompositionReport) -> M2Result:
     """Parent m2 from piece results.
 
     Edges outside 4-cliques contribute zero rows to every substituted form
-    and distinct pieces touch disjoint edge/clique sets, so ranks add.  Piece
-    witnesses transplant bit-by-bit: vertex maps are increasing, hence
-    preserve the lexicographic 4-clique order, and the combined witness is
-    the canonically first maximizer whenever every piece's was.
+    and distinct pieces touch disjoint edge/clique sets, so ranks add.  Each
+    parent 4-clique lies in exactly one piece, and vertex maps are
+    increasing, so sorting the pieces' mapped 4-cliques gives the parent's
+    lexicographic 4-clique order, and each piece's witness bits travel with
+    its cliques.  The combined witness is the canonically first maximizer
+    whenever every piece's was.
     """
-    parent_cliques = enumerate_cliques(g, 4)
-    parent_pos = parent_cliques.position
-    b2 = len(g.edges)
     total = 0
-    witness = 0
     exhaustive = True
+    tagged = []  # (parent 4-clique, its witness bit)
     for piece in decomp.pieces:
         res = piece.report.m2
         total += res.m2
         exhaustive = exhaustive and res.exhaustive
-        piece_cliques = enumerate_cliques(piece.graph, 4).cliques
-        for q, clique in enumerate(piece_cliques):
-            if res.witness.bit(q):
-                parent_clique = tuple(piece.vertices[v] for v in clique)
-                witness |= 1 << parent_pos[parent_clique]
-    alpha = AlphaVector(witness, len(parent_cliques))
-    return M2Result(total, alpha, b2 - total, exhaustive), "assembled"
+        if piece.report.b4:
+            cliques = enumerate_cliques(piece.graph, 4).cliques
+            tagged.extend((tuple(piece.vertices[v] for v in clique), res.witness.bit(q))
+                          for q, clique in enumerate(cliques))
+    tagged.sort()
+    witness = sum(bit << q for q, (_clique, bit) in enumerate(tagged))
+    alpha = AlphaVector(witness, len(tagged))
+    return M2Result(total, alpha, len(g.edges) - total, exhaustive)
 
 
 def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
@@ -351,23 +361,13 @@ def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     """Full analysis of one graph: bounds, m2, exact value when certified,
     and the decomposition whenever it is nontrivial."""
     numbers = betti(g)
-    b2, b4 = _b(numbers, 2), _b(numbers, 4)
-    if b4 == 0:
-        return _piece_report(g, config, heuristic, strict)
+    if _b(numbers, 4) == 0:
+        return _piece_report(g, numbers, config, heuristic, strict)
 
     decomp = decompose_h(g, config, heuristic, strict)
     if not decomp.free_edges and len(decomp.pieces) == 1 \
             and decomp.pieces[0].graph.n == g.n:
         return decomp.pieces[0].report
 
-    res, mode = _assemble_m2(g, decomp)
-    exact = decomp.aggregate_exact
-    if exact is None and res.exhaustive:
-        exact = ExactValue(2 * b2 - res.m2, CONJECTURAL_MINIMAL)
-
-    lower_coh = 2 * b2 - res.m2
-    if exact is not None and exact.theorem_grade:
-        lower_coh = min(lower_coh, exact.value)
-    return HReport(g, numbers, res, mode, b2, lower_coh, 2 * b2, exact,
-                   decomposition=decomp)
-
+    return _report(g, numbers, _assemble_m2(g, decomp), "assembled",
+                   decomp.aggregate_exact, decomp)

@@ -105,18 +105,6 @@ def parity_ceiling(b2: int) -> int:
 # rank scanning
 # --------------------------------------------------------------------------
 
-def _rank_of_encoding(clique_rows, dim: int, value: int) -> int:
-    """Rank at one encoding, with the matrix built from scratch."""
-    rows = [0] * dim
-    v = value
-    while v:
-        low = v & -v
-        for r, bit in clique_rows[low.bit_length() - 1]:
-            rows[r] ^= bit
-        v ^= low
-    return rank_gf2(rows)
-
-
 def _plan(clique_rows) -> tuple:
     """Row layout for the branch-and-bound scan: (nrows, flips, cuts,
     levels, entry).
@@ -339,10 +327,9 @@ def m2_heuristic(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     if b4 == 0:
         return M2Result(0, AlphaVector(0, 0), b2, True)
     ceiling = parity_ceiling(b2)
-    clique_rows = template.clique_rows
     best_rank, best_alpha = -1, 0
     for value in heuristic_seed_values(g, template, config):
-        r = _rank_of_encoding(clique_rows, b2, value)
+        r = rank_gf2(substitute(template, AlphaVector(value, b4)).rows)
         if r > best_rank or (r == best_rank and value < best_alpha):
             best_rank, best_alpha = r, value
             if r >= ceiling:

@@ -4,8 +4,9 @@ Every check pins numbers that were verified by hand against the reference
 worked examples (the 5-vertex join graph, glued 4-clique pairs, the string
 families, K8 minus a perfect matching, ...), or re-derives values through
 the slow oracles defined here, which the test suite shares.  Each check
-raises AssertionError with a readable message on failure and returns a short
-summary string on success.
+raises AssertionError with a readable message on failure, through _expect
+rather than assert so that it still fails under python -O, and returns a
+short summary string on success.
 """
 
 from __future__ import annotations
@@ -204,27 +205,33 @@ def random_graph_battery(count: int = 200, seed: int = 20260814,
 # the acceptance checks
 # --------------------------------------------------------------------------
 
+def _expect(condition, message="") -> None:
+    """Fail the running check with message unless condition holds."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def check_join_graph_bound() -> str:
     start = time.perf_counter()
     g = _join_graph()
     report = compute_h(g)
-    assert report.m2.m2 == 6, f"m2 = {report.m2.m2}, expected 6"
+    _expect(report.m2.m2 == 6, f"m2 = {report.m2.m2}, expected 6")
     lo = (report.lower_trivial, report.lower_cohomological)
-    assert lo == (9, 12), f"bounds {lo}, expected (9, 12)"
+    _expect(lo == (9, 12), f"bounds {lo}, expected (9, 12)")
     rad = radical_at(g, AlphaVector.from_bits((1, 1)))
-    assert rad.dim == 3, f"radical dim {rad.dim}, expected 3"
+    _expect(rad.dim == 3, f"radical dim {rad.dim}, expected 3")
     elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+    _expect(elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s")
     return f"m2=6, bound 12, radical dim 3 at alpha=11 ({elapsed:.2f}s)"
 
 
 def check_join_graph_template() -> str:
     g = _join_graph()
     template = build_cup_form(g)
-    assert template.dim == 9 and template.num_cliques == 2
+    _expect(template.dim == 9 and template.num_cliques == 2)
     got = dump_template(template)
-    assert got == _JOIN_GRAPH_TEMPLATE, \
-        f"template mismatch:\n{got}\nexpected:\n{_JOIN_GRAPH_TEMPLATE}"
+    _expect(got == _JOIN_GRAPH_TEMPLATE,
+            f"template mismatch:\n{got}\nexpected:\n{_JOIN_GRAPH_TEMPLATE}")
     # six disjoint-edge pairs, stored symmetrically with their signs
     pos = template.edges.position
     expected = {
@@ -232,24 +239,24 @@ def check_join_graph_template() -> str:
         (((0, 3), (1, 2)), (0, +1)), (((1, 2), (3, 4)), (1, +1)),
         (((1, 3), (2, 4)), (1, -1)), (((1, 4), (2, 3)), (1, +1)),
     }
-    assert len(template.entries) == 12
+    _expect(len(template.entries) == 12)
     for (e, f), (q, sign) in expected:
-        assert template.entries[(pos[e], pos[f])] == (q, sign)
-        assert template.entries[(pos[f], pos[e])] == (q, sign)
+        _expect(template.entries[(pos[e], pos[f])] == (q, sign))
+        _expect(template.entries[(pos[f], pos[e])] == (q, sign))
     return "9x9 template matches entry for entry, including signs"
 
 
 def check_glued_pair() -> str:
     start = time.perf_counter()
     g = _glued_pair()
-    assert len(g.edges) == 11
+    _expect(len(g.edges) == 11)
     report = compute_h(g)
-    assert report.m2.m2 == 10, f"m2 = {report.m2.m2}, expected 10"
-    assert (report.lower_trivial, report.lower_cohomological) == (11, 12)
+    _expect(report.m2.m2 == 10, f"m2 = {report.m2.m2}, expected 10")
+    _expect((report.lower_trivial, report.lower_cohomological) == (11, 12))
     rad = radical_at(g, AlphaVector.from_bits((1, 1)))
-    assert rad.dim == 1 and rad.rendered == ("z12+z56",), rad.rendered
+    _expect(rad.dim == 1 and rad.rendered == ("z12+z56",), rad.rendered)
     elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+    _expect(elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s")
     return f"b2=11, m2=10, bound 12, radical z12+z56 ({elapsed:.2f}s)"
 
 
@@ -261,12 +268,13 @@ def check_four_string_radicals() -> str:
         res = compute_m2(g)
         want_dim = 1 if length % 2 == 0 else 0
         b2 = len(g.edges)
-        assert b2 == 5 * length + 1
-        assert res.radical_dim == want_dim, \
-            f"length {length}: radical {res.radical_dim}, expected {want_dim}"
-        assert res.m2 == b2 - want_dim
+        _expect(b2 == 5 * length + 1)
+        _expect(res.radical_dim == want_dim,
+                f"length {length}: radical {res.radical_dim}, expected {want_dim}")
+        _expect(res.m2 == b2 - want_dim)
         elapsed = time.perf_counter() - start
-        assert elapsed < 1.0, f"length {length} took {elapsed:.2f}s, budget 1s"
+        _expect(elapsed < 1.0,
+                f"length {length} took {elapsed:.2f}s, budget 1s")
         parts.append(f"l={length}:{res.radical_dim}")
     return "radical dims " + " ".join(parts) + " (1 iff even)"
 
@@ -277,15 +285,15 @@ def check_five_strings() -> str:
     for k, (b2, m2, bound) in expected.items():
         start = time.perf_counter()
         g = generate_family(FamilyCertificate.clique_string(5, k))
-        assert len(g.edges) == b2
+        _expect(len(g.edges) == b2)
         res = compute_m2(g)
-        assert res.m2 == m2, f"k={k}: m2 {res.m2}, expected {m2}"
-        assert 2 * b2 - res.m2 == bound
+        _expect(res.m2 == m2, f"k={k}: m2 {res.m2}, expected {m2}")
+        _expect(2 * b2 - res.m2 == bound)
         fam = h_family(FamilyCertificate.clique_string(5, k))
-        assert fam.value == 12 * k + 2 == bound
+        _expect(fam.value == 12 * k + 2 == bound)
         elapsed = time.perf_counter() - start
         if k == 3:
-            assert elapsed < 30.0, f"k=3 took {elapsed:.2f}s, budget 30s"
+            _expect(elapsed < 30.0, f"k=3 took {elapsed:.2f}s, budget 30s")
         parts.append(f"k={k}:({b2},{m2},{bound})")
     return " ".join(parts) + ", h=12k+2 throughout"
 
@@ -298,10 +306,10 @@ def check_face_strings() -> str:
         res = compute_m2(g)
         bound = 2 * len(g.edges) - res.m2
         want = 3 * k + 6 if k % 2 == 0 else 3 * k + 5
-        assert bound == want, f"k={k}: bound {bound}, expected {want}"
-        assert h_family(FamilyCertificate.face_string(k)).value == want
+        _expect(bound == want, f"k={k}: bound {bound}, expected {want}")
+        _expect(h_family(FamilyCertificate.face_string(k)).value == want)
         elapsed = time.perf_counter() - start
-        assert elapsed < 1.0, f"k={k} took {elapsed:.2f}s, budget 1s"
+        _expect(elapsed < 1.0, f"k={k} took {elapsed:.2f}s, budget 1s")
         parts.append(f"k={k}:{bound}")
     return "bound = h_family = " + " ".join(parts)
 
@@ -309,17 +317,17 @@ def check_face_strings() -> str:
 def check_k6() -> str:
     start = time.perf_counter()
     g = make_graph(6, combinations(range(6), 2))
-    assert len(g.edges) == 15
+    _expect(len(g.edges) == 15)
     res = compute_m2(g)
-    assert res.m2 == 14, f"m2 {res.m2}, expected 14"
+    _expect(res.m2 == 14, f"m2 {res.m2}, expected 14")
     via_complete = compute_h(g)
-    assert via_complete.exact.value == 16
-    assert via_complete.exact.provenance == FREE_ABELIAN
+    _expect(via_complete.exact.value == 16)
+    _expect(via_complete.exact.provenance == FREE_ABELIAN)
     via_string = compute_h(generate_family(FamilyCertificate.clique_string(6, 1)))
-    assert via_string.exact.value == 16
-    assert via_string.exact.provenance == CLIQUE_STRING_6
+    _expect(via_string.exact.value == 16)
+    _expect(via_string.exact.provenance == CLIQUE_STRING_6)
     elapsed = time.perf_counter() - start
-    assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
+    _expect(elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s")
     return f"b2=15, m2=14, h=16 by both routes ({elapsed:.2f}s)"
 
 
@@ -327,11 +335,11 @@ def check_boxes() -> str:
     start = time.perf_counter()
     g = _boxes_graph()
     report = compute_h(g)
-    assert report.b2 == 24 and report.b4 == 16
-    assert report.m2.m2 == 22, f"m2 {report.m2.m2}, expected 22"
-    assert (report.lower_trivial, report.lower_cohomological) == (24, 26)
+    _expect(report.b2 == 24 and report.b4 == 16)
+    _expect(report.m2.m2 == 22, f"m2 {report.m2.m2}, expected 22")
+    _expect((report.lower_trivial, report.lower_cohomological) == (24, 26))
     elapsed = time.perf_counter() - start
-    assert elapsed < 60.0, f"took {elapsed:.2f}s, budget 60s"
+    _expect(elapsed < 60.0, f"took {elapsed:.2f}s, budget 60s")
     return f"b2=24, b4=16, m2=22, bound 26 ({elapsed:.2f}s)"
 
 
@@ -339,15 +347,16 @@ def check_assembly() -> str:
     g = _assembly_graph()
     report = compute_h(g)
     decomp = report.decomposition
-    assert decomp is not None and decomp.r == 16, f"r = {decomp and decomp.r}"
-    assert decomp.aggregate_exact is not None
-    assert decomp.aggregate_exact.value == 62, decomp.aggregate_exact
-    assert decomp.aggregate_exact.provenance == DECOMPOSITION_AGGREGATE
+    _expect(decomp is not None and decomp.r == 16,
+            f"r = {decomp and decomp.r}")
+    _expect(decomp.aggregate_exact is not None)
+    _expect(decomp.aggregate_exact.value == 62, decomp.aggregate_exact)
+    _expect(decomp.aggregate_exact.provenance == DECOMPOSITION_AGGREGATE)
     values = sorted(p.report.exact.value for p in decomp.pieces
                     if p.report.exact.value)
-    assert values == [6, 6, 18], values
-    assert sum(p.report.b2 for p in decomp.pieces) + decomp.r == report.b2
-    assert report.exact.value == 62
+    _expect(values == [6, 6, 18], values)
+    _expect(sum(p.report.b2 for p in decomp.pieces) + decomp.r == report.b2)
+    _expect(report.exact.value == 62)
     return f"aggregate 62 = 18+6+6 + 2*16 over {len(decomp.pieces)} pieces"
 
 
@@ -356,9 +365,9 @@ def check_free_abelian_table() -> str:
                 6: 16, 7: 22, 8: 28, 9: 36, 10: 46}
     for n, want in expected.items():
         got = h_free_abelian(n)
-        assert got == want, f"rank {n}: {got}, expected {want}"
+        _expect(got == want, f"rank {n}: {got}, expected {want}")
         if n not in (3, 5):
-            assert got == comb(n, 2) + (comb(n, 2) & 1)
+            _expect(got == comb(n, 2) + (comb(n, 2) & 1))
     return "ranks 0..10 incl. the rank-3 and rank-5 exceptions"
 
 
@@ -369,41 +378,41 @@ def check_random_battery() -> str:
         template = build_cup_form(g)
         b2, b4 = template.dim, template.num_cliques
         res = compute_m2(g)
-        assert res.m2 % 2 == 0, f"odd m2 {res.m2} on {g.edges}"
+        _expect(res.m2 % 2 == 0, f"odd m2 {res.m2} on {g.edges}")
         mat = substitute(template, res.witness)
         rank = rank_gf2(mat.rows)
-        assert rank == res.m2, "witness does not realize m2"
-        assert rank + len(kernel_basis(mat)) == b2, "rank-nullity failed"
+        _expect(rank == res.m2, "witness does not realize m2")
+        _expect(rank + len(kernel_basis(mat)) == b2, "rank-nullity failed")
         iso = max_isotropic(mat)
-        assert len(iso) == b2 - res.m2 // 2, "max isotropic size wrong"
+        _expect(len(iso) == b2 - res.m2 // 2, "max isotropic size wrong")
         checked += 1
 
         if determinism < 12 and 2 <= b4:
             for workers in (2, 8):
                 cfg = SolverConfig(workers=workers, parallel_threshold=64)
                 alt = compute_m2(g, cfg)
-                assert alt == res, f"workers={workers} changed the result"
+                _expect(alt == res, f"workers={workers} changed the result")
             determinism += 1
         if oracle < 8 and b4 <= 8 and b2 <= 20:
             want_m2, want_alpha = m2_oracle(g)
-            assert (want_m2, want_alpha) == (res.m2, res.witness.value), \
-                "naive scan disagrees"
+            _expect((want_m2, want_alpha) == (res.m2, res.witness.value),
+                    "naive scan disagrees")
             oracle += 1
-    assert checked >= 200 and determinism >= 12 and oracle >= 8
+    _expect(checked >= 200 and determinism >= 12 and oracle >= 8)
     return (f"{checked} graphs: even m2, rank+nullity, isotropic size; "
             f"worker determinism x{determinism}; naive oracle x{oracle}")
 
 
 def check_heuristic_certification() -> str:
     g = generate_family(FamilyCertificate.clique_string(6, 2))
-    assert len(g.edges) == 29
+    _expect(len(g.edges) == 29)
     res = m2_heuristic(g)
-    assert res.m2 == 28, f"heuristic found {res.m2}, expected ceiling 28"
-    assert res.exhaustive, "ceiling hit must certify the value"
+    _expect(res.m2 == 28, f"heuristic found {res.m2}, expected ceiling 28")
+    _expect(res.exhaustive, "ceiling hit must certify the value")
     for k in (1, 2, 3, 5):
-        assert h_family(FamilyCertificate.clique_string(6, k)).value == 14 * k + 2
-        assert h_family(FamilyCertificate.clique_string(7, k)).value == 20 * k + 2
-    assert h_family(FamilyCertificate.clique_string(7, 1)).provenance == CLIQUE_STRING_7
+        _expect(h_family(FamilyCertificate.clique_string(6, k)).value == 14 * k + 2)
+        _expect(h_family(FamilyCertificate.clique_string(7, k)).value == 20 * k + 2)
+    _expect(h_family(FamilyCertificate.clique_string(7, 1)).provenance == CLIQUE_STRING_7)
     return "heuristic certifies m2=28 at the parity ceiling; 14k+2 / 20k+2 formulas"
 
 

@@ -6,7 +6,9 @@ failure surfaces the check's own assertion message.  ``raagh verify-paper``
 runs the same functions.
 """
 
-import pytest
+import os
+import subprocess
+import sys
 
 from raagh.verification import ACCEPTANCE_CHECKS
 
@@ -74,3 +76,22 @@ def test_random_battery():
 
 def test_heuristic_certification():
     _run("heuristic-certification")
+
+
+def test_a_broken_check_fails_even_under_optimization():
+    # python -O strips assert statements; the checks must not rely on them
+    script = (
+        "import sys\n"
+        "import raagh.verification\n"
+        "from raagh.cli import main\n"
+        "assert False, 'never raised under -O'\n"
+        "raagh.verification.h_free_abelian = lambda n: 999\n"
+        "sys.exit(main(['verify-paper', '--only', 'free-abelian-table']))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.startswith("FAIL  free-abelian-table")
+    assert "rank 0: 999, expected 0" in out.stdout
+    assert "0/1 checks passed" in out.stdout

@@ -153,6 +153,52 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert code == 2 and "self-loop" in err
 
 
+_HUGE_INT = "1" + "0" * 5000  # over Python's digit limit for int()
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("edges", '# certificate: {"family": "complete", "n": "x"}\n0 1\n',
+     "not integers"),
+    ("json", '{"vertices": 2, "edges": [[0, 1]], '
+             '"certificate": {"family": "complete", "n": "x"}}', "not integers"),
+    ("edges", '# certificate: {"family": "grid", "cells": [1, 2]}\n0 1\n',
+     "not integers"),
+    ("json", '{"vertices": 2, "edges": [[0, 1]], '
+             '"certificate": {"family": "grid", "cells": [1, 2]}}', "not integers"),
+    ("json", '{"vertices": 2.9, "edges": [[0, 1]]}', "'vertices'"),
+    ("json", '{"vertices": "2", "edges": [[0, 1]]}', "'vertices'"),
+    ("json", '{"vertices": true, "edges": []}', "'vertices'"),
+    ("json", '{"vertices": 2, "edges": [[true, false]]}', "integers"),
+    ("json", '{"vertices": 2, "edges": [[0, 1.0]]}', "integers"),
+    ("json", '{"vertices": ' + _HUGE_INT + '}', "invalid JSON"),
+    ("edges", '# certificate: {"family": "complete", "n": ' + _HUGE_INT
+              + '}\n0 1\n', "bad certificate"),
+], ids=["edges-cert-n", "json-cert-n", "edges-cert-cells", "json-cert-cells",
+        "json-float-vertices", "json-string-vertices", "json-bool-vertices",
+        "json-bool-endpoints", "json-float-endpoint", "json-huge-int",
+        "edges-cert-huge-int"])
+def test_malformed_input_exits_2(capsys, tmp_path, fmt, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "compute", str(path), "--format", fmt)
+    assert code == 2 and out == "" and message in err
+
+
+def test_forged_huge_certificate_is_rejected_without_building_it(
+        capsys, tmp_path, monkeypatch):
+    def refuse(cert):
+        raise AssertionError(f"built the model of {cert}")
+
+    monkeypatch.setattr(raagh.graphs, "generate_family", refuse)
+    path = tmp_path / "k4.edges"
+    for side in (1000, 3000):
+        path.write_text('# certificate: {"family": "hex-triangle", "side": %d}\n'
+                        % side + "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        code, out, _ = run(capsys, "compute", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["exact"]["provenance"] == "free-abelian"
+
+
 def test_vertex_count_over_the_limit_exits_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(raagh.graphs, "MAX_VERTICES", 8)
     path = tmp_path / "wide.edges"

@@ -70,6 +70,32 @@ def test_betti_k5_with_pendant_triangle_fan():
     assert betti(make_graph(6, edges)) == (1, 6, 13, 13, 6, 1)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_betti_counts_every_clique_size_like_the_oracle(seed):
+    rnd = random.Random(seed)
+    for _ in range(60):
+        n = rnd.randint(0, 9)
+        g = make_graph(n, random_gnp(n, rnd.choice((0.2, 0.5, 0.8, 0.95)),
+                                     rnd.randrange(2 ** 31)))
+        numbers = betti(g)
+        for k in range(1, len(numbers)):
+            assert numbers[k] == len(cliques_oracle(g, k))
+        assert cliques_oracle(g, len(numbers)) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_edges_matches_a_4_clique_oracle(seed):
+    rnd = random.Random(seed)
+    for _ in range(40):
+        n = rnd.randint(0, 10)
+        g = make_graph(n, random_gnp(n, rnd.choice((0.3, 0.5, 0.7)),
+                                     rnd.randrange(2 ** 31)))
+        in4 = {e for c in cliques_oracle(g, 4) for e in combinations(c, 2)}
+        covered, free = classify_edges(g)
+        assert covered == tuple(e for e in g.edges if e in in4)
+        assert free == tuple(e for e in g.edges if e not in in4)
+
+
 def test_maximal_cliques_sorted_and_maximal():
     g = generate_family(FamilyCertificate.clique_string(5, 2))
     mc = maximal_cliques(g)
@@ -236,6 +262,43 @@ def test_verify_certificate_rejects_mismatches():
     edges.add((0, 4))
     assert not verify_certificate(make_graph(h.n, edges),
                                   FamilyCertificate.face_string(3))
+
+
+def test_certificates_of_another_size_are_rejected_before_the_model_is_built(
+        monkeypatch):
+    def refuse(cert):
+        raise AssertionError(f"built the model of {cert}")
+
+    monkeypatch.setattr(raagh.graphs, "generate_family", refuse)
+    k4 = make_graph(4, combinations(range(4), 2))
+    for cert in (FamilyCertificate.hex_triangle(1000),
+                 FamilyCertificate.hex_triangle(3000),
+                 FamilyCertificate.clique_string(5, 10 ** 6),
+                 FamilyCertificate.face_string(10 ** 9),
+                 FamilyCertificate.grid([(0, 0), (5, 5)]),
+                 FamilyCertificate.complete(10 ** 6),
+                 FamilyCertificate.edgeless(5),
+                 FamilyCertificate("hex-triangle"),
+                 FamilyCertificate("no-such-family", n=4)):
+        assert not verify_certificate(k4, cert)
+    # the counts alone settle complete and edgeless graphs
+    assert verify_certificate(k4, FamilyCertificate.complete(4))
+    assert not verify_certificate(make_graph(4, [(0, 1)]),
+                                  FamilyCertificate.complete(4))
+    assert verify_certificate(make_graph(4, []), FamilyCertificate.edgeless(4))
+    assert not verify_certificate(make_graph(4, [(0, 1)]),
+                                  FamilyCertificate.edgeless(4))
+
+
+@pytest.mark.parametrize("data", [
+    {"family": "complete", "n": "x"},
+    {"family": "grid", "cells": [1, 2]},
+    {"family": "grid", "cells": [[0, 0, 0]]},
+    {"family": "hex-triangle", "side": [3]},
+])
+def test_certificate_dict_with_non_integer_parameters_is_a_parse_error(data):
+    with pytest.raises(ParseError, match="not integers"):
+        FamilyCertificate.from_dict(data)
 
 
 def test_certificate_dict_round_trip():

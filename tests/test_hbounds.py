@@ -14,6 +14,7 @@ from raagh import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                    SolverConfig, betti, certified_h, compute_h, compute_m2,
                    decompose_h, generate_family, h_family, h_free_abelian,
                    make_graph)
+import raagh.graphs
 import raagh.hbounds
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
@@ -376,6 +377,63 @@ def test_each_piece_is_scanned_once(monkeypatch):
     assert len(calls) == sum(1 for p in rep.decomposition.pieces
                              if p.report.b4) == 3
     assert rep.exact == ExactValue(62, DECOMPOSITION_AGGREGATE)
+
+
+def _multi_piece_graph(rnd):
+    """Blocks wedged at cut vertices or set apart, pendant free edges and
+    isolated vertices, relabeled half the time."""
+    n, edges = 0, []
+    for _ in range(rnd.randint(2, 4)):
+        size = rnd.randint(4, 6)
+        block = [e for e in combinations(range(size), 2)
+                 if e[1] < 4 or rnd.random() < 0.7]  # holds a K4
+        if n and rnd.random() < 0.6:
+            cut = rnd.randrange(n)
+            vmap = [cut] + list(range(n, n + size - 1))
+            n += size - 1
+        else:
+            vmap = list(range(n, n + size))
+            n += size
+        edges += [(vmap[u], vmap[v]) for u, v in block]
+    for _ in range(rnd.randint(0, 4)):
+        edges.append((rnd.randrange(n), n))
+        n += 1
+    n += rnd.randint(0, 2)
+    if rnd.random() < 0.5:
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return make_graph(n, edges)
+
+
+def test_assembled_m2_and_witness_match_a_whole_graph_scan():
+    rnd = random.Random(20261018)
+    checked = 0
+    while checked < 100:
+        g = _multi_piece_graph(rnd)
+        if betti(g)[4] > 12:
+            continue
+        rep = compute_h(g)
+        assert rep.m2_mode == "assembled" and rep.m2.exhaustive
+        direct = compute_m2(g)
+        assert (rep.m2.m2, rep.m2.witness) == (direct.m2, direct.witness)
+        checked += 1
+
+
+def test_one_clique_walk_serves_each_need(monkeypatch):
+    walks = []
+    walk = raagh.graphs._walk
+
+    def counting(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(raagh.graphs, "_walk", counting)
+    compute_h(assembly_graph())
+    assert len(walks) <= 27
+    walks.clear()
+    compute_h(boxes_graph())
+    assert len(walks) <= 4
 
 
 def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():
