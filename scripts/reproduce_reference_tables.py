@@ -17,6 +17,10 @@ from raagh import (FamilyCertificate, compute_h, generate_family, h_family,
 # b4 = k for face strings, and the default cap is 28; branch and bound
 # settles all of k <= 28 exhaustively in well under a second
 FACE_STRING_MAX_K = 28
+# b4 = 5k for 5-strings, within the default cap up to k = 5; m2 comes from
+# per-K5 scans glued at the shared edges, and the witness scan grows about
+# 30x per K5 (a fraction of a second at k = 5)
+FIVE_STRING_MAX_K = 5
 
 
 def row(label, g, h_expected):
@@ -108,13 +112,13 @@ def assembly():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-k", type=int, default=4,
-                    help="longest string length per family (default 4)")
+                    help="longest 4-clique string (default 4)")
     ap.add_argument("--max-n", type=int, default=7,
                     help="largest complete graph (default 7; 8 is slow)")
     args = ap.parse_args(argv)
 
     four_strings(args.max_k)
-    five_strings(min(args.max_k, 3))
+    five_strings(FIVE_STRING_MAX_K)
     face_strings(FACE_STRING_MAX_K)
     complete_graphs(args.max_n)
     certified_examples()

@@ -16,6 +16,7 @@ deterministic unless --timings is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -294,7 +295,9 @@ def cmd_verify_paper(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="raagh",
         description="h bounds and cup-form invariants for graph groups")
@@ -324,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "when b4 exceeds the cap")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timing; breaks byte determinism")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("generate", help="emit a catalog family graph")
     p.add_argument("family", choices=("edgeless", "complete", "clique-string",
@@ -340,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="edges",
                    help="output format (default: edges)")
     add_out(p)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("form", help="print the cup-form template or a value")
     add_input(p)
@@ -348,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None,
                    help="0/1 string, position q = coefficient of 4-clique q; "
                         "prints the substituted GF(2) matrix")
-    p.set_defaults(func=cmd_form)
 
     p = sub.add_parser("export", help="convert a graph to another format")
     add_input(p)
@@ -356,23 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", choices=FORMATS + ("dot",), default="edges",
                    help="output format (default: edges)")
     p.add_argument("--dot", action="store_true", help="shorthand for --to dot")
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify-paper",
                        help="rerun the pinned acceptance corpus")
     p.add_argument("--only", action="append", metavar="CHECK",
                    help="run a single named check (repeatable)")
     add_out(p)
-    p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a patched cmd_* attribute takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

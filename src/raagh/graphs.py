@@ -88,14 +88,21 @@ class FamilyCertificate:
         if not isinstance(data, dict) or "family" not in data:
             raise ParseError("certificate must be an object with a 'family' key")
         kwargs = {}
-        try:
-            for key in ("n", "clique_size", "count", "side"):
-                if data.get(key) is not None:
-                    kwargs[key] = int(data[key])
-            if data.get("cells") is not None:
-                kwargs["cells"] = tuple(sorted((int(x), int(y)) for x, y in data["cells"]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"certificate parameters are not integers ({exc})") from None
+        for key in ("n", "clique_size", "count", "side"):
+            value = data.get(key)
+            if value is not None:
+                if not _is_int(value):
+                    raise ParseError("certificate parameters are not integers "
+                                     f"({key} is a {type(value).__name__})")
+                kwargs[key] = value
+        cells = data.get("cells")
+        if cells is not None:
+            if not (isinstance(cells, (list, tuple)) and all(
+                    isinstance(c, (list, tuple)) and len(c) == 2
+                    and _is_int(c[0]) and _is_int(c[1]) for c in cells)):
+                raise ParseError("certificate parameters are not integers "
+                                 "(cells must be [x, y] pairs)")
+            kwargs["cells"] = tuple(sorted((x, y) for x, y in cells))
         return cls(str(data["family"]), **kwargs)
 
 

@@ -24,6 +24,36 @@ left.  Each step to the next encoding flips the cliques that changed and
 re-reduces only the rows they reach, reusing the pivots of the rows before
 them (see _scan).
 
+Gluing at separating edges.  An edge (a row of the form) separates when
+the 4-cliques on it fall into two or more groups that share no other edge,
+as when removing the endpoints of uv disconnects the block and 4-cliques
+on uv lie on two sides of that cut.  No 4-clique crosses such an edge e,
+so the substituted matrix is block diagonal apart from e's row and column.
+Deleting one row and its column of an alternating form lowers the rank by
+t in {0, 2}; with r_i' the rank of side i with e deleted, the rank is
+sum r_i' + max t_i, so
+
+    m2 = max over sides j of  m2(side j) + sum over i != j of m2_e(side i)
+
+where m2_e is the maximum with e's row and column deleted.  Cut at every
+separating edge, the 4-cliques fall into parts; each part is scanned once
+per delete pattern of its separating ("outer") edges, and the part maxima
+combine by that max-plus rule up the tree of parts and edges.  Groups
+sharing no edge at all (cliques meeting in single vertices) just add.
+compute_m2 takes this path only when the parts' scans, 2^(cliques + outer
+edges) encodings each plus a fixed cost per scan, add up to fewer than
+the block's 2^b4.  Two parts can share two separating edges, each
+separating only because of a third part hung on it; the parts then form a
+cycle rather than a tree, and the block is scanned whole.
+
+The witness then comes from one scan of the whole block that starts from
+the incumbent m2 - 2 with ceiling m2: it skips every subtree whose bound
+cannot reach m2 and stops at the first encoding that does.  No rank
+exceeds m2, so that encoding is the first maximizer, and every node it
+visits the plain scan visits too, since the plain scan's incumbent stays
+at or below m2 - 2 until it reaches the same encoding.  That scan is
+short, so it always runs serially.
+
 The pool splits [0, 2^b4) into aligned blocks: [0,1), [1,2), [2,4), ...
 doubling up to 8192 wide, then 8192-wide blocks.  Each block runs the same
 scan with no incumbent, so it returns its own maximum and first maximizer;
@@ -41,9 +71,10 @@ from dataclasses import dataclass
 
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
-from .graphs import Graph, maximal_cliques
+from .graphs import Graph, _mask_bits, maximal_cliques
 
 _BLOCK = 1 << 13
+_PART_SCAN_COST = 64
 _DEFAULT_HEURISTIC_SEED = 0x5EED
 
 
@@ -155,9 +186,12 @@ def _blocks(b4: int) -> list[tuple[int, int]]:
     return out
 
 
-def _scan(plan, lo: int, hi: int, ceiling: int) -> tuple[int, int, int]:
+def _scan(plan, lo: int, hi: int, ceiling: int,
+          best: int = -1) -> tuple[int, int | None, int]:
     """(best rank, first encoding reaching it, nodes) over [lo, hi), by
-    depth-first branch and bound in integer order.
+    depth-first branch and bound in integer order, starting from the
+    incumbent rank best.  Only a strictly higher rank is a hit; with no hit
+    the result is (best, None, nodes).
 
     Reducing the rows of the current encoding passes the cuts in order.
     The rows before cut i are final in the subtree of levels[i]; with r
@@ -181,10 +215,11 @@ def _scan(plan, lo: int, hi: int, ceiling: int) -> tuple[int, int, int]:
     log: list[int] = []         # pivot keys in insertion order
     mark = [0] * len(cuts)      # len(log) when cut i was reached
     get, append = pivots.get, log.append
-    best_rank, best_alpha, nodes = -1, lo, 0
-    # the bound at a cut does not beat best_rank iff r - cut <= slack:
-    # never before any rank is known, always once the ceiling is reached
-    slack = -nrows - 1
+    best_rank, best_alpha, nodes = best, None, 0
+    # the bound at a cut does not beat best_rank iff r - cut <= slack
+    # (best | 1 is best + 1 for an even rank, and -1 before any rank);
+    # always once the ceiling is reached
+    slack = nrows if best >= ceiling else (best | 1) - nrows
     value, i = lo, 0
     while True:
         nodes += 1
@@ -244,6 +279,176 @@ def _fold(results, ceiling: int) -> tuple[int, int]:
     return best_rank, best_alpha
 
 
+# --------------------------------------------------------------------------
+# gluing at separating edges
+# --------------------------------------------------------------------------
+
+def _reach(start: int, blocked: int, target: int, rows_of, cliques_of) -> int:
+    """Mask of the cliques joined to those in start by chains of cliques
+    sharing a row outside the blocked row mask; the fill stops early once
+    it holds every clique in target."""
+    seen = todo = start
+    while todo and target & ~seen:
+        q = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        fresh = rows_of[q] & ~blocked
+        blocked |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            new = cliques_of[low.bit_length() - 1] & ~seen
+            seen |= new
+            todo |= new
+    return seen
+
+
+def _parts(clique_rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The cliques cut at every separating row: (cliques, outer rows) per
+    part, in order of least clique.
+
+    A row separates when the cliques on it fall into two or more groups
+    that share no other row; one flood fill per row shared by two or more
+    cliques finds them all.  Parts are the groups of cliques joined through
+    rows that do not separate; a part's outer rows are the separating rows
+    it touches.
+    """
+    rows_of = [0] * len(clique_rows)
+    cliques_of: dict[int, int] = {}
+    for q, contribs in enumerate(clique_rows):
+        for r, _bit in contribs:
+            rows_of[q] |= 1 << r
+            cliques_of[r] = cliques_of.get(r, 0) | 1 << q
+    separating = 0
+    for r, on_r in cliques_of.items():
+        if on_r & (on_r - 1) and on_r & ~_reach(on_r & -on_r, 1 << r, on_r,
+                                                 rows_of, cliques_of):
+            separating |= 1 << r
+    parts, left = [], (1 << len(clique_rows)) - 1
+    while left:
+        part = _reach(left & -left, separating, left, rows_of, cliques_of)
+        left ^= part
+        cliques = tuple(_mask_bits(part))
+        rows = 0
+        for q in cliques:
+            rows |= rows_of[q]
+        parts.append((cliques, tuple(_mask_bits(rows & separating))))
+    return parts
+
+
+def _part_rank(clique_rows, cliques, deleted: int) -> int:
+    """Maximum rank over the functionals on the given cliques, with the
+    rows and columns in the deleted mask removed: the branch-and-bound
+    scan, capped at the part's own parity ceiling.  Cliques left with no
+    entry are dropped."""
+    kept = []
+    for q in cliques:
+        contribs = tuple((r, bit) for r, bit in clique_rows[q]
+                         if not (deleted >> r & 1 or bit & deleted))
+        if contribs:
+            kept.append(contribs)
+    plan = _plan(kept)
+    return _scan(plan, 0, 1 << len(kept), parity_ceiling(plan[0]))[0]
+
+
+def _parts_worth_scanning(clique_rows) -> list | None:
+    """The parts of the block when scanning them is cheaper than scanning
+    the whole block, else None.
+
+    Each part is scanned once per delete pattern of its outer rows, and
+    each of those scans is charged _PART_SCAN_COST encodings on top of its
+    own 2^cliques: its setup costs a few scan nodes, and the whole-block
+    scan it competes with often prunes most of its 2^b4 encodings (it
+    visits 46 of 256 on the K4-string 4x8).  A cut at a row leaves at least
+    two parts scanned twice each, so a block too small for that to pay is
+    not examined; it forgoes only splits into groups meeting in vertices,
+    which at that size save next to nothing.
+    """
+    total = 1 << len(clique_rows)
+    if total <= 4 * (_PART_SCAN_COST + 2):
+        return None
+    parts = _parts(clique_rows)
+    if sum((_PART_SCAN_COST + (1 << len(cliques))) << len(outer)
+           for cliques, outer in parts) >= total:
+        return None
+    return parts
+
+
+def _forest(parts, on_row) -> list | None:
+    """Each tree of parts and separating rows breadth first, as a list of
+    (part, row up); None when they do not form a forest.
+
+    Two parts can share two separating rows (each separating only because
+    of a third part hung on it); then the sides at a row are not single
+    parts and the gluing rule does not apply to them.
+    """
+    seen = [False] * len(parts)
+    trees = []
+    for root in range(len(parts)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [(root, None)]
+        for p, up in order:
+            for r in parts[p][1]:
+                if r == up:
+                    continue
+                for c in on_row[r]:
+                    if c == p:
+                        continue
+                    if seen[c]:
+                        return None
+                    seen[c] = True
+                    order.append((c, r))
+        trees.append(order)
+    return trees
+
+
+def _glued_m2(clique_rows, parts) -> int | None:
+    """m2 from scans of the parts, or None when the parts and separating
+    rows do not form a forest.
+
+    Each part is scanned once per delete pattern of its outer rows; up each
+    tree, the sides meeting at a row e combine as max_j (m2 of side j + sum
+    over the other sides of their m2 with e deleted), and trees add.
+    """
+    on_row: dict[int, list[int]] = {}
+    for p, (_cliques, outer) in enumerate(parts):
+        for r in outer:
+            on_row.setdefault(r, []).append(p)
+    trees = _forest(parts, on_row)
+    if trees is None:
+        return None
+    # best rank of each part's subtree with its row up kept / deleted
+    below: list = [None] * len(parts)
+    total = 0
+    for order in trees:
+        for p, up in reversed(order):
+            cliques, outer = parts[p]
+            # (i, best of the other sides on outer[i] when p keeps / deletes
+            # it): if p keeps the row every other side loses it, otherwise
+            # one of them may keep it
+            gains = []
+            for i, r in enumerate(outer):
+                if r != up:
+                    sides = [below[c] for c in on_row[r] if c != p]
+                    lost = sum(without for _with, without in sides)
+                    swap = max(with_ - without for with_, without in sides)
+                    gains.append((i, (lost, lost + swap)))
+            shift = outer.index(up) if up is not None else len(outer)
+            best = [-1, -1]
+            for pattern in range(1 << len(outer)):
+                deleted = 0
+                for i, r in enumerate(outer):
+                    deleted |= (pattern >> i & 1) << r
+                rank = _part_rank(clique_rows, cliques, deleted)
+                rank += sum(gain[pattern >> i & 1] for i, gain in gains)
+                d = pattern >> shift & 1
+                best[d] = max(best[d], rank)
+            below[p] = best
+        total += below[order[0][0]][0]
+    return total
+
+
 _worker_plan: tuple = ()
 
 
@@ -258,7 +463,12 @@ def _scan_in_worker(task):
 
 def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     """Certified m2 by scanning every functional (early exit at the parity
-    ceiling still certifies).  Raises CapExceeded when b4 > config.cap."""
+    ceiling still certifies).  Raises CapExceeded when b4 > config.cap.
+
+    When the block splits at separating rows and that pays, m2 comes from
+    the parts and the whole-block scan only looks for the first encoding
+    that reaches it, starting from the incumbent m2 - 2.
+    """
     template = build_cup_form(g)
     b2, b4 = template.dim, template.num_cliques
     if b4 > config.cap:
@@ -267,14 +477,18 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
         return M2Result(0, AlphaVector(0, 0), b2, True)
 
     plan = _plan(template.clique_rows)
-    ceiling = parity_ceiling(b2)
-
-    # where fork is missing the serial scan gives the identical result
-    if (config.workers > 1 and 1 << b4 >= config.parallel_threshold
+    parts = _parts_worth_scanning(template.clique_rows)
+    glued = None if parts is None else _glued_m2(template.clique_rows, parts)
+    if glued is not None:
+        # bounded to reach m2 quickly, so not worth a pool
+        rank, alpha, _nodes = _scan(plan, 0, 1 << b4, glued, glued - 2)
+    elif (config.workers > 1 and 1 << b4 >= config.parallel_threshold
             and "fork" in multiprocessing.get_all_start_methods()):
-        rank, alpha = _parallel_scan(plan, b4, ceiling, config.workers)
+        # where fork is missing the serial scan gives the identical result
+        rank, alpha = _parallel_scan(plan, b4, parity_ceiling(b2),
+                                     config.workers)
     else:
-        rank, alpha, _nodes = _scan(plan, 0, 1 << b4, ceiling)
+        rank, alpha, _nodes = _scan(plan, 0, 1 << b4, parity_ceiling(b2))
     return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 import jsonschema
 import pytest
 
+import raagh.cli
 import raagh.graphs
 from raagh import (FamilyCertificate, build_cup_form, dump_matrix,
                    dump_template, generate_family, make_graph, parse_graph,
@@ -173,15 +174,36 @@ _HUGE_INT = "1" + "0" * 5000  # over Python's digit limit for int()
     ("json", '{"vertices": ' + _HUGE_INT + '}', "invalid JSON"),
     ("edges", '# certificate: {"family": "complete", "n": ' + _HUGE_INT
               + '}\n0 1\n', "bad certificate"),
+    ("edges", '# certificate: {"family": "hex-triangle", "side": 2.9}\n0 1\n',
+     "not integers"),
+    ("json", '{"vertices": 2, "edges": [[0, 1]], '
+             '"certificate": {"family": "complete", "n": true}}', "not integers"),
+    ("json", '{"vertices": 2, "edges": [[0, 1]], '
+             '"certificate": {"family": "grid", "cells": [[0.5, 1.7]]}}',
+     "not integers"),
 ], ids=["edges-cert-n", "json-cert-n", "edges-cert-cells", "json-cert-cells",
         "json-float-vertices", "json-string-vertices", "json-bool-vertices",
         "json-bool-endpoints", "json-float-endpoint", "json-huge-int",
-        "edges-cert-huge-int"])
+        "edges-cert-huge-int", "edges-cert-float-side", "json-cert-bool-n",
+        "json-cert-float-cells"])
 def test_malformed_input_exits_2(capsys, tmp_path, fmt, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run(capsys, "compute", str(path), "--format", fmt)
     assert code == 2 and out == "" and message in err
+
+
+def test_parser_is_built_once_and_handlers_resolve_per_call(
+        capsys, monkeypatch, join_file):
+    raagh.cli.build_parser.cache_clear()
+    first = run(capsys, "compute", join_file, "--json")
+    second = run(capsys, "compute", join_file, "--json")
+    assert first[0] == 0 and first == second
+    assert raagh.cli.build_parser.cache_info().misses == 1
+    # a handler patched on the module is the one the next call runs
+    monkeypatch.setattr(raagh.cli, "cmd_compute", lambda args: 7)
+    assert main(["compute", join_file]) == 7
+    assert raagh.cli.build_parser.cache_info().misses == 1
 
 
 def test_forged_huge_certificate_is_rejected_without_building_it(

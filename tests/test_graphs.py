@@ -295,6 +295,9 @@ def test_certificates_of_another_size_are_rejected_before_the_model_is_built(
     {"family": "grid", "cells": [1, 2]},
     {"family": "grid", "cells": [[0, 0, 0]]},
     {"family": "hex-triangle", "side": [3]},
+    {"family": "hex-triangle", "side": 2.9},
+    {"family": "complete", "n": True},
+    {"family": "grid", "cells": [[0.5, 1.7]]},
 ])
 def test_certificate_dict_with_non_integer_parameters_is_a_parse_error(data):
     with pytest.raises(ParseError, match="not integers"):

@@ -224,6 +224,17 @@ def test_scan_reaches_the_face_string_theorem_up_to_k_28():
         assert rep.lower_cohomological == h_family(cert).value == expect, k
 
 
+def test_gluing_reaches_the_five_string_theorem_up_to_k_5():
+    # b4 = 5k up to 25, within the default cap: m2 comes from one scan per
+    # K5 and delete pattern, so the certified bound meets 12k+2
+    for k in range(2, 6):
+        cert = FamilyCertificate.clique_string(5, k)
+        rep = compute_h(generate_family(cert))
+        assert rep.b4 == 5 * k and rep.m2_mode == "exhaustive"
+        assert rep.m2.exhaustive and rep.m2.m2 == 6 * k
+        assert rep.lower_cohomological == h_family(cert).value == 12 * k + 2, k
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_graphs_without_4_cliques_have_exact_double_b2(seed):
     rnd = random.Random(seed)

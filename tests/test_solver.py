@@ -8,7 +8,10 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    SolverConfig, betti, build_cup_form, compute_m2,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
-from raagh.solver import _blocks, _fold, _plan, _scan, heuristic_seed_values
+from raagh.graphs import biconnected_blocks
+from raagh.solver import (_blocks, _fold, _glued_m2, _parts,
+                          _parts_worth_scanning, _plan, _scan,
+                          heuristic_seed_values)
 
 from oracles import m2_oracle, random_gnp
 
@@ -140,6 +143,208 @@ def test_branch_and_bound_matches_integer_order_on_a_seeded_battery():
             res = compute_m2(g, pooled)
             assert (res.m2, res.witness, res.exhaustive) == expected, idx
     assert ceiling_hits >= 20
+
+
+# --------------------------------------------------------------------------
+# gluing at separating edges
+# --------------------------------------------------------------------------
+
+def random_side(rnd):
+    """(vertices, edges) of a side to glue: K4, K5 or K6 (K7 alone has 35
+    4-cliques), or a biconnected G(m, p) plus a K4 on 0..3, on 5..7
+    vertices.  Every side holds the 4-clique 0..3."""
+    if rnd.random() < 0.5:
+        m = rnd.randint(4, 6)
+        return m, set(combinations(range(m), 2))
+    while True:
+        m = rnd.randint(5, 7)
+        edges = set(random_gnp(m, rnd.choice((0.6, 0.75, 0.9)),
+                               rnd.getrandbits(32)))
+        edges |= set(combinations(range(4), 2))
+        if biconnected_blocks(make_graph(m, edges)) == [tuple(range(m))]:
+            return m, edges
+
+
+def glued_battery(count, seed, min_b4=2, max_b4=13):
+    """Seeded graphs glued from random sides along single edges, drawn in
+    turn as a pair on one edge, three or four sides on one edge, and a
+    chain of 2-4 sides, each glued on an edge of the one before; every
+    other graph is relabeled.  min_b4 <= b4 <= max_b4."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) // 2 % 3
+        edges, n = set(), 0
+
+        def place(onto):
+            """Put a fresh side with its edge 01 on the edge onto (or
+            apart); returns the side's 4-clique 0..3 as parent vertices."""
+            nonlocal n
+            m, side = random_side(rnd)
+            shared = list(onto) if onto else []
+            vmap = shared + list(range(n, n + m - len(shared)))
+            n += m - len(shared)
+            edges.update(tuple(sorted((vmap[a], vmap[b]))) for a, b in side)
+            return vmap[:4]
+
+        def k4_edge(core, avoid=None):
+            pairs = [e for e in combinations(core, 2) if e != avoid]
+            return rnd.choice(pairs)
+
+        core = place(None)
+        if kind == 0:
+            place(k4_edge(core))
+        elif kind == 1:
+            e = k4_edge(core)
+            for _ in range(rnd.randint(2, 3)):
+                place(e)
+        else:
+            e = None
+            for _ in range(rnd.randint(1, 3)):
+                e = k4_edge(core, e)
+                core = place(e)
+                e = tuple(core[:2])
+        g = make_graph(n, sorted(edges))
+        if not min_b4 <= len(build_cup_form(g).cliques) <= max_b4:
+            continue
+        if len(out) % 2:
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            g = make_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        out.append(g)
+    return out
+
+
+def test_gluing_matches_integer_order_on_a_seeded_battery():
+    # the reference scan costs 1-2 s per graph at b4 = 16-17, and m2_oracle
+    # up to 0.6 s at b4 = 8, so one graph goes past b4 = 13 and the oracle
+    # checks the relabeled half
+    graphs = glued_battery(48, 8) + glued_battery(1, 9, 15, 17)
+    pooled = SolverConfig(workers=2, parallel_threshold=64)
+    glued_count = cut = 0
+    for idx, g in enumerate(graphs):
+        t = build_cup_form(g)
+        b4, ceiling = t.num_cliques, parity_ceiling(t.dim)
+        m2, witness = integer_order_scan(g)
+        expected = (m2, AlphaVector(witness, b4), True)
+        res = compute_m2(g)
+        assert (res.m2, res.witness, res.exhaustive) == expected, idx
+        if b4 <= 8 and idx % 2:
+            assert m2_oracle(g)[0] == m2, idx
+        if idx % 4 == 0:
+            res = compute_m2(g, pooled)
+            assert (res.m2, res.witness, res.exhaustive) == expected, idx
+        cut += _parts_worth_scanning(t.clique_rows) is not None
+        # the gluing itself, whether or not compute_m2 would take it here
+        parts = _parts(t.clique_rows)
+        if len(parts) == 1:
+            continue
+        glued = _glued_m2(t.clique_rows, parts)
+        assert glued is not None, idx  # pairs, stars and chains are trees
+        glued_count += 1
+        assert glued == m2, idx
+        # the witness scan prunes at least what the parent-style scan does
+        plan = _plan(t.clique_rows)
+        rank, alpha, nodes = _scan(plan, 0, 1 << b4, m2, m2 - 2)
+        assert (rank, alpha) == (m2, witness), idx
+        assert nodes <= _scan(plan, 0, 1 << b4, ceiling)[2], idx
+    assert glued_count >= 40 and cut >= 10
+
+
+def k4s_graph(*k4s):
+    n = 1 + max(max(k4) for k4 in k4s)
+    return make_graph(n, {e for k4 in k4s for e in combinations(k4, 2)})
+
+
+def pendant_k5(u, v, first):
+    """The five K4s of a K5 on the edge uv and vertices first..first+2."""
+    return tuple(tuple(sorted(k4)) for k4 in combinations(
+        (u, v, first, first + 1, first + 2), 4))
+
+
+# two parts sharing the separating rows of both pendants: the parts and
+# rows form a cycle, not a tree
+CYCLE_GRAPHS = {
+    # K4s ab01, 01cd, ab23, 23cd (a, b, c, d = 4..7) with a K5 hung on ab
+    # and on cd
+    "two-paths": lambda: k4s_graph(
+        (0, 1, 4, 5), (0, 1, 6, 7), (2, 3, 4, 5), (2, 3, 6, 7),
+        *pendant_k5(4, 5, 8), *pendant_k5(6, 7, 11)),
+    # a ring of eight K4s, each sharing an edge with the next, with a K4
+    # hung on two opposite ring edges
+    "ring": lambda: k4s_graph(
+        *(tuple(sorted({2 * i % 16, (2 * i + 1) % 16, (2 * i + 2) % 16,
+                        (2 * i + 3) % 16})) for i in range(8)),
+        (0, 1, 16, 17), (8, 9, 18, 19)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_GRAPHS))
+def test_parts_on_a_cycle_fall_back_to_the_whole_block(name):
+    g = CYCLE_GRAPHS[name]()
+    t = build_cup_form(g)
+    parts = _parts_worth_scanning(t.clique_rows)
+    # cutting would pay, and two parts share both separating rows
+    assert parts is not None
+    rows = sorted({outer for _cliques, outer in parts if len(outer) == 2})
+    assert len(rows) == 1
+    assert sum(outer == rows[0] for _cliques, outer in parts) == 2
+    assert _glued_m2(t.clique_rows, parts) is None
+    m2, witness = integer_order_scan(g)
+    res = compute_m2(g)
+    assert (res.m2, res.witness.value, res.exhaustive) == (m2, witness, True)
+    perm = list(range(g.n))
+    random.Random(name).shuffle(perm)
+    h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert compute_m2(h).m2 == m2
+
+
+def test_parts_of_clique_strings_and_stars():
+    # K5s on a path of shared edges: one part per K5, the inner ones with
+    # two outer rows
+    t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
+    assert [(len(c), len(o)) for c, o in _parts(t.clique_rows)] == [
+        (5, 1), (5, 2), (5, 1)]
+    # three K4s on the edge 01 share one outer row; a K4 touching the
+    # others in one vertex only is a part with no outer row
+    g = k4s_graph((0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7), (7, 8, 9, 10))
+    t = build_cup_form(g)
+    row01 = t.edges.position[(0, 1)]
+    parts = _parts(t.clique_rows)
+    assert parts == [((0,), (row01,)), ((1,), (row01,)), ((2,), (row01,)),
+                     ((3,), ())]
+    # m2 = 6 + 4 + 4 (two sides lose the shared row) + 6
+    assert _glued_m2(t.clique_rows, parts) == compute_m2(g).m2 == 20
+
+
+def test_only_blocks_whose_parts_scan_cheaper_are_cut():
+    # K4-strings: many one-clique parts scanned four times each cost more
+    # than the pruned 2^8 scan; K5-strings: a few 2^5 scans per K5
+    for cert, cut in ((FamilyCertificate.clique_string(4, 8), False),
+                      (FamilyCertificate.grid([(0, i) for i in range(8)]), False),
+                      (FamilyCertificate.clique_string(5, 2), True),
+                      (FamilyCertificate.clique_string(5, 3), True)):
+        t = build_cup_form(generate_family(cert))
+        assert (_parts_worth_scanning(t.clique_rows) is not None) == cut, cert
+
+
+def test_clique_string_5x3_witness_scan_is_a_few_dozen_nodes():
+    t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
+    plan = _plan(t.clique_rows)
+    assert _glued_m2(t.clique_rows, _parts_worth_scanning(t.clique_rows)) == 18
+    rank, _alpha, nodes = _scan(plan, 0, 1 << 15, 18, 16)
+    assert rank == 18 and nodes == 40
+    assert _scan(plan, 0, 1 << 15, parity_ceiling(t.dim))[2] > 29000
+
+
+def test_a_scan_from_an_incumbent_reports_no_hit_as_none():
+    # below the first maximizer nothing beats m2 - 2
+    g = generate_family(FamilyCertificate.clique_string(5, 2))
+    t = build_cup_form(g)
+    plan, b4 = _plan(t.clique_rows), t.num_cliques
+    m2, witness = integer_order_scan(g)
+    assert _scan(plan, 0, witness, m2, m2 - 2)[:2] == (m2 - 2, None)
+    assert _scan(plan, 0, 1 << b4, m2, m2 - 2)[:2] == (m2, witness)
 
 
 def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
