@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest b4 the exhaustive scan accepts "
                         "(env RAAGH_CAP, default 28)")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes for the scan (env RAAGH_WORKERS, default 1)")
+                   help="echoed in the report; the scan always runs in this "
+                        "process (env RAAGH_WORKERS, default 1)")
     p.add_argument("--heuristic", action="store_true",
                    help="trial functionals only; certifies just at the parity ceiling")
     p.add_argument("--strict", action="store_true",

@@ -366,8 +366,14 @@ def generate_family(cert: FamilyCertificate) -> Graph:
     - hex-triangle(t): triangular patch with rows i = 0..t (row i holds
       t+1-i vertices), vertices sorted by (row, index); all unit edges plus
       one long diagonal across every interior unit edge.
+
+    A certificate for more than MAX_VERTICES vertices is refused before
+    anything is built.
     """
     fam = cert.family
+    n = _family_vertex_count(cert)
+    _require(n is None or n <= MAX_VERTICES,
+             f"{fam}: {n} vertices is over the limit of {MAX_VERTICES}")
     if fam == "edgeless":
         _require(cert.n is not None and cert.n >= 0, "edgeless: n must be >= 0")
         return Graph(cert.n, (), certificate=cert)
@@ -378,7 +384,6 @@ def generate_family(cert: FamilyCertificate) -> Graph:
         s, k = cert.clique_size, cert.count
         _require(s is not None and s in (4, 5, 6, 7), "clique-string: size must be in 4..7")
         _require(k is not None and k >= 1, "clique-string: count must be >= 1")
-        n = (s - 2) * k + 2
         edges = set()
         for j in range(k):
             block = range((s - 2) * j, (s - 2) * j + s)
@@ -387,7 +392,6 @@ def generate_family(cert: FamilyCertificate) -> Graph:
     if fam == "face-string":
         k = cert.count
         _require(k is not None and k >= 1, "face-string: count must be >= 1")
-        n = k + 3
         edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
         return make_graph(n, edges, certificate=cert)
     if fam == "grid":
@@ -544,9 +548,9 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
     face-strings (count >= 3).  Grids and hex triangles are not recognized,
     and neither are graphs with more than 40 vertices.
 
-    Candidates are filtered by counts (vertices, edges, clique number), then
-    confirmed by reconstructing the family's defining structure, so the
-    answer does not depend on how the input happens to be labelled.
+    Candidates are filtered by counts (vertices, edges), then confirmed by
+    reconstructing the family's defining structure, so the answer does not
+    depend on how the input happens to be labelled.
     """
     m = len(g.edges)
     if m == 0:
@@ -556,17 +560,15 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
     if g.n > _RECOGNIZE_MAX_N:
         return None
 
-    omega = len(betti(g)) - 1
-    if omega in (4, 5, 6, 7):
-        s = omega
+    # each structural check pins the clique number, so none is computed
+    for s in (4, 5, 6, 7):
         if (g.n - 2) % (s - 2) == 0:
             k = (g.n - 2) // (s - 2)
             if k >= 2 and m == s * (s - 1) // 2 * k - (k - 1) and _is_clique_string(g, s, k):
                 return FamilyCertificate.clique_string(s, k)
-    if omega == 4:
-        k = g.n - 3
-        if k >= 3 and m == 3 * k + 3 and _is_face_string(g, k):
-            return FamilyCertificate.face_string(k)
+    k = g.n - 3
+    if k >= 3 and m == 3 * k + 3 and _is_face_string(g, k):
+        return FamilyCertificate.face_string(k)
     return None
 
 

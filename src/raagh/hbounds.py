@@ -263,16 +263,10 @@ def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
         return _report(g, numbers, res, "exhaustive",
                        ExactValue(2 * b2, TRIVIAL_H4))
 
-    mode = "heuristic" if heuristic else "exhaustive"
-    if heuristic:
-        res = m2_heuristic(g, config)
-    else:
-        try:
-            res = compute_m2(g, config)
-        except CapExceeded:
-            if strict:
-                raise
-            res, mode = m2_heuristic(g, config), "heuristic"
+    if heuristic or (b4 > config.cap and not strict):
+        res, mode = m2_heuristic(g, config), "heuristic"
+    else:  # over the cap in strict mode, compute_m2 raises CapExceeded
+        res, mode = compute_m2(g, config), "exhaustive"
 
     exact: ExactValue | None = None
     cert = _resolve_certificate(g)
@@ -303,6 +297,13 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     one block spans every vertex, that piece is g itself with the identity
     map, so a certificate attached to g is still honored.
     """
+    return _decompose(g, None, config, heuristic, strict)
+
+
+def _decompose(g: Graph, numbers: tuple[int, ...] | None, config: SolverConfig,
+               heuristic: bool, strict: bool) -> DecompositionReport:
+    """decompose_h, reusing numbers = betti(g), when given, for the piece
+    that is g itself."""
     _covered, free = classify_edges(g)
     covered_g = make_graph(g.n, _covered, labels=g.labels)
 
@@ -315,9 +316,11 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     for vset in piece_vertex_sets:
         if not free and len(vset) == g.n:
             sub, vmap = g, tuple(range(g.n))
+            sub_numbers = betti(g) if numbers is None else numbers
         else:
             sub, vmap = induced_subgraph(covered_g, vset)
-        report = _piece_report(sub, betti(sub), config, heuristic, strict)
+            sub_numbers = betti(sub)
+        report = _piece_report(sub, sub_numbers, config, heuristic, strict)
         pieces.append(DecompositionPiece(vmap, sub, report))
 
     aggregate = None
@@ -364,7 +367,7 @@ def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     if _b(numbers, 4) == 0:
         return _piece_report(g, numbers, config, heuristic, strict)
 
-    decomp = decompose_h(g, config, heuristic, strict)
+    decomp = _decompose(g, numbers, config, heuristic, strict)
     if not decomp.free_edges and len(decomp.pieces) == 1 \
             and decomp.pieces[0].graph.n == g.n:
         return decomp.pieces[0].report

@@ -51,21 +51,14 @@ the incumbent m2 - 2 with ceiling m2: it skips every subtree whose bound
 cannot reach m2 and stops at the first encoding that does.  No rank
 exceeds m2, so that encoding is the first maximizer, and every node it
 visits the plain scan visits too, since the plain scan's incumbent stays
-at or below m2 - 2 until it reaches the same encoding.  That scan is
-short, so it always runs serially.
+at or below m2 - 2 until it reaches the same encoding.
 
-The pool splits [0, 2^b4) into aligned blocks: [0,1), [1,2), [2,4), ...
-doubling up to 8192 wide, then 8192-wide blocks.  Each block runs the same
-scan with no incumbent, so it returns its own maximum and first maximizer;
-the blocks are folded in integer order, a later block winning only with a
-strictly higher rank, and the fold stops after the first block that
-reaches the ceiling.  The result, witness included, does not depend on the
-worker count.
+Every scan runs in this process, so the result, witness included, does
+not depend on SolverConfig.workers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass
 
@@ -73,7 +66,6 @@ from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
 from .graphs import Graph, _mask_bits, maximal_cliques
 
-_BLOCK = 1 << 13
 _PART_SCAN_COST = 64
 _DEFAULT_HEURISTIC_SEED = 0x5EED
 
@@ -93,18 +85,17 @@ class CapExceeded(Exception):
 class SolverConfig:
     """Knobs for compute_m2 / m2_heuristic.
 
-    cap bounds the exponent of the exhaustive scan (b4 <= cap).  workers > 1
-    enables the process pool once the scan is at least parallel_threshold
-    encodings long.  The heuristic draws heuristic_tries pseudorandom
-    functionals from a fixed-seed generator unless explicit seeds are given.
+    cap bounds the exponent of the exhaustive scan (b4 <= cap).  workers is
+    accepted and echoed in reports, but the scan always runs in this
+    process, so it changes nothing.  The heuristic draws heuristic_tries
+    pseudorandom functionals from a fixed-seed generator unless explicit
+    seeds are given.
     """
 
     cap: int = 28
     workers: int = 1
     heuristic_tries: int = 512
-    heuristic_seed: int = _DEFAULT_HEURISTIC_SEED
     heuristic_seeds: tuple[int, ...] | None = None
-    parallel_threshold: int = 1 << 14
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -174,21 +165,9 @@ def _plan(clique_rows) -> tuple:
     return nrows, flips, cuts, levels, entry
 
 
-def _blocks(b4: int) -> list[tuple[int, int]]:
-    """[0, 2^b4) as aligned blocks in integer order: [0,1), [1,2), [2,4),
-    ... doubling up to _BLOCK wide, then _BLOCK-wide blocks."""
-    total = 1 << b4
-    out, lo = [(0, 1)], 1
-    while lo < total:
-        hi = lo + min(lo, _BLOCK)
-        out.append((lo, hi))
-        lo = hi
-    return out
-
-
-def _scan(plan, lo: int, hi: int, ceiling: int,
+def _scan(plan, hi: int, ceiling: int,
           best: int = -1) -> tuple[int, int | None, int]:
-    """(best rank, first encoding reaching it, nodes) over [lo, hi), by
+    """(best rank, first encoding reaching it, nodes) over [0, hi), by
     depth-first branch and bound in integer order, starting from the
     incumbent rank best.  Only a strictly higher rank is a hit; with no hit
     the result is (best, None, nodes).
@@ -206,11 +185,6 @@ def _scan(plan, lo: int, hi: int, ceiling: int,
     """
     nrows, flips, cuts, levels, entry = plan
     rows = [0] * nrows
-    v = lo
-    while v:
-        for p, bit in flips[(v & -v).bit_length() - 1]:
-            rows[p] ^= bit
-        v &= v - 1
     pivots: dict[int, int] = {}
     log: list[int] = []         # pivot keys in insertion order
     mark = [0] * len(cuts)      # len(log) when cut i was reached
@@ -220,7 +194,7 @@ def _scan(plan, lo: int, hi: int, ceiling: int,
     # (best | 1 is best + 1 for an even rank, and -1 before any rank);
     # always once the ceiling is reached
     slack = nrows if best >= ceiling else (best | 1) - nrows
-    value, i = lo, 0
+    value, i = 0, 0
     while True:
         nodes += 1
         r = mark[i]
@@ -260,23 +234,6 @@ def _scan(plan, lo: int, hi: int, ceiling: int,
             for p, bit in flips[low.bit_length() - 1]:
                 rows[p] ^= bit
             changed ^= low
-
-
-def _fold(results, ceiling: int) -> tuple[int, int]:
-    """Fold per-block (rank, encoding, nodes) results given in integer
-    order.
-
-    A later block replaces the best only with a strictly higher rank, so
-    the encoding kept is the first maximizer.  Stops after the first block
-    that reaches the ceiling.
-    """
-    best_rank, best_alpha = -1, 0
-    for rank, alpha, _nodes in results:
-        if rank > best_rank:
-            best_rank, best_alpha = rank, alpha
-            if rank >= ceiling:
-                break
-    return best_rank, best_alpha
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +304,7 @@ def _part_rank(clique_rows, cliques, deleted: int) -> int:
         if contribs:
             kept.append(contribs)
     plan = _plan(kept)
-    return _scan(plan, 0, 1 << len(kept), parity_ceiling(plan[0]))[0]
+    return _scan(plan, 1 << len(kept), parity_ceiling(plan[0]))[0]
 
 
 def _parts_worth_scanning(clique_rows) -> list | None:
@@ -449,18 +406,6 @@ def _glued_m2(clique_rows, parts) -> int | None:
     return total
 
 
-_worker_plan: tuple = ()
-
-
-def _init_worker(plan):
-    global _worker_plan
-    _worker_plan = plan
-
-
-def _scan_in_worker(task):
-    return _scan(_worker_plan, *task)
-
-
 def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     """Certified m2 by scanning every functional (early exit at the parity
     ceiling still certifies).  Raises CapExceeded when b4 > config.cap.
@@ -480,23 +425,10 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     parts = _parts_worth_scanning(template.clique_rows)
     glued = None if parts is None else _glued_m2(template.clique_rows, parts)
     if glued is not None:
-        # bounded to reach m2 quickly, so not worth a pool
-        rank, alpha, _nodes = _scan(plan, 0, 1 << b4, glued, glued - 2)
-    elif (config.workers > 1 and 1 << b4 >= config.parallel_threshold
-            and "fork" in multiprocessing.get_all_start_methods()):
-        # where fork is missing the serial scan gives the identical result
-        rank, alpha = _parallel_scan(plan, b4, parity_ceiling(b2),
-                                     config.workers)
+        rank, alpha, _nodes = _scan(plan, 1 << b4, glued, glued - 2)
     else:
-        rank, alpha, _nodes = _scan(plan, 0, 1 << b4, parity_ceiling(b2))
+        rank, alpha, _nodes = _scan(plan, 1 << b4, parity_ceiling(b2))
     return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
-
-
-def _parallel_scan(plan, b4, ceiling, workers):
-    tasks = [(lo, hi, ceiling) for lo, hi in _blocks(b4)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_worker, initargs=(plan,)) as pool:
-        return _fold(pool.imap(_scan_in_worker, tasks), ceiling)
 
 
 # --------------------------------------------------------------------------
@@ -521,7 +453,7 @@ def heuristic_seed_values(g: Graph, template: CupFormTemplate,
             ends |= 1 << pos[tuple(mc[-4:])]
     if ends:
         seeds.append(ends)
-    rnd = random.Random(config.heuristic_seed)
+    rnd = random.Random(_DEFAULT_HEURISTIC_SEED)
     for _ in range(config.heuristic_tries):
         seeds.append(rnd.getrandbits(b4) & full)
     seen, ordered = set(), []

@@ -389,7 +389,7 @@ def check_random_battery() -> str:
 
         if determinism < 12 and 2 <= b4:
             for workers in (2, 8):
-                cfg = SolverConfig(workers=workers, parallel_threshold=64)
+                cfg = SolverConfig(workers=workers)
                 alt = compute_m2(g, cfg)
                 _expect(alt == res, f"workers={workers} changed the result")
             determinism += 1

@@ -231,6 +231,12 @@ def test_vertex_count_over_the_limit_exits_2(capsys, tmp_path, monkeypatch):
     assert run(capsys, "compute", str(path))[0] == 0
 
 
+def test_generate_over_the_vertex_limit_exits_2(capsys):
+    for args in (("complete", "--n", "16385"), ("hex-triangle", "--side", "200")):
+        code, out, err = run(capsys, "generate", *args)
+        assert code == 2 and out == "" and "limit of 16384" in err
+
+
 def test_strict_cap_exits_3(capsys, tmp_path):
     g = generate_family(FamilyCertificate.clique_string(6, 2))
     path = tmp_path / "big.edges"

@@ -442,9 +442,15 @@ def test_one_clique_walk_serves_each_need(monkeypatch):
     monkeypatch.setattr(raagh.graphs, "_walk", counting)
     compute_h(assembly_graph())
     assert len(walks) <= 27
-    walks.clear()
-    compute_h(boxes_graph())
-    assert len(walks) <= 4
+    # a whole-graph piece walks twice: for betti(g), which compute_h hands
+    # to the piece, and for the cup form; recognition walks nothing, and an
+    # over-cap piece builds its cup form once
+    strings = [generate_family(FamilyCertificate.clique_string(s, k))
+               for s, k in ((5, 3), (6, 2))]  # b4 = 15, and 30 over the cap
+    for g in [boxes_graph()] + [make_graph(h.n, h.edges) for h in strings]:
+        walks.clear()
+        compute_h(g)
+        assert len(walks) == 2
 
 
 def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():

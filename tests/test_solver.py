@@ -9,9 +9,8 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
 from raagh.graphs import biconnected_blocks
-from raagh.solver import (_blocks, _fold, _glued_m2, _parts,
-                          _parts_worth_scanning, _plan, _scan,
-                          heuristic_seed_values)
+from raagh.solver import (_glued_m2, _parts, _parts_worth_scanning, _plan,
+                          _scan, heuristic_seed_values)
 
 from oracles import m2_oracle, random_gnp
 
@@ -68,9 +67,8 @@ def k4_glued_on_last_edge(n, p, seed):
     return make_graph(n + 2, sorted(set(random_gnp(n, p, seed)) | set(k4)))
 
 
-# b4 >= 14, so the scan folds several 8192-wide blocks after the doubling
-# ones: two full scans whose first maximizers lie past 8192, and a ceiling
-# hit at 17869 that needs the last clique, in the second 8192-wide block
+# b4 >= 14: two full scans whose first maximizers lie past 8192, and a
+# ceiling hit at 17869 that needs the last clique
 MANY_BLOCK_GRAPHS = {
     "gnp-11-b4-15": lambda: make_graph(11, random_gnp(11, 0.5, 9)),
     "gnp-8-b4-14": lambda: make_graph(8, random_gnp(8, 0.75, 148)),
@@ -87,7 +85,7 @@ def test_scan_across_many_blocks_matches_integer_order(name):
     assert witness > 8192
     if name.startswith("glued-ceiling"):
         assert m2 == parity_ceiling(betti(g)[2])
-    for cfg in (SolverConfig(), SolverConfig(workers=2, parallel_threshold=64)):
+    for cfg in (SolverConfig(), SolverConfig(workers=2)):
         res = compute_m2(g, cfg)
         assert (res.m2, res.witness, res.exhaustive) == (
             m2, AlphaVector(witness, b4), True)
@@ -124,7 +122,7 @@ def scan_battery(count, seed):
 
 def test_branch_and_bound_matches_integer_order_on_a_seeded_battery():
     graphs = scan_battery(300, 6)
-    pooled = SolverConfig(workers=2, parallel_threshold=64)
+    two_workers = SolverConfig(workers=2)
     ceiling_hits = 0
     for idx, g in enumerate(graphs):
         t = build_cup_form(g)
@@ -134,13 +132,8 @@ def test_branch_and_bound_matches_integer_order_on_a_seeded_battery():
         expected = (m2, AlphaVector(witness, b4), True)
         res = compute_m2(g)
         assert (res.m2, res.witness, res.exhaustive) == expected, idx
-        # what the pool computes: every block scanned with no incumbent,
-        # folded in integer order; the pool itself runs on every fourth
-        plan = _plan(t.clique_rows)
-        blocks = (_scan(plan, lo, hi, ceiling) for lo, hi in _blocks(b4))
-        assert _fold(blocks, ceiling) == (m2, witness), idx
         if idx % 4 == 3:
-            res = compute_m2(g, pooled)
+            res = compute_m2(g, two_workers)
             assert (res.m2, res.witness, res.exhaustive) == expected, idx
     assert ceiling_hits >= 20
 
@@ -220,7 +213,7 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
     # up to 0.6 s at b4 = 8, so one graph goes past b4 = 13 and the oracle
     # checks the relabeled half
     graphs = glued_battery(48, 8) + glued_battery(1, 9, 15, 17)
-    pooled = SolverConfig(workers=2, parallel_threshold=64)
+    two_workers = SolverConfig(workers=2)
     glued_count = cut = 0
     for idx, g in enumerate(graphs):
         t = build_cup_form(g)
@@ -232,7 +225,7 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
         if b4 <= 8 and idx % 2:
             assert m2_oracle(g)[0] == m2, idx
         if idx % 4 == 0:
-            res = compute_m2(g, pooled)
+            res = compute_m2(g, two_workers)
             assert (res.m2, res.witness, res.exhaustive) == expected, idx
         cut += _parts_worth_scanning(t.clique_rows) is not None
         # the gluing itself, whether or not compute_m2 would take it here
@@ -245,9 +238,9 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
         assert glued == m2, idx
         # the witness scan prunes at least what the parent-style scan does
         plan = _plan(t.clique_rows)
-        rank, alpha, nodes = _scan(plan, 0, 1 << b4, m2, m2 - 2)
+        rank, alpha, nodes = _scan(plan, 1 << b4, m2, m2 - 2)
         assert (rank, alpha) == (m2, witness), idx
-        assert nodes <= _scan(plan, 0, 1 << b4, ceiling)[2], idx
+        assert nodes <= _scan(plan, 1 << b4, ceiling)[2], idx
     assert glued_count >= 40 and cut >= 10
 
 
@@ -332,9 +325,9 @@ def test_clique_string_5x3_witness_scan_is_a_few_dozen_nodes():
     t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
     plan = _plan(t.clique_rows)
     assert _glued_m2(t.clique_rows, _parts_worth_scanning(t.clique_rows)) == 18
-    rank, _alpha, nodes = _scan(plan, 0, 1 << 15, 18, 16)
+    rank, _alpha, nodes = _scan(plan, 1 << 15, 18, 16)
     assert rank == 18 and nodes == 40
-    assert _scan(plan, 0, 1 << 15, parity_ceiling(t.dim))[2] > 29000
+    assert _scan(plan, 1 << 15, parity_ceiling(t.dim))[2] > 29000
 
 
 def test_a_scan_from_an_incumbent_reports_no_hit_as_none():
@@ -343,8 +336,8 @@ def test_a_scan_from_an_incumbent_reports_no_hit_as_none():
     t = build_cup_form(g)
     plan, b4 = _plan(t.clique_rows), t.num_cliques
     m2, witness = integer_order_scan(g)
-    assert _scan(plan, 0, witness, m2, m2 - 2)[:2] == (m2 - 2, None)
-    assert _scan(plan, 0, 1 << b4, m2, m2 - 2)[:2] == (m2, witness)
+    assert _scan(plan, witness, m2, m2 - 2)[:2] == (m2 - 2, None)
+    assert _scan(plan, 1 << b4, m2, m2 - 2)[:2] == (m2, witness)
 
 
 def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
@@ -352,21 +345,10 @@ def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
     # so most subtrees are capped at the incumbent; the full tree of
     # 2^20 encodings has 2^21 - 1 nodes
     t = build_cup_form(generate_family(FamilyCertificate.face_string(20)))
-    rank, _alpha, nodes = _scan(_plan(t.clique_rows), 0, 1 << 20,
+    rank, _alpha, nodes = _scan(_plan(t.clique_rows), 1 << 20,
                                 parity_ceiling(t.dim))
     assert t.num_cliques == 20 and rank == 60
     assert nodes < (1 << 21) // 100
-
-
-def test_blocks_are_aligned_subcubes_covering_the_range_in_order():
-    for b4 in range(21):
-        blocks = _blocks(b4)
-        assert blocks[0][0] == 0 and blocks[-1][1] == 1 << b4
-        assert all(hi == nxt for (_, hi), (nxt, _) in zip(blocks, blocks[1:]))
-        widths = [hi - lo for lo, hi in blocks]
-        assert widths == sorted(widths) and widths[-1] <= 8192
-        for (lo, _), w in zip(blocks, widths):
-            assert w & (w - 1) == 0 and lo % w == 0
 
 
 def test_ceiling_early_exit_keeps_first_maximiser():
@@ -421,7 +403,7 @@ def test_cap_is_configurable():
 
 
 # --------------------------------------------------------------------------
-# parallel determinism
+# worker count
 # --------------------------------------------------------------------------
 
 def test_worker_count_does_not_change_results():
@@ -431,21 +413,22 @@ def test_worker_count_does_not_change_results():
     for g in graphs:
         baseline = compute_m2(g)
         for workers in (2, 8):
-            cfg = SolverConfig(workers=workers, parallel_threshold=64)
+            cfg = SolverConfig(workers=workers)
             assert compute_m2(g, cfg) == baseline
 
 
-def test_pool_falls_back_to_serial_without_fork(monkeypatch):
-    g = make_graph(6, combinations(range(6), 2))
+def test_scan_starts_no_process_whatever_the_worker_count(monkeypatch):
+    # K8 minus a perfect matching: b4 = 16, scanned whole
+    g = make_graph(8, [e for e in combinations(range(8), 2)
+                       if e not in {(0, 1), (2, 3), (4, 5), (6, 7)}])
     expected = compute_m2(g)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started without fork")
+    def no_process(*args, **kwargs):
+        raise AssertionError("the scan started a process")
 
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    assert compute_m2(g, SolverConfig(workers=2, parallel_threshold=64)) == expected
+    monkeypatch.setattr(multiprocessing, "get_context", no_process)
+    monkeypatch.setattr(multiprocessing, "Pool", no_process)
+    assert compute_m2(g, SolverConfig(workers=8)) == expected
 
 
 # --------------------------------------------------------------------------
