@@ -144,9 +144,6 @@ class Graph:
             return False
         return bool(self.adjacency[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
@@ -367,8 +364,8 @@ def generate_family(cert: FamilyCertificate) -> Graph:
       t+1-i vertices), vertices sorted by (row, index); all unit edges plus
       one long diagonal across every interior unit edge.
 
-    A certificate for more than MAX_VERTICES vertices is refused before
-    anything is built.
+    A certificate for more than MAX_VERTICES vertices, or a complete graph
+    with more than MAX_EDGES edges, is refused before anything is built.
     """
     fam = cert.family
     n = _family_vertex_count(cert)
@@ -379,6 +376,8 @@ def generate_family(cert: FamilyCertificate) -> Graph:
         return Graph(cert.n, (), certificate=cert)
     if fam == "complete":
         _require(cert.n is not None and cert.n >= 0, "complete: n must be >= 0")
+        m = n * (n - 1) // 2
+        _require(m <= MAX_EDGES, f"complete: {m} edges is over the limit of {MAX_EDGES}")
         return make_graph(cert.n, combinations(range(cert.n), 2), certificate=cert)
     if fam == "clique-string":
         s, k = cert.clique_size, cert.count
@@ -723,6 +722,10 @@ FORMATS = ("edges", "csv", "json")
 # as Graph.adjacency and biconnected_blocks' tables, are N long whatever the
 # edges, so a "# vertices: N" directive alone must not be able to size them.
 MAX_VERTICES = 1 << 14
+
+# Largest edge count of a generated complete graph: K_n under MAX_VERTICES
+# still has up to 2^27 edges, each a tuple in Graph.edges.
+MAX_EDGES = 1 << 20
 
 
 def parse_graph(text: str, fmt: str = "edges") -> Graph:

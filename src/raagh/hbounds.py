@@ -264,7 +264,7 @@ def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
                        ExactValue(2 * b2, TRIVIAL_H4))
 
     if heuristic or (b4 > config.cap and not strict):
-        res, mode = m2_heuristic(g, config), "heuristic"
+        res, mode = m2_heuristic(g), "heuristic"
     else:  # over the cap in strict mode, compute_m2 raises CapExceeded
         res, mode = compute_m2(g, config), "exhaustive"
 

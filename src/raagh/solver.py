@@ -35,16 +35,19 @@ sum r_i' + max t_i, so
 
     m2 = max over sides j of  m2(side j) + sum over i != j of m2_e(side i)
 
-where m2_e is the maximum with e's row and column deleted.  Cut at every
-separating edge, the 4-cliques fall into parts; each part is scanned once
-per delete pattern of its separating ("outer") edges, and the part maxima
-combine by that max-plus rule up the tree of parts and edges.  Groups
-sharing no edge at all (cliques meeting in single vertices) just add.
-compute_m2 takes this path only when the parts' scans, 2^(cliques + outer
-edges) encodings each plus a fixed cost per scan, add up to fewer than
-the block's 2^b4.  Two parts can share two separating edges, each
-separating only because of a third part hung on it; the parts then form a
-cycle rather than a tree, and the block is scanned whole.
+where m2_e is the maximum with e's row and column deleted.  In the
+bipartite graph of 4-cliques and rows, each clique joined to its six
+rows, the separating rows are the rows that are cut nodes, and the
+4-cliques fall into parts: the cliques of the blocks of that graph,
+joined through shared cliques.  Blocks and cut nodes form a tree, so
+parts and separating ("outer") rows form a forest; parts that share two
+separating rows, each separating only because of a third part hung on
+it, lie in one block and so are one part.  Each part is scanned once per delete pattern of its
+outer rows, and the part maxima combine by that max-plus rule up each
+tree.  Groups sharing no edge at all (cliques meeting in single vertices)
+just add.  compute_m2 takes this path only when the parts' scans,
+2^(cliques + outer rows) encodings each plus a fixed cost per scan, add
+up to fewer than the block's 2^b4.
 
 The witness then comes from one scan of the whole block that starts from
 the incumbent m2 - 2 with ceiling m2: it skips every subtree whose bound
@@ -64,10 +67,12 @@ from dataclasses import dataclass
 
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
-from .graphs import Graph, _mask_bits, maximal_cliques
+from .graphs import (Graph, _mask_bits, biconnected_blocks, make_graph,
+                     maximal_cliques)
 
 _PART_SCAN_COST = 64
 _DEFAULT_HEURISTIC_SEED = 0x5EED
+_HEURISTIC_TRIES = 512
 
 
 class CapExceeded(Exception):
@@ -83,19 +88,15 @@ class CapExceeded(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for compute_m2 / m2_heuristic.
+    """Knobs for compute_m2.
 
     cap bounds the exponent of the exhaustive scan (b4 <= cap).  workers is
     accepted and echoed in reports, but the scan always runs in this
-    process, so it changes nothing.  The heuristic draws heuristic_tries
-    pseudorandom functionals from a fixed-seed generator unless explicit
-    seeds are given.
+    process, so it changes nothing.
     """
 
     cap: int = 28
     workers: int = 1
-    heuristic_tries: int = 512
-    heuristic_seeds: tuple[int, ...] | None = None
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -240,56 +241,41 @@ def _scan(plan, hi: int, ceiling: int,
 # gluing at separating edges
 # --------------------------------------------------------------------------
 
-def _reach(start: int, blocked: int, target: int, rows_of, cliques_of) -> int:
-    """Mask of the cliques joined to those in start by chains of cliques
-    sharing a row outside the blocked row mask; the fill stops early once
-    it holds every clique in target."""
-    seen = todo = start
-    while todo and target & ~seen:
-        q = (todo & -todo).bit_length() - 1
-        todo &= todo - 1
-        fresh = rows_of[q] & ~blocked
-        blocked |= fresh
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            new = cliques_of[low.bit_length() - 1] & ~seen
-            seen |= new
-            todo |= new
-    return seen
-
-
 def _parts(clique_rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The cliques cut at every separating row: (cliques, outer rows) per
     part, in order of least clique.
 
-    A row separates when the cliques on it fall into two or more groups
-    that share no other row; one flood fill per row shared by two or more
-    cliques finds them all.  Parts are the groups of cliques joined through
-    rows that do not separate; a part's outer rows are the separating rows
-    it touches.
+    The rows and cliques are the nodes of a bipartite graph, each clique
+    joined to its six rows.  A row separates when it is a cut node of that
+    graph, that is, when it lies in two or more of its blocks.  A part is
+    the cliques of the blocks joined through shared clique nodes, and its
+    outer rows are the separating rows of those blocks.  Blocks and cut
+    nodes form a tree, so parts and separating rows form a forest; parts
+    that would close a cycle through their rows lie in one block, and so in
+    one part.
     """
-    rows_of = [0] * len(clique_rows)
-    cliques_of: dict[int, int] = {}
-    for q, contribs in enumerate(clique_rows):
-        for r, _bit in contribs:
-            rows_of[q] |= 1 << r
-            cliques_of[r] = cliques_of.get(r, 0) | 1 << q
-    separating = 0
-    for r, on_r in cliques_of.items():
-        if on_r & (on_r - 1) and on_r & ~_reach(on_r & -on_r, 1 << r, on_r,
-                                                 rows_of, cliques_of):
-            separating |= 1 << r
-    parts, left = [], (1 << len(clique_rows)) - 1
-    while left:
-        part = _reach(left & -left, separating, left, rows_of, cliques_of)
-        left ^= part
-        cliques = tuple(_mask_bits(part))
-        rows = 0
-        for q in cliques:
-            rows |= rows_of[q]
-        parts.append((cliques, tuple(_mask_bits(rows & separating))))
-    return parts
+    b4 = len(clique_rows)
+    incidence = [(q, b4 + r) for q, contribs in enumerate(clique_rows)
+                 for r, _bit in contribs]
+    n = 1 + max(v for _q, v in incidence)
+    merged: list[tuple[int, int]] = []  # (clique mask, row mask) per part
+    seen = separating = 0
+    for block in biconnected_blocks(make_graph(n, incidence)):
+        cliques = rows = 0
+        for v in block:
+            if v < b4:
+                cliques |= 1 << v
+            else:
+                rows |= 1 << (v - b4)
+        separating |= seen & rows
+        seen |= rows
+        for other in [m for m in merged if m[0] & cliques]:
+            merged.remove(other)
+            cliques |= other[0]
+            rows |= other[1]
+        merged.append((cliques, rows))
+    return sorted((tuple(_mask_bits(cliques)), tuple(_mask_bits(rows & separating)))
+                  for cliques, rows in merged)
 
 
 def _part_rank(clique_rows, cliques, deleted: int) -> int:
@@ -330,55 +316,28 @@ def _parts_worth_scanning(clique_rows) -> list | None:
     return parts
 
 
-def _forest(parts, on_row) -> list | None:
-    """Each tree of parts and separating rows breadth first, as a list of
-    (part, row up); None when they do not form a forest.
-
-    Two parts can share two separating rows (each separating only because
-    of a third part hung on it); then the sides at a row are not single
-    parts and the gluing rule does not apply to them.
-    """
-    seen = [False] * len(parts)
-    trees = []
-    for root in range(len(parts)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [(root, None)]
-        for p, up in order:
-            for r in parts[p][1]:
-                if r == up:
-                    continue
-                for c in on_row[r]:
-                    if c == p:
-                        continue
-                    if seen[c]:
-                        return None
-                    seen[c] = True
-                    order.append((c, r))
-        trees.append(order)
-    return trees
-
-
-def _glued_m2(clique_rows, parts) -> int | None:
-    """m2 from scans of the parts, or None when the parts and separating
-    rows do not form a forest.
+def _glued_m2(clique_rows, parts) -> int:
+    """m2 from scans of the parts.
 
     Each part is scanned once per delete pattern of its outer rows; up each
-    tree, the sides meeting at a row e combine as max_j (m2 of side j + sum
-    over the other sides of their m2 with e deleted), and trees add.
+    tree of parts and rows, taken breadth first, the sides meeting at a row
+    e combine as max_j (m2 of side j + sum over the other sides of their m2
+    with e deleted), and trees add.
     """
     on_row: dict[int, list[int]] = {}
     for p, (_cliques, outer) in enumerate(parts):
         for r in outer:
             on_row.setdefault(r, []).append(p)
-    trees = _forest(parts, on_row)
-    if trees is None:
-        return None
     # best rank of each part's subtree with its row up kept / deleted
     below: list = [None] * len(parts)
     total = 0
-    for order in trees:
+    for root in range(len(parts)):
+        if below[root] is not None:
+            continue
+        order = [(root, None)]   # (part, row up)
+        for p, up in order:
+            order.extend((c, r) for r in parts[p][1] if r != up
+                         for c in on_row[r] if c != p)
         for p, up in reversed(order):
             cliques, outer = parts[p]
             # (i, best of the other sides on outer[i] when p keeps / deletes
@@ -402,7 +361,7 @@ def _glued_m2(clique_rows, parts) -> int | None:
                 d = pattern >> shift & 1
                 best[d] = max(best[d], rank)
             below[p] = best
-        total += below[order[0][0]][0]
+        total += below[root][0]
     return total
 
 
@@ -423,8 +382,8 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
 
     plan = _plan(template.clique_rows)
     parts = _parts_worth_scanning(template.clique_rows)
-    glued = None if parts is None else _glued_m2(template.clique_rows, parts)
-    if glued is not None:
+    if parts is not None:
+        glued = _glued_m2(template.clique_rows, parts)
         rank, alpha, _nodes = _scan(plan, 1 << b4, glued, glued - 2)
     else:
         rank, alpha, _nodes = _scan(plan, 1 << b4, parity_ceiling(b2))
@@ -435,14 +394,11 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
 # heuristic
 # --------------------------------------------------------------------------
 
-def heuristic_seed_values(g: Graph, template: CupFormTemplate,
-                          config: SolverConfig = DEFAULT_CONFIG) -> tuple[int, ...]:
+def _heuristic_seeds(g: Graph, template: CupFormTemplate) -> tuple[int, ...]:
     """Functional encodings the heuristic will try, in order: all-ones, the
     union over maximal cliques of their first and last 4-vertex subsets, then
-    fixed-seed pseudorandom values.  Explicit config seeds override all."""
+    _HEURISTIC_TRIES fixed-seed pseudorandom values."""
     b4 = template.num_cliques
-    if config.heuristic_seeds is not None:
-        return tuple(s & ((1 << b4) - 1) for s in config.heuristic_seeds)
     full = (1 << b4) - 1
     seeds = [full]
     pos = template.cliques.position
@@ -454,7 +410,7 @@ def heuristic_seed_values(g: Graph, template: CupFormTemplate,
     if ends:
         seeds.append(ends)
     rnd = random.Random(_DEFAULT_HEURISTIC_SEED)
-    for _ in range(config.heuristic_tries):
+    for _ in range(_HEURISTIC_TRIES):
         seeds.append(rnd.getrandbits(b4) & full)
     seen, ordered = set(), []
     for s in seeds:
@@ -464,7 +420,7 @@ def heuristic_seed_values(g: Graph, template: CupFormTemplate,
     return tuple(ordered)
 
 
-def m2_heuristic(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
+def m2_heuristic(g: Graph) -> M2Result:
     """Best rank over a fixed trial set of functionals.  The result is a
     lower bound for m2; it is certified (exhaustive=True) only when a trial
     reaches the parity ceiling or there are no 4-cliques at all."""
@@ -474,7 +430,7 @@ def m2_heuristic(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
         return M2Result(0, AlphaVector(0, 0), b2, True)
     ceiling = parity_ceiling(b2)
     best_rank, best_alpha = -1, 0
-    for value in heuristic_seed_values(g, template, config):
+    for value in _heuristic_seeds(g, template):
         r = rank_gf2(substitute(template, AlphaVector(value, b4)).rows)
         if r > best_rank or (r == best_rank and value < best_alpha):
             best_rank, best_alpha = r, value

@@ -235,6 +235,8 @@ def test_generate_over_the_vertex_limit_exits_2(capsys):
     for args in (("complete", "--n", "16385"), ("hex-triangle", "--side", "200")):
         code, out, err = run(capsys, "generate", *args)
         assert code == 2 and out == "" and "limit of 16384" in err
+    code, out, err = run(capsys, "generate", "complete", "--n", "16384")
+    assert code == 2 and out == "" and "limit of 1048576" in err
 
 
 def test_strict_cap_exits_3(capsys, tmp_path):

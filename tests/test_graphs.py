@@ -290,6 +290,21 @@ def test_certificates_of_another_size_are_rejected_before_the_model_is_built(
                                   FamilyCertificate.edgeless(4))
 
 
+def test_complete_graph_over_the_edge_limit_is_refused_before_it_is_built(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the graph")
+
+    monkeypatch.setattr(raagh.graphs, "make_graph", refuse)
+    # 1449 vertices is under MAX_VERTICES but over 2^20 edges
+    for n in (1449, raagh.graphs.MAX_VERTICES):
+        with pytest.raises(ValueError, match="edges is over the limit of 1048576"):
+            generate_family(FamilyCertificate.complete(n))
+    # 1448 vertices, 1047628 edges: under the limit, so it gets built
+    with pytest.raises(AssertionError, match="built the graph"):
+        generate_family(FamilyCertificate.complete(1448))
+
+
 @pytest.mark.parametrize("data", [
     {"family": "complete", "n": "x"},
     {"family": "grid", "cells": [1, 2]},

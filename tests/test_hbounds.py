@@ -16,6 +16,7 @@ from raagh import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                    make_graph)
 import raagh.graphs
 import raagh.hbounds
+import raagh.solver
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
 from oracles import disjoint_union, random_gnp
@@ -466,12 +467,12 @@ def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():
 # heuristic mode and soundness
 # --------------------------------------------------------------------------
 
-def test_weak_heuristic_cannot_overstate_the_lower_bound():
+def test_weak_heuristic_cannot_overstate_the_lower_bound(monkeypatch):
     # K7 with a deliberately bad seed pool: the heuristic finds only rank 6,
     # which would suggest a bound of 36; the known value 22 must win
     g = make_graph(7, combinations(range(7), 2))
-    cfg = SolverConfig(heuristic_tries=0, heuristic_seeds=(1,))
-    rep = compute_h(g, cfg, heuristic=True)
+    monkeypatch.setattr(raagh.solver, "_heuristic_seeds", lambda g, t: (1,))
+    rep = compute_h(g, heuristic=True)
     assert rep.m2.m2 == 6 and rep.m2_mode == "heuristic"
     assert rep.exact == ExactValue(22, FREE_ABELIAN)
     assert rep.lower_cohomological == 22

@@ -4,13 +4,14 @@ from itertools import combinations
 
 import pytest
 
+import raagh.solver
 from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    SolverConfig, betti, build_cup_form, compute_m2,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
 from raagh.graphs import biconnected_blocks
-from raagh.solver import (_glued_m2, _parts, _parts_worth_scanning, _plan,
-                          _scan, heuristic_seed_values)
+from raagh.solver import (_glued_m2, _heuristic_seeds, _parts,
+                          _parts_worth_scanning, _plan, _scan)
 
 from oracles import m2_oracle, random_gnp
 
@@ -91,6 +92,12 @@ def test_scan_across_many_blocks_matches_integer_order(name):
             m2, AlphaVector(witness, b4), True)
 
 
+def relabeled(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def scan_battery(count, seed):
     """Seeded graphs with 1 <= b4 <= 14, drawn in turn as G(n, p), G(n, p)
     plus a relabeled copy, and unions of K4s, where every edge lies in a
@@ -113,10 +120,7 @@ def scan_battery(count, seed):
         draws += 1
         out.append(g)
         if kind == 1:
-            perm = list(range(n))
-            rnd.shuffle(perm)
-            out.append(make_graph(n, [tuple(sorted((perm[u], perm[v])))
-                                      for u, v in g.edges]))
+            out.append(relabeled(g, rnd))
     return out
 
 
@@ -200,11 +204,7 @@ def glued_battery(count, seed, min_b4=2, max_b4=13):
         g = make_graph(n, sorted(edges))
         if not min_b4 <= len(build_cup_form(g).cliques) <= max_b4:
             continue
-        if len(out) % 2:
-            perm = list(range(n))
-            rnd.shuffle(perm)
-            g = make_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
-        out.append(g)
+        out.append(relabeled(g, rnd) if len(out) % 2 else g)
     return out
 
 
@@ -233,7 +233,6 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
         if len(parts) == 1:
             continue
         glued = _glued_m2(t.clique_rows, parts)
-        assert glued is not None, idx  # pairs, stars and chains are trees
         glued_count += 1
         assert glued == m2, idx
         # the witness scan prunes at least what the parent-style scan does
@@ -255,8 +254,8 @@ def pendant_k5(u, v, first):
         (u, v, first, first + 1, first + 2), 4))
 
 
-# two parts sharing the separating rows of both pendants: the parts and
-# rows form a cycle, not a tree
+# the two parts on either side of the hung pieces share both of their
+# separating rows: they close a cycle, so they are one part
 CYCLE_GRAPHS = {
     # K4s ab01, 01cd, ab23, 23cd (a, b, c, d = 4..7) with a K5 hung on ab
     # and on cd
@@ -273,23 +272,63 @@ CYCLE_GRAPHS = {
 
 
 @pytest.mark.parametrize("name", sorted(CYCLE_GRAPHS))
-def test_parts_on_a_cycle_fall_back_to_the_whole_block(name):
+def test_parts_on_a_cycle_merge_into_one_part(name):
     g = CYCLE_GRAPHS[name]()
     t = build_cup_form(g)
-    parts = _parts_worth_scanning(t.clique_rows)
-    # cutting would pay, and two parts share both separating rows
-    assert parts is not None
+    parts = _parts(t.clique_rows)
+    # the pieces hung on the two rows, and one part holding both rows
     rows = sorted({outer for _cliques, outer in parts if len(outer) == 2})
-    assert len(rows) == 1
-    assert sum(outer == rows[0] for _cliques, outer in parts) == 2
-    assert _glued_m2(t.clique_rows, parts) is None
+    assert len(rows) == 1 and len(parts) == 3
+    assert sum(outer == rows[0] for _cliques, outer in parts) == 1
+    assert all(len(outer) == 1 for _cliques, outer in parts
+               if outer != rows[0])
     m2, witness = integer_order_scan(g)
-    res = compute_m2(g)
-    assert (res.m2, res.witness.value, res.exhaustive) == (m2, witness, True)
-    perm = list(range(g.n))
-    random.Random(name).shuffle(perm)
-    h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    assert compute_m2(h).m2 == m2
+    assert _glued_m2(t.clique_rows, parts) == m2
+    for h in (g, relabeled(g, random.Random(name))):
+        res = compute_m2(h)
+        assert (res.m2, res.witness.value, res.exhaustive) == (
+            integer_order_scan(h) + (True,))
+
+
+def ring_battery(count, seed):
+    """Seeded rings of 4-6 K4s, each sharing an edge with the next, with
+    1-3 K4s or K5s hung on ring edges; every other graph is relabeled.
+    (Three K4s that pairwise share disjoint edges span a K6.)"""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rnd.randint(4, 6)
+        n = 2 * k
+        k4s = [tuple(sorted({2 * i % n, (2 * i + 1) % n, (2 * i + 2) % n,
+                             (2 * i + 3) % n})) for i in range(k)]
+        for _ in range(rnd.randint(1, 3)):
+            i = rnd.randrange(k)
+            u, v = 2 * i, 2 * i + 1
+            if rnd.random() < 0.5:
+                k4s.append((u, v, n, n + 1))
+                n += 2
+            else:
+                k4s.extend(pendant_k5(u, v, n))
+                n += 3
+        g = k4s_graph(*k4s)
+        if len(build_cup_form(g).cliques) > 14:
+            continue
+        out.append(relabeled(g, rnd) if len(out) % 2 else g)
+    return out
+
+
+def test_rings_with_hung_pieces_match_integer_order():
+    cycles = 0
+    for idx, g in enumerate(ring_battery(24, 10)):
+        t = build_cup_form(g)
+        m2, witness = integer_order_scan(g)
+        parts = _parts(t.clique_rows)
+        cycles += any(len(outer) >= 2 for _cliques, outer in parts)
+        assert _glued_m2(t.clique_rows, parts) == m2, idx
+        res = compute_m2(g)
+        assert (res.m2, res.witness, res.exhaustive) == (
+            m2, AlphaVector(witness, t.num_cliques), True), idx
+    assert cycles >= 5
 
 
 def test_parts_of_clique_strings_and_stars():
@@ -462,13 +501,11 @@ def test_heuristic_certifies_itself_at_the_parity_ceiling():
     assert res.exhaustive
 
 
-def test_explicit_seed_vectors_override_the_default_pool():
+def test_explicit_seed_vectors_override_the_default_pool(monkeypatch):
     g = make_graph(7, combinations(range(7), 2))
     b4 = len(build_cup_form(g).cliques)
-    cfg = SolverConfig(heuristic_tries=0, heuristic_seeds=(1,))
-    res = m2_heuristic(g, cfg)
-    seeds = heuristic_seed_values(g, build_cup_form(g), cfg)
-    assert seeds == (1,)
+    monkeypatch.setattr(raagh.solver, "_heuristic_seeds", lambda g, t: (1,))
+    res = m2_heuristic(g)
     # alpha = first 4-clique only: rank 6, the K4 sub-answer
     assert res.m2 == 6 and res.witness == AlphaVector(1, b4)
 
@@ -476,8 +513,7 @@ def test_explicit_seed_vectors_override_the_default_pool():
 def test_default_seed_pool_is_deduplicated_and_in_range():
     g = generate_family(FamilyCertificate.clique_string(5, 2))
     t = build_cup_form(g)
-    cfg = SolverConfig(heuristic_tries=32)
-    seeds = heuristic_seed_values(g, t, cfg)
+    seeds = _heuristic_seeds(g, t)
     assert len(seeds) == len(set(seeds))
     assert all(0 <= s < (1 << len(t.cliques)) for s in seeds)
     assert seeds[0] == (1 << len(t.cliques)) - 1  # all-ones probe first
