@@ -3,7 +3,9 @@
 with the closed-form values.
 
 Everything here is deterministic; the exhaustive solver runs on every row,
-so the script doubles as a slow self-check of the formulas."""
+so the script doubles as a self-check of the formulas: it exits 1 when a
+row's bound misses h, when a row's m2 is not certified, or when the
+assembly does not total 62."""
 
 import argparse
 import sys
@@ -24,76 +26,52 @@ FIVE_STRING_MAX_K = 5
 
 
 def row(label, g, h_expected):
+    """Print one row; True when the bound equals h and m2 is certified."""
     start = time.perf_counter()
     rep = compute_h(g)
     bound = rep.lower_cohomological
     elapsed = time.perf_counter() - start
     mark = "=" if bound == h_expected else " "
     mode = "" if rep.m2_mode == "exhaustive" else f", {rep.m2_mode}"
+    if not rep.m2.exhaustive:
+        mode += ", not certified"
     print(f"  {label:<18} b2={rep.b2:<3} m2={rep.m2.m2:<3} bound={bound:<3}"
           f" h={h_expected:<3}{mark} ({elapsed:.2f}s{mode})")
-    return bound
+    return bound == h_expected and rep.m2.exhaustive
 
 
-def four_strings(max_k):
-    print("4-clique strings (h = 5k+1, plus 1 when k is even):")
-    for k in range(1, max_k + 1):
-        cert = FamilyCertificate.clique_string(4, k)
-        row(f"k={k}", generate_family(cert), h_family(cert).value)
+def family_rows(title, certs):
+    print(title)
+    ok = [row(label, generate_family(cert), h_family(cert).value)
+          for label, cert in certs]
     print()
-
-
-def five_strings(max_k):
-    print("5-clique strings (h = 12k+2):")
-    for k in range(1, max_k + 1):
-        cert = FamilyCertificate.clique_string(5, k)
-        row(f"k={k}", generate_family(cert), h_family(cert).value)
-    print()
-
-
-def face_strings(max_k):
-    print("face-strings (h = 3k+6 even k, 3k+5 odd k):")
-    for k in range(1, max_k + 1):
-        cert = FamilyCertificate.face_string(k)
-        row(f"k={k}", generate_family(cert), h_family(cert).value)
-    print()
+    return ok
 
 
 def complete_graphs(max_n):
     print("complete graphs (free abelian; note the bound reaches the")
     print("exceptional rank-5 value 14, well above the parity round-up):")
-    for n in range(4, max_n + 1):
-        g = make_graph(n, combinations(range(n), 2))
-        row(f"n={n}", g, h_free_abelian(n))
+    ok = [row(f"n={n}", make_graph(n, combinations(range(n), 2)),
+              h_free_abelian(n))
+          for n in range(4, max_n + 1)]
     print()
+    return ok
 
 
 def certified_examples():
     print("individually certified graphs:")
     k5_k4 = make_graph(7, set(combinations(range(5), 2))
                        | set(combinations((3, 4, 5, 6), 2)))
-    row("K5+K4 on an edge", k5_k4, 18)
     matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
     boxes = make_graph(8, [e for e in combinations(range(8), 2)
                            if e not in matching])
-    row("K8 - matching", boxes, 26)
+    ok = [row("K5+K4 on an edge", k5_k4, 18), row("K8 - matching", boxes, 26)]
     print()
-
-
-def grids_and_hexes():
-    print("small grids and hex triangles (h = 2*b2 - m2):")
-    for label, cert in (
-            ("domino", FamilyCertificate.grid([(0, 0), (1, 0)])),
-            ("L tromino", FamilyCertificate.grid([(0, 0), (1, 0), (1, 1)])),
-            ("2x2 square", FamilyCertificate.grid(
-                [(0, 0), (1, 0), (0, 1), (1, 1)])),
-            ("hex side 2", FamilyCertificate.hex_triangle(2)),
-            ("hex side 3", FamilyCertificate.hex_triangle(3))):
-        row(label, generate_family(cert), h_family(cert).value)
-    print()
+    return ok
 
 
 def assembly():
+    """True when the pieces and free edges add up to h = 62."""
     print("block assembly (certified pieces + 16 free edges):")
     edges = list(set(combinations(range(5), 2))
                  | set(combinations((3, 4, 5, 6), 2)))
@@ -107,6 +85,7 @@ def assembly():
     print(f"  pieces {pieces} + 2*{rep.decomposition.r} free edges"
           f" -> h = {rep.exact.value} [{rep.exact.provenance}]")
     print()
+    return rep.exact.value == 62
 
 
 def main(argv=None):
@@ -117,14 +96,32 @@ def main(argv=None):
                     help="largest complete graph (default 7; 8 is slow)")
     args = ap.parse_args(argv)
 
-    four_strings(args.max_k)
-    five_strings(FIVE_STRING_MAX_K)
-    face_strings(FACE_STRING_MAX_K)
-    complete_graphs(args.max_n)
-    certified_examples()
-    grids_and_hexes()
-    assembly()
-    return 0
+    ok = family_rows(
+        "4-clique strings (h = 5k+1, plus 1 when k is even):",
+        [(f"k={k}", FamilyCertificate.clique_string(4, k))
+         for k in range(1, args.max_k + 1)])
+    ok += family_rows(
+        "5-clique strings (h = 12k+2):",
+        [(f"k={k}", FamilyCertificate.clique_string(5, k))
+         for k in range(1, FIVE_STRING_MAX_K + 1)])
+    ok += family_rows(
+        "face-strings (h = 3k+6 even k, 3k+5 odd k):",
+        [(f"k={k}", FamilyCertificate.face_string(k))
+         for k in range(1, FACE_STRING_MAX_K + 1)])
+    ok += complete_graphs(args.max_n)
+    ok += certified_examples()
+    ok += family_rows(
+        "small grids and hex triangles (h = 2*b2 - m2):",
+        [("domino", FamilyCertificate.grid([(0, 0), (1, 0)])),
+         ("L tromino", FamilyCertificate.grid([(0, 0), (1, 0), (1, 1)])),
+         ("2x2 square", FamilyCertificate.grid(
+             [(0, 0), (1, 0), (0, 1), (1, 1)])),
+         ("hex side 2", FamilyCertificate.hex_triangle(2)),
+         ("hex side 3", FamilyCertificate.hex_triangle(3))])
+    assembled = assembly()
+    print(f"{sum(ok)}/{len(ok)} rows match, assembly "
+          f"{'matches' if assembled else 'MISSES'} h = 62")
+    return 0 if all(ok) and assembled else 1
 
 
 if __name__ == "__main__":

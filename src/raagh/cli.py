@@ -23,6 +23,7 @@ import os
 import sys
 import time
 
+from . import graphs
 from .form import AlphaVector, build_cup_form, dump_matrix, dump_template, substitute
 from .graphs import (FORMATS, FamilyCertificate, Graph, ParseError,
                      generate_family, parse_graph, serialize_graph, to_dot)
@@ -59,8 +60,8 @@ def _decomposition_dict(decomp: DecompositionReport | None):
             "vertices": list(piece.vertices),
             "b2": rep.b2,
             "b4": rep.b4,
-            "m2": rep.m2.m2 if rep.m2 else None,
-            "exhaustive": bool(rep.m2 and rep.m2.exhaustive),
+            "m2": rep.m2.m2,
+            "exhaustive": rep.m2.exhaustive,
             "exact": _exact_dict(rep.exact),
         })
     return {
@@ -87,10 +88,10 @@ def report_document(g: Graph, report: HReport, config: SolverConfig,
             "b4": report.b4,
         },
         "m2": {
-            "value": report.m2.m2 if report.m2 else None,
-            "witness": report.m2.witness.to_bitstring() if report.m2 else None,
-            "radical_dim": report.m2.radical_dim if report.m2 else None,
-            "exhaustive": bool(report.m2 and report.m2.exhaustive),
+            "value": report.m2.m2,
+            "witness": report.m2.witness.to_bitstring(),
+            "radical_dim": report.m2.radical_dim,
+            "exhaustive": report.m2.exhaustive,
             "mode": report.m2_mode,
         },
         "bounds": {
@@ -115,11 +116,10 @@ def render_text_report(report: HReport) -> str:
     g = report.graph
     lines = [f"graph: {g.n} vertices, {len(g.edges)} edges"]
     lines.append("betti: " + " ".join(str(b) for b in report.betti_numbers))
-    if report.m2 is not None:
-        cert = "certified" if report.m2.exhaustive else "not certified"
-        lines.append(f"m2: {report.m2.m2} ({report.m2_mode}, {cert}; "
-                     f"witness alpha={report.m2.witness.to_bitstring() or '-'}; "
-                     f"radical dim {report.m2.radical_dim})")
+    cert = "certified" if report.m2.exhaustive else "not certified"
+    lines.append(f"m2: {report.m2.m2} ({report.m2_mode}, {cert}; "
+                 f"witness alpha={report.m2.witness.to_bitstring() or '-'}; "
+                 f"radical dim {report.m2.radical_dim})")
     lines.append(f"bounds: {report.lower_trivial} <= h <= {report.upper}"
                  f" (cohomological lower bound {report.lower_cohomological})")
     if report.exact is not None:
@@ -138,7 +138,7 @@ def render_text_report(report: HReport) -> str:
                      if rep.exact else "h unknown")
             verts = ",".join(str(v) for v in piece.vertices)
             lines.append(f"  piece {{{verts}}}: b2={rep.b2} "
-                         f"m2={rep.m2.m2 if rep.m2 else '-'} {exact}")
+                         f"m2={rep.m2.m2} {exact}")
         if decomp.aggregate_exact is not None:
             lines.append(f"  aggregate: h = {decomp.aggregate_exact.value}")
     return "\n".join(lines) + "\n"
@@ -176,6 +176,8 @@ def _env_int(name: str) -> int | None:
 
 def _solver_config(args) -> SolverConfig:
     cap = args.cap if args.cap is not None else _env_int("RAAGH_CAP")
+    if cap is not None and cap < 0:
+        raise ParseError(f"cap must be non-negative, got {cap}")
     workers = (args.workers if args.workers is not None
                else _env_int("RAAGH_WORKERS"))
     return SolverConfig(
@@ -208,6 +210,11 @@ def cmd_compute(args) -> int:
 
 
 def _parse_cells(raw: str):
+    # every cell holds one comma, and a grid has more corners than cells
+    limit = graphs.MAX_VERTICES
+    if raw.count(",") > limit:
+        raise ParseError(f"grid: more than {limit} cells is over the limit "
+                         f"of {limit} vertices")
     cells = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()

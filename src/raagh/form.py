@@ -207,18 +207,6 @@ def kernel_basis(mat: Gf2Matrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def matvec(mat: Gf2Matrix, x: int) -> int:
-    out = 0
-    for r, row in enumerate(mat.rows):
-        out |= ((row & x).bit_count() & 1) << r
-    return out
-
-
-def pair(mat: Gf2Matrix, x: int, y: int) -> int:
-    """Evaluate the bilinear form x^T M y over GF(2)."""
-    return (x & matvec(mat, y)).bit_count() & 1
-
-
 # --------------------------------------------------------------------------
 # symplectic structure
 # --------------------------------------------------------------------------
@@ -239,54 +227,36 @@ def symplectic_reduce(mat: Gf2Matrix) -> SymplecticDecomposition:
     Working over the standard basis e_0..e_{n-1}: repeatedly take the lowest
     remaining vector x with a partner, take its lowest partner y, and correct
     every other vector z by z + B(z,y) x + B(z,x) y to make it orthogonal to
-    the pair.  Vectors left without partners form the radical.
+    the pair.  Vectors left without partners form the radical.  B(z, v) is
+    the parity of z & Mv, and M is symmetric, so Mv is the XOR of the rows
+    at the bits of v; it is formed once for each member of a pair.
     """
-    n = mat.ncols
-    images = {1 << i: matvec(mat, 1 << i) for i in range(n)}
+    rows = mat.rows
 
-    def b(u, v):
-        return (u & images_of(v)).bit_count() & 1
-
-    cache: dict[int, int] = {}
-
-    def images_of(v: int) -> int:
-        if v in cache:
-            return cache[v]
+    def image(v: int) -> int:
         out = 0
-        vv = v
-        while vv:
-            low = vv & -vv
-            out ^= images[low] if low in images else matvec(mat, low)
-            vv ^= low
-        cache[v] = out
+        while v:
+            low = v & -v
+            out ^= rows[low.bit_length() - 1]
+            v ^= low
         return out
 
-    vectors = [1 << i for i in range(n)]
+    vectors = [1 << i for i in range(mat.ncols)]
     pairs = []
     radical = []
     while vectors:
         x = vectors.pop(0)
-        partner_idx = None
-        for idx, y in enumerate(vectors):
-            if b(x, y):
-                partner_idx = idx
-                break
-        if partner_idx is None:
+        mx = image(x)
+        partner = next((i for i, y in enumerate(vectors)
+                        if (y & mx).bit_count() & 1), None)
+        if partner is None:
             radical.append(x)
             continue
-        y = vectors.pop(partner_idx)
-        corrected = []
-        for z in vectors:
-            z2 = z
-            if b(z, y):
-                z2 ^= x
-            if b(z, x):
-                z2 ^= y
-            if z2:
-                corrected.append(z2)
+        y = vectors.pop(partner)
+        my = image(y)
+        vectors = [z ^ (x if (z & my).bit_count() & 1 else 0)
+                   ^ (y if (z & mx).bit_count() & 1 else 0) for z in vectors]
         pairs.append((x, y))
-        vectors = corrected
-        cache.clear()
     return SymplecticDecomposition(tuple(pairs), tuple(radical))
 
 

@@ -14,7 +14,7 @@ recognizer for a subset of those families, and the three text formats
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -572,9 +572,9 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
 
 
 def _chain_order(parts: list, overlap: int) -> list | None:
-    """Order parts into a path whose consecutive members meet in exactly
-    ``overlap`` vertices (smaller overlaps count as non-adjacent).  Returns
-    the ordered list, or None if that adjacency is not a path."""
+    """The parts, as sets, ordered into a path whose consecutive members
+    meet in exactly ``overlap`` vertices (smaller overlaps count as
+    non-adjacent), or None if that adjacency is not a path."""
     k = len(parts)
     sets = [set(p) for p in parts]
     neigh: list[list[int]] = [[] for _ in range(k)]
@@ -587,7 +587,7 @@ def _chain_order(parts: list, overlap: int) -> list | None:
             elif common > overlap:
                 return None
     if k == 1:
-        return [0]
+        return sets
     ends = [i for i in range(k) if len(neigh[i]) == 1]
     if len(ends) != 2 or any(len(nb) > 2 for nb in neigh):
         return None
@@ -598,7 +598,7 @@ def _chain_order(parts: list, overlap: int) -> list | None:
             return None
         prev = order[-1]
         order.append(nxt[0])
-    return order
+    return [sets[i] for i in order]
 
 
 def _is_clique_string(g: Graph, s: int, k: int) -> bool:
@@ -606,62 +606,44 @@ def _is_clique_string(g: Graph, s: int, k: int) -> bool:
     blocks = maximal_cliques(g)
     if len(blocks) != k or any(len(b) != s for b in blocks):
         return False
-    order = _chain_order(list(blocks), 2)
-    if order is None:
+    chain = _chain_order(blocks, 2)
+    if chain is None:
         return False
     # the glue edges must not touch: an L-shaped chain of cliques whose
     # shared edges meet in a vertex has the same vertex/edge/clique counts
     # but is not a string
-    chain = [set(blocks[i]) for i in order]
     glued: set[int] = set()
     for a, b in zip(chain, chain[1:]):
         share = a & b
         if glued & share:
             return False
         glued |= share
-    covered = set()
-    for b in blocks:
-        covered.update(b)
-    return len(covered) == g.n
+    return len(set().union(*chain)) == g.n
 
 
 def _is_face_string(g: Graph, k: int) -> bool:
     """True iff g is the cube of a path on k+3 vertices (each window of four
-    consecutive vertices spans a 4-clique).  Reconstructs the path order from
-    the 4-clique chain, then verifies the full edge set."""
-    windows = [set(c) for c in enumerate_cliques(g, 4).cliques]
+    consecutive vertices spans a 4-clique).
+
+    Chains the k 4-cliques, sorts the vertices by the run (first, last) of
+    windows holding them, and compares the edges with the cube of that
+    path.  Vertices with the same run are twins in the cube, so the edge set
+    does not depend on how ties are ordered."""
+    windows = enumerate_cliques(g, 4).cliques
     if len(windows) != k:
         return False
-    order = _chain_order(windows, 3)
-    if order is None:
+    chain = _chain_order(windows, 3)
+    if chain is None:
         return False
-    chain = [windows[i] for i in order]
-    n = g.n
-    slots: list[int | None] = [None] * n
-    placed = {}
-
-    def place(v: int, p: int) -> bool:
-        if placed.get(v, p) != p or (slots[p] is not None and slots[p] != v):
-            return False
-        placed[v] = p
-        slots[p] = v
-        return True
-
-    for i in range(k - 1):
-        fwd = chain[i] - chain[i + 1]
-        bwd = chain[k - 1 - i] - chain[k - 2 - i]
-        if len(fwd) != 1 or len(bwd) != 1:
-            return False
-        if not (place(fwd.pop(), i) and place(bwd.pop(), n - 1 - i)):
-            return False
-    rest = sorted(set(range(n)) - set(placed))
-    for p in range(n):
-        if slots[p] is None:
-            if not rest:
-                return False
-            slots[p] = rest.pop(0)
-    want = {(min(slots[i], slots[j]), max(slots[i], slots[j]))
-            for i in range(n) for j in range(i + 1, min(i + 4, n))}
+    span: dict[int, tuple[int, int]] = {}
+    for i, window in enumerate(chain):
+        for v in window:
+            span[v] = (span.get(v, (i, i))[0], i)
+    if len(span) != g.n:
+        return False
+    path = sorted(span, key=span.get)
+    want = {(min(u, v), max(u, v))
+            for i, u in enumerate(path) for v in path[i + 1:i + 4]}
     return want == set(g.edges)
 
 

@@ -23,6 +23,7 @@ are theorem grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -67,16 +68,15 @@ class ExactValue:
 class HReport:
     """Everything known about h for one graph.
 
-    m2 is None only when the solver was skipped entirely; m2_mode records how
-    the value was obtained ("exhaustive", "heuristic", or "assembled" from
-    decomposition pieces).  Bounds always satisfy
+    m2 is always set; m2_mode records how it was obtained ("exhaustive",
+    "heuristic", or "assembled" from decomposition pieces).  Bounds satisfy
     lower_trivial <= lower_cohomological <= upper, and any exact value lies
     inside them.
     """
 
     graph: Graph
     betti_numbers: tuple[int, ...]
-    m2: M2Result | None
+    m2: M2Result
     m2_mode: str
     lower_trivial: int
     lower_cohomological: int
@@ -203,19 +203,17 @@ def _certified_catalog():
     return ((k5_k4, 18), (boxes, 26))
 
 
-_certified_cache: tuple[frozenset, dict] | None = None
+@cache
+def _certified_keys() -> tuple[frozenset, dict]:
+    """The catalog's (vertices, edges) counts and its h by canonical key."""
+    catalog = _certified_catalog()
+    return (frozenset((example.n, len(example.edges)) for example, _ in catalog),
+            {canonical_key(example): h for example, h in catalog})
 
 
 def certified_h(g: Graph) -> ExactValue | None:
     """Exact value if g is isomorphic to an individually certified graph."""
-    global _certified_cache
-    if _certified_cache is None:
-        catalog = _certified_catalog()
-        _certified_cache = (
-            frozenset((example.n, len(example.edges)) for example, _ in catalog),
-            {canonical_key(example): h for example, h in catalog},
-        )
-    counts, keys = _certified_cache
+    counts, keys = _certified_keys()
     if (g.n, len(g.edges)) not in counts:
         return None
     value = keys.get(canonical_key(g))

@@ -166,12 +166,11 @@ def _plan(clique_rows) -> tuple:
     return nrows, flips, cuts, levels, entry
 
 
-def _scan(plan, hi: int, ceiling: int,
-          best: int = -1) -> tuple[int, int | None, int]:
-    """(best rank, first encoding reaching it, nodes) over [0, hi), by
-    depth-first branch and bound in integer order, starting from the
-    incumbent rank best.  Only a strictly higher rank is a hit; with no hit
-    the result is (best, None, nodes).
+def _scan(plan, ceiling: int, best: int = -1) -> tuple[int, int | None, int]:
+    """(best rank, first encoding reaching it, nodes) over every encoding of
+    the plan's cliques, by depth-first branch and bound in integer order,
+    starting from the incumbent rank best.  Only a strictly higher rank is a
+    hit; with no hit the result is (best, None, nodes).
 
     Reducing the rows of the current encoding passes the cuts in order.
     The rows before cut i are final in the subtree of levels[i]; with r
@@ -191,6 +190,7 @@ def _scan(plan, hi: int, ceiling: int,
     mark = [0] * len(cuts)      # len(log) when cut i was reached
     get, append = pivots.get, log.append
     best_rank, best_alpha, nodes = best, None, 0
+    end = 1 << len(flips)
     # the bound at a cut does not beat best_rank iff r - cut <= slack
     # (best | 1 is best + 1 for an even rank, and -1 before any rank);
     # always once the ceiling is reached
@@ -225,7 +225,7 @@ def _scan(plan, hi: int, ceiling: int,
                         break
                     row ^= pivot
         nxt = (value | skip) + 1
-        if nxt >= hi:
+        if nxt == end:
             return best_rank, best_alpha, nodes
         changed = value ^ nxt
         value = nxt
@@ -290,7 +290,7 @@ def _part_rank(clique_rows, cliques, deleted: int) -> int:
         if contribs:
             kept.append(contribs)
     plan = _plan(kept)
-    return _scan(plan, 1 << len(kept), parity_ceiling(plan[0]))[0]
+    return _scan(plan, parity_ceiling(plan[0]))[0]
 
 
 def _parts_worth_scanning(clique_rows) -> list | None:
@@ -384,9 +384,9 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     parts = _parts_worth_scanning(template.clique_rows)
     if parts is not None:
         glued = _glued_m2(template.clique_rows, parts)
-        rank, alpha, _nodes = _scan(plan, 1 << b4, glued, glued - 2)
+        rank, alpha, _nodes = _scan(plan, glued, glued - 2)
     else:
-        rank, alpha, _nodes = _scan(plan, 1 << b4, parity_ceiling(b2))
+        rank, alpha, _nodes = _scan(plan, parity_ceiling(b2))
     return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
 
 
@@ -412,18 +412,14 @@ def _heuristic_seeds(g: Graph, template: CupFormTemplate) -> tuple[int, ...]:
     rnd = random.Random(_DEFAULT_HEURISTIC_SEED)
     for _ in range(_HEURISTIC_TRIES):
         seeds.append(rnd.getrandbits(b4) & full)
-    seen, ordered = set(), []
-    for s in seeds:
-        if s not in seen:
-            seen.add(s)
-            ordered.append(s)
-    return tuple(ordered)
+    return tuple(dict.fromkeys(seeds))
 
 
 def m2_heuristic(g: Graph) -> M2Result:
     """Best rank over a fixed trial set of functionals.  The result is a
     lower bound for m2; it is certified (exhaustive=True) only when a trial
-    reaches the parity ceiling or there are no 4-cliques at all."""
+    reaches the parity ceiling or there are no 4-cliques at all.  The
+    seeds start with all-ones, so the first trial sets the best rank."""
     template = build_cup_form(g)
     b2, b4 = template.dim, template.num_cliques
     if b4 == 0:
@@ -436,8 +432,6 @@ def m2_heuristic(g: Graph) -> M2Result:
             best_rank, best_alpha = r, value
             if r >= ceiling:
                 break
-    if best_rank < 0:
-        best_rank, best_alpha = 0, 0
     return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
                     best_rank >= ceiling)
 

@@ -4,24 +4,56 @@ The clique, rank, form-matrix, m2 and canonical-key oracles live in
 raagh.verification, which the acceptance checks share; they are re-exported
 here under the same names.  The helpers below stay test-only: the package
 counts components by its own bitmask flood fill and never builds disjoint
-unions.  Expected values in the tests were frozen from these.
+unions, its symplectic reduction forms Mv from the rows of M, and its
+scan is a branch and bound that integer_order_scan checks.  Expected
+values in the tests were frozen from these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from raagh import Graph, induced_subgraph, make_graph
+from raagh import (AlphaVector, Graph, build_cup_form, induced_subgraph,
+                   make_graph, parity_ceiling, rank_gf2, substitute)
 from raagh.verification import (canonical_key_oracle, cliques_oracle,
                                 form_matrix_oracle, m2_oracle, rank_oracle)
 
 __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
-           "disjoint_union", "form_matrix_oracle", "m2_oracle", "random_gnp",
-           "rank_oracle", "rows_to_lists"]
+           "disjoint_union", "form_matrix_oracle", "integer_order_scan",
+           "m2_oracle", "matvec", "pair", "random_gnp", "rank_oracle",
+           "rows_to_lists"]
 
 
 def rows_to_lists(rows, ncols: int) -> list[list[int]]:
     return [[row >> c & 1 for c in range(ncols)] for row in rows]
+
+
+def integer_order_scan(g):
+    """(m2, first witness) by substitute + rank_gf2 over every encoding in
+    increasing order; stops at the parity ceiling, which no rank passes."""
+    t = build_cup_form(g)
+    ceiling = parity_ceiling(t.dim)
+    best, witness = -1, 0
+    for value in range(1 << t.num_cliques):
+        rank = rank_gf2(substitute(t, AlphaVector(value, t.num_cliques)).rows)
+        if rank > best:
+            best, witness = rank, value
+            if rank >= ceiling:
+                break
+    return best, witness
+
+
+def matvec(mat, x: int) -> int:
+    """Mx over GF(2), one parity per row."""
+    out = 0
+    for r, row in enumerate(mat.rows):
+        out |= ((row & x).bit_count() & 1) << r
+    return out
+
+
+def pair(mat, x: int, y: int) -> int:
+    """The bilinear form x^T M y over GF(2)."""
+    return (x & matvec(mat, y)).bit_count() & 1
 
 
 def random_gnp(n: int, p: float, seed: int):

@@ -239,6 +239,29 @@ def test_generate_over_the_vertex_limit_exits_2(capsys):
     assert code == 2 and out == "" and "limit of 1048576" in err
 
 
+def test_grid_cells_over_the_vertex_limit_exit_2_before_parsing(
+        capsys, monkeypatch):
+    monkeypatch.setattr(raagh.graphs, "MAX_VERTICES", 8)
+    # three cells in a row have 8 corners, at the limit
+    code, out, _ = run(capsys, "generate", "grid", "--cells", "0,0;1,0;2,0")
+    assert code == 0 and parse_graph(out, "edges").n == 8
+    # nine cells are refused before the bad last cell is reached
+    cells = ";".join(f"{x},0" for x in range(8)) + ";x,y"
+    code, out, err = run(capsys, "generate", "grid", "--cells", cells)
+    assert code == 2 and out == "" and "more than 8 cells" in err
+
+
+def test_negative_cap_exits_2(capsys, join_file, monkeypatch):
+    code, out, err = run(capsys, "compute", join_file, "--cap", "-5", "--strict")
+    assert code == 2 and out == "" and "non-negative" in err
+    monkeypatch.setenv("RAAGH_CAP", "-1")
+    code, out, err = run(capsys, "compute", join_file)
+    assert code == 2 and out == "" and "non-negative" in err
+    # a cap of 0 is valid: it refuses every 4-clique
+    code, _, err = run(capsys, "compute", join_file, "--cap", "0", "--strict")
+    assert code == 3 and "2^0" in err
+
+
 def test_strict_cap_exits_3(capsys, tmp_path):
     g = generate_family(FamilyCertificate.clique_string(6, 2))
     path = tmp_path / "big.edges"

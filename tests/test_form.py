@@ -9,10 +9,10 @@ from raagh import (AlphaVector, FamilyCertificate, betti, build_cup_form,
                    dump_matrix, dump_template, generate_family, kernel_basis,
                    make_graph, max_isotropic, rank_gf2, render_vector,
                    substitute, symplectic_reduce)
-from raagh.form import Gf2Matrix, matvec, pair
+from raagh.form import Gf2Matrix
 
-from oracles import (form_matrix_oracle, random_gnp, rank_oracle,
-                     rows_to_lists)
+from oracles import (form_matrix_oracle, matvec, pair, random_gnp,
+                     rank_oracle, rows_to_lists)
 
 
 def join_graph():

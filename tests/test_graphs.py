@@ -228,6 +228,66 @@ def test_recognizer_rejects_bent_clique_chains():
     assert recognize_family(bent) is None
 
 
+def _perturbed(g, rnd, moves):
+    """g with `moves` random edits, each removing an edge, adding a non-edge
+    between vertices at most five apart, or both."""
+    edges = set(g.edges)
+    for _ in range(moves):
+        kind = rnd.randrange(3)
+        if kind != 1 and edges:
+            edges.remove(rnd.choice(sorted(edges)))
+        near = [(u, v) for u, v in combinations(range(g.n), 2)
+                if v - u <= 5 and (u, v) not in edges]
+        if kind != 0 and near:
+            edges.add(rnd.choice(near))
+    return make_graph(g.n, edges)
+
+
+def _l_shaped_chain(s):
+    """Three K_s glued along two edges that share a vertex."""
+    first, second = set(range(s)), set(range(s - 2, 2 * s - 2))
+    third = {s - 1, s} | set(range(2 * s - 2, 3 * s - 4))
+    edges = set()
+    for c in (first, second, third):
+        edges |= set(combinations(sorted(c), 2))
+    return make_graph(3 * s - 4, edges)
+
+
+def _check_against_isomorphism(g, cert):
+    """recognize_family and verify_certificate(g, cert) answer as
+    is_isomorphic(g, generate_family(cert)) does; a recognized family is
+    isomorphic to g."""
+    iso = is_isomorphic(g, generate_family(cert))
+    assert verify_certificate(g, cert) == iso
+    found = recognize_family(g)
+    if found is not None:
+        assert is_isomorphic(g, generate_family(found))
+    return iso, found
+
+
+def test_recognizers_agree_with_isomorphism_on_a_seeded_battery():
+    rnd = random.Random(2026)
+    recognized = rejected = 0
+    for k in range(1, 25):
+        cert = FamilyCertificate.face_string(k)
+        model = generate_family(cert)
+        variants = [model] + [_perturbed(model, rnd, 1 + i % 2) for i in range(10)]
+        for g in variants:
+            iso, found = _check_against_isomorphism(
+                _shuffled(g, rnd.getrandbits(32)), cert)
+            if k >= 3:
+                assert (found == cert) == iso, (k, g.edges)
+            recognized += found == cert
+            rejected += not iso
+    for s in (4, 5, 6, 7):
+        bent = _shuffled(_l_shaped_chain(s), s)
+        cert = FamilyCertificate.clique_string(s, 3)
+        assert (bent.n, len(bent.edges)) == (generate_family(cert).n,
+                                             len(generate_family(cert).edges))
+        assert _check_against_isomorphism(bent, cert) == (False, None)
+    assert recognized >= 22 and rejected >= 200
+
+
 def test_recognizer_skips_large_graphs():
     g = generate_family(FamilyCertificate.face_string(45))
     assert g.n > 40

@@ -532,3 +532,30 @@ def test_theorem_grade_set_excludes_only_the_conjectural_tag():
     assert CONJECTURAL_MINIMAL not in THEOREM_GRADE
     assert ExactValue(4, CONJECTURAL_MINIMAL).theorem_grade is False
     assert ExactValue(4, DECOMPOSITION_AGGREGATE).theorem_grade is True
+
+
+# --------------------------------------------------------------------------
+# reference tables script
+# --------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TABLES = os.path.join(ROOT, "scripts", "reproduce_reference_tables.py")
+
+
+def test_reference_tables_script_passes_every_row():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, TABLES], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.endswith("48/48 rows match, assembly matches h = 62\n")
+
+
+def test_reference_tables_script_exits_1_on_a_miss(monkeypatch, capsys):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reference_tables", TABLES)
+    tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tables)
+    monkeypatch.setattr(tables, "h_free_abelian", lambda n: 2)
+    assert tables.main(["--max-k", "1", "--max-n", "4"]) == 1
+    assert "n=4" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from raagh.graphs import biconnected_blocks
 from raagh.solver import (_glued_m2, _heuristic_seeds, _parts,
                           _parts_worth_scanning, _plan, _scan)
 
-from oracles import m2_oracle, random_gnp
+from oracles import integer_order_scan, m2_oracle, random_gnp
 
 
 def small_random_graphs(count, seed0, max_b4=10):
@@ -45,21 +45,6 @@ def test_exhaustive_m2_and_witness_match_full_scan(idx):
     # when the parity ceiling lets it stop at the first one it proves maximal
     if res.m2 < parity_ceiling(betti(g)[2]):
         assert res.witness.value == witness
-
-
-def integer_order_scan(g):
-    """(m2, first witness) by substitute + rank_gf2 over every encoding in
-    increasing order; stops at the parity ceiling, which no rank passes."""
-    t = build_cup_form(g)
-    ceiling = parity_ceiling(t.dim)
-    best, witness = -1, 0
-    for value in range(1 << t.num_cliques):
-        rank = rank_gf2(substitute(t, AlphaVector(value, t.num_cliques)).rows)
-        if rank > best:
-            best, witness = rank, value
-            if rank >= ceiling:
-                break
-    return best, witness
 
 
 def k4_glued_on_last_edge(n, p, seed):
@@ -237,9 +222,9 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
         assert glued == m2, idx
         # the witness scan prunes at least what the parent-style scan does
         plan = _plan(t.clique_rows)
-        rank, alpha, nodes = _scan(plan, 1 << b4, m2, m2 - 2)
+        rank, alpha, nodes = _scan(plan, m2, m2 - 2)
         assert (rank, alpha) == (m2, witness), idx
-        assert nodes <= _scan(plan, 1 << b4, ceiling)[2], idx
+        assert nodes <= _scan(plan, ceiling)[2], idx
     assert glued_count >= 40 and cut >= 10
 
 
@@ -364,19 +349,18 @@ def test_clique_string_5x3_witness_scan_is_a_few_dozen_nodes():
     t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
     plan = _plan(t.clique_rows)
     assert _glued_m2(t.clique_rows, _parts_worth_scanning(t.clique_rows)) == 18
-    rank, _alpha, nodes = _scan(plan, 1 << 15, 18, 16)
+    rank, _alpha, nodes = _scan(plan, 18, 16)
     assert rank == 18 and nodes == 40
-    assert _scan(plan, 1 << 15, parity_ceiling(t.dim))[2] > 29000
+    assert _scan(plan, parity_ceiling(t.dim))[2] > 29000
 
 
 def test_a_scan_from_an_incumbent_reports_no_hit_as_none():
-    # below the first maximizer nothing beats m2 - 2
+    # no rank is strictly higher than an incumbent m2
     g = generate_family(FamilyCertificate.clique_string(5, 2))
-    t = build_cup_form(g)
-    plan, b4 = _plan(t.clique_rows), t.num_cliques
+    plan = _plan(build_cup_form(g).clique_rows)
     m2, witness = integer_order_scan(g)
-    assert _scan(plan, witness, m2, m2 - 2)[:2] == (m2 - 2, None)
-    assert _scan(plan, 1 << b4, m2, m2 - 2)[:2] == (m2, witness)
+    assert _scan(plan, m2, m2)[:2] == (m2, None)
+    assert _scan(plan, m2, m2 - 2)[:2] == (m2, witness)
 
 
 def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
@@ -384,8 +368,7 @@ def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
     # so most subtrees are capped at the incumbent; the full tree of
     # 2^20 encodings has 2^21 - 1 nodes
     t = build_cup_form(generate_family(FamilyCertificate.face_string(20)))
-    rank, _alpha, nodes = _scan(_plan(t.clique_rows), 1 << 20,
-                                parity_ceiling(t.dim))
+    rank, _alpha, nodes = _scan(_plan(t.clique_rows), parity_ceiling(t.dim))
     assert t.num_cliques == 20 and rank == 60
     assert nodes < (1 << 21) // 100
 
