@@ -180,6 +180,8 @@ def _solver_config(args) -> SolverConfig:
         raise ParseError(f"cap must be non-negative, got {cap}")
     workers = (args.workers if args.workers is not None
                else _env_int("RAAGH_WORKERS"))
+    if workers is not None and workers < 1:
+        raise ParseError(f"workers must be at least 1, got {workers}")
     return SolverConfig(
         cap=cap if cap is not None else DEFAULT_CONFIG.cap,
         workers=workers if workers is not None else DEFAULT_CONFIG.workers,

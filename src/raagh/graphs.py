@@ -465,74 +465,145 @@ def _generate_hex_triangle(cert: FamilyCertificate) -> Graph:
 _RECOGNIZE_MAX_N = 40
 
 
+def _twins(g: Graph) -> list[int]:
+    """The least vertex of each vertex's twin class.  u and v are twins when
+    they have the same neighbours apart from each other; swapping them is
+    an automorphism that fixes every other vertex."""
+    n, adj = g.n, g.adjacency
+    twin = list(range(n))
+    for u in range(n):
+        if twin[u] == u:
+            for v in range(u + 1, n):
+                if twin[v] == v and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    twin[v] = u
+    return twin
+
+
+def _refine(nbrs, colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Iterated colour refinement: recolour each vertex by its colour and
+    the sorted colours of its neighbours (nbrs[v], a tuple of vertices)
+    until the partition is stable.  Colours are ranks of those signatures,
+    so a discrete colouring is a numbering of the vertices."""
+    while True:
+        get = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(order[s] for s in sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _individualize(nbrs, colors: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The refinement of colors with v given a colour of its own."""
+    split = list(colors)
+    split[v] = max(colors) + 1
+    return _refine(nbrs, tuple(split))
+
+
+def _target_cell(colors: tuple[int, ...]) -> list[int] | None:
+    """The vertices of the least colour held by more than one vertex, in
+    increasing order; None when the colouring is discrete."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    for c in sorted(cells):
+        if len(cells[c]) > 1:
+            return cells[c]
+    return None
+
+
 def canonical_key(g: Graph):
     """Canonical form of g: the lexicographically least edge tuple over all
     relabelings compatible with iterated colour refinement.  Equal keys
     characterize isomorphism.
 
-    The search is pruned by twins: u and v are twins when they have the
-    same neighbours apart from each other.  Swapping two twins is an
-    automorphism that fixes every other vertex, so it fixes the path of
-    individualized vertices and the refined colouring, and it maps the
+    The search is pruned by twins (see _twins).  A twin swap fixes the path
+    of individualized vertices and the refined colouring, and it maps the
     subtree under u onto the subtree under v with the same leaf keys.  Each
     target cell therefore branches on one vertex per twin class, and the key
     is exactly the one the unpruned search finds.  Other symmetries are not
     pruned, so a graph whose automorphisms are not twin swaps still costs
     about one leaf per automorphism: keep such graphs to a few dozen
     vertices."""
-    n, adj = g.n, g.adjacency
+    n = g.n
     if n == 0:
         return (0, ())
-
-    twin = list(range(n))  # least vertex of each vertex's twin class
-    for u in range(n):
-        if twin[u] == u:
-            for v in range(u + 1, n):
-                if twin[v] == v and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                    twin[v] = u
-
-    def refine(colors):
-        while True:
-            sigs = []
-            for v in range(n):
-                neigh = sorted(colors[u] for u in _mask_bits(adj[v]))
-                sigs.append((colors[v], tuple(neigh)))
-            order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = tuple(order[s] for s in sigs)
-            if new == colors:
-                return colors
-            colors = new
-
+    twin = _twins(g)
+    nbrs = [tuple(_mask_bits(a)) for a in g.adjacency]
     best: list = [None]
 
     def search(colors):
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        target = _target_cell(colors)
         if target is None:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            pos = {v: i for i, v in enumerate(perm)}
-            key = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges))
+            key = tuple(sorted(tuple(sorted((colors[u], colors[v])))
+                               for u, v in g.edges))
             if best[0] is None or key < best[0]:
                 best[0] = key
             return
-        fresh = max(colors) + 1
         tried = set()
         for v in target:
-            if twin[v] in tried:
-                continue
-            tried.add(twin[v])
-            split = list(colors)
-            split[v] = fresh
-            search(refine(tuple(split)))
+            if twin[v] not in tried:
+                tried.add(twin[v])
+                search(_individualize(nbrs, colors, v))
 
-    search(refine(tuple(0 for _ in range(n))))
+    search(_refine(nbrs, (0,) * n))
     return (n, best[0])
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g, each a tuple mapping vertex v to p[v], found
+    without a full search.  They generate all of Aut(g) on every graph the
+    tests check, but nothing guarantees that.
+
+    They start with the twin transpositions.  Then the search walks the
+    first path of the individualize-refine tree (the least vertex of each
+    target cell) to its leaf.  Deepest level first, for every other vertex
+    w of the level's target cell that is not yet in the orbit of the path's
+    vertex under the generators fixing the path above, it individualizes w
+    and refines down to one leaf along first vertices.  Matching that leaf's
+    colours with the first leaf's is a bijection; it is kept when it maps
+    the edges onto themselves.  That is at most n leaves.  Every map
+    returned is an automorphism; one that the search misses only costs
+    pruning, never a wrong answer."""
+    n = g.n
+    twin = _twins(g)
+    gens, last = [], {}
+    for v in range(n):   # swap each twin with the one before it in its class
+        u = last.get(twin[v])
+        last[twin[v]] = v
+        if u is not None:
+            p = list(range(n))
+            p[u], p[v] = v, u
+            gens.append(tuple(p))
+    nbrs = [tuple(_mask_bits(a)) for a in g.adjacency]
+    path = []   # (colours, target cell) per level of the first path
+    colors = _refine(nbrs, (0,) * n)
+    while (target := _target_cell(colors)) is not None:
+        path.append((colors, target))
+        colors = _individualize(nbrs, colors, target[0])
+    first = sorted(range(n), key=colors.__getitem__)   # colour -> vertex
+    edges = set(g.edges)
+    for level in reversed(range(len(path))):
+        colors, target = path[level]
+        above = [cell[0] for _colors, cell in path[:level]]
+        for w in target[1:]:
+            stab = [p for p in gens if all(p[u] == u for u in above)]
+            orbit, frontier = {target[0]}, [target[0]]
+            for u in frontier:
+                for p in stab:
+                    if p[u] not in orbit:
+                        orbit.add(p[u])
+                        frontier.append(p[u])
+            if w in orbit:
+                continue
+            leaf = _individualize(nbrs, colors, w)
+            while (cell := _target_cell(leaf)) is not None:
+                leaf = _individualize(nbrs, leaf, cell[0])
+            p = tuple(first[c] for c in leaf)
+            if all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges):
+                gens.append(p)
+    return gens
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

@@ -56,6 +56,22 @@ exceeds m2, so that encoding is the first maximizer, and every node it
 visits the plain scan visits too, since the plain scan's incumbent stays
 at or below m2 - 2 until it reaches the same encoding.
 
+Orbit pruning.  An automorphism of the graph permutes the 4-cliques and
+the rows alike, so it maps each encoding to one of the same rank.  The
+first maximizer is therefore the least encoding of its orbit under
+Aut(G): no encoding that some automorphism maps lower is ever the
+witness.  On blocks with b4 >= _ORBIT_PRUNE_B4, both scans take per-cut
+tests from generators of Aut(G) (_orbit_checks) and skip a subtree when a
+generator maps every encoding in it lower, read off the bits the subtree
+fixes (isomorphism pruning, Margot 2002).  A skipped encoding x has a
+lower image of the same rank that is either visited, bound-skipped (so no
+higher than the incumbent), or skipped the same way, so the incumbent at
+every point is what the plain scan has there: the result (rank, first
+maximizer) is the plain scan's, with any subset of Aut(G), and the nodes
+are a subset of its nodes.  Smaller blocks, at most 2^11 encodings,
+skip the generator search (about half a millisecond).  _part_rank scans
+parts with rows deleted, which breaks the symmetry, so it takes no tests.
+
 Every scan runs in this process, so the result, witness included, does
 not depend on SolverConfig.workers.
 """
@@ -67,10 +83,12 @@ from dataclasses import dataclass
 
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
-from .graphs import (Graph, _mask_bits, biconnected_blocks, make_graph,
+from .graphs import (Graph, _automorphism_generators, _mask_bits,
+                     biconnected_blocks, induced_subgraph, make_graph,
                      maximal_cliques)
 
 _PART_SCAN_COST = 64
+_ORBIT_PRUNE_B4 = 12
 _DEFAULT_HEURISTIC_SEED = 0x5EED
 _HEURISTIC_TRIES = 512
 
@@ -166,7 +184,8 @@ def _plan(clique_rows) -> tuple:
     return nrows, flips, cuts, levels, entry
 
 
-def _scan(plan, ceiling: int, best: int = -1) -> tuple[int, int | None, int]:
+def _scan(plan, ceiling: int, best: int = -1,
+          checks=None) -> tuple[int, int | None, int]:
     """(best rank, first encoding reaching it, nodes) over every encoding of
     the plan's cliques, by depth-first branch and bound in integer order,
     starting from the incumbent rank best.  Only a strictly higher rank is a
@@ -182,8 +201,14 @@ def _scan(plan, ceiling: int, best: int = -1) -> tuple[int, int | None, int]:
     (t the highest changed clique) stay valid, so it undoes the pivot
     insertions logged since that cut and re-reduces only the suffix.
     nodes counts the encodings at which the reduction resumed.
+
+    checks, when given, holds per cut the orbit tests of _orbit_checks:
+    on stepping down to cut i, before its rows are reduced, the subtree of
+    levels[i] is skipped when a test shows that an automorphism maps every
+    encoding in it to a smaller one.
     """
     nrows, flips, cuts, levels, entry = plan
+    tests = checks or ((),) * len(cuts)
     rows = [0] * nrows
     pivots: dict[int, int] = {}
     log: list[int] = []         # pivot keys in insertion order
@@ -213,6 +238,9 @@ def _scan(plan, ceiling: int, best: int = -1) -> tuple[int, int | None, int]:
                 break
             mark[i] = r
             i += 1
+            if tests[i] and _maps_below(tests[i], value):
+                skip = (1 << levels[i]) - 1
+                break
             for p in range(cut, cuts[i]):
                 row = rows[p]
                 while row:
@@ -235,6 +263,63 @@ def _scan(plan, ceiling: int, best: int = -1) -> tuple[int, int | None, int]:
             for p, bit in flips[low.bit_length() - 1]:
                 rows[p] ^= bit
             changed ^= low
+
+
+def _orbit_checks(g: Graph, template: CupFormTemplate, plan) -> tuple:
+    """Per cut of the plan, the tests by which _scan skips a subtree that
+    holds no least element of an orbit of Aut(g).
+
+    Each generator of _automorphism_generators maps 4-cliques to 4-cliques,
+    clique q to perm[q], and so an encoding x to image(x) with bit perm[q]
+    set for each bit q of x.  At the cut of level q (bits >= q fixed), a
+    generator is tested with the least k >= q such that every bit >= k of
+    image(x) comes from a bit >= q of x, provided it moves some bit >= k:
+    then image(x) >> k is the same for every x in the subtree, and when it
+    is below x >> k, every x there has a smaller image.  A test lists the
+    (bit p, source bit perm^-1(p)) pairs with p >= k that differ, highest
+    first.
+    """
+    cliques = template.cliques
+    verts = sorted({v for c in cliques.cliques for v in c})
+    # automorphisms of the subgraph on the cliques' vertices keep the set of
+    # 4-cliques, and so the rank; the other vertices play no part in the
+    # form, and leaving them out keeps the search to at most 4 * b4 vertices
+    h = g if len(verts) == g.n else induced_subgraph(g, verts)[0]
+    index = {v: i for i, v in enumerate(verts)}
+    inverses = []
+    for sigma in _automorphism_generators(h):
+        inv = [0] * len(cliques)
+        for q, c in enumerate(cliques.cliques):
+            image = tuple(sorted(verts[sigma[index[v]]] for v in c))
+            inv[cliques.position[image]] = q
+        inverses.append(inv)
+    checks = []
+    for level in plan[3]:
+        tests = []
+        for inv in inverses:
+            k = len(inv)
+            while k > level and inv[k - 1] >= level:
+                k -= 1
+            pairs = tuple((p, inv[p]) for p in reversed(range(k, len(inv)))
+                          if inv[p] != p)
+            if pairs:
+                tests.append(pairs)
+        checks.append(tuple(dict.fromkeys(tests)))
+    return tuple(checks)
+
+
+def _maps_below(tests, value: int) -> bool:
+    """Whether a test of _orbit_checks shows an image of value's subtree
+    below it: at the highest listed bit where value and its image differ,
+    value has the 1."""
+    for pairs in tests:
+        for p, source in pairs:
+            bit = value >> p & 1
+            if value >> source & 1 != bit:
+                if bit:
+                    return True
+                break
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -381,12 +466,13 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
         return M2Result(0, AlphaVector(0, 0), b2, True)
 
     plan = _plan(template.clique_rows)
+    checks = _orbit_checks(g, template, plan) if b4 >= _ORBIT_PRUNE_B4 else None
     parts = _parts_worth_scanning(template.clique_rows)
     if parts is not None:
         glued = _glued_m2(template.clique_rows, parts)
-        rank, alpha, _nodes = _scan(plan, glued, glued - 2)
+        rank, alpha, _nodes = _scan(plan, glued, glued - 2, checks)
     else:
-        rank, alpha, _nodes = _scan(plan, parity_ceiling(b2))
+        rank, alpha, _nodes = _scan(plan, parity_ceiling(b2), checks=checks)
     return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
 
 

@@ -262,6 +262,20 @@ def test_negative_cap_exits_2(capsys, join_file, monkeypatch):
     assert code == 3 and "2^0" in err
 
 
+def test_worker_count_below_1_exits_2(capsys, join_file, monkeypatch):
+    # report.schema.json requires "workers" >= 1
+    for flag in ("-3", "0"):
+        code, out, err = run(capsys, "compute", join_file, "--json",
+                             "--workers", flag)
+        assert code == 2 and out == "" and "at least 1" in err
+    monkeypatch.setenv("RAAGH_WORKERS", "0")
+    code, out, err = run(capsys, "compute", join_file)
+    assert code == 2 and out == "" and "at least 1" in err
+    # the explicit flag wins over the environment
+    code, out, _ = run(capsys, "compute", join_file, "--json", "--workers", "1")
+    assert code == 0 and json.loads(out)["solver"]["workers"] == 1
+
+
 def test_strict_cap_exits_3(capsys, tmp_path):
     g = generate_family(FamilyCertificate.clique_string(6, 2))
     path = tmp_path / "big.edges"

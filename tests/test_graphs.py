@@ -9,7 +9,8 @@ from raagh import (FamilyCertificate, ParseError, betti, canonical_key,
                    enumerate_cliques, generate_family, is_isomorphic,
                    make_graph, maximal_cliques, parse_graph, recognize_family,
                    serialize_graph, to_dot, verify_certificate)
-from raagh.graphs import biconnected_blocks, classify_edges, induced_subgraph
+from raagh.graphs import (_automorphism_generators, biconnected_blocks,
+                          classify_edges, induced_subgraph)
 
 from oracles import (canonical_key_oracle, cliques_oracle,
                      connected_components, disjoint_union, random_gnp)
@@ -558,3 +559,84 @@ def test_relabeled_one_row_grid_certificate_verifies():
 ], ids=["clique-string-7x2", "K10"])
 def test_is_isomorphic_on_graphs_made_of_twins(g):
     assert is_isomorphic(g, _shuffled(g, 11))
+
+
+# --------------------------------------------------------------------------
+# automorphism generators
+# --------------------------------------------------------------------------
+
+def _group_order(gens, n):
+    """Order of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    for a in frontier:
+        for p in gens:
+            b = tuple(p[a[v]] for v in range(n))
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return len(seen)
+
+
+def _count_automorphisms(g):
+    """|Aut(g)| by backtracking: vertex v is mapped after 0..v-1, to an
+    unused vertex with the same adjacency to their images."""
+    adj = [[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
+
+    def extend(images):
+        v = len(images)
+        if v == g.n:
+            return 1
+        return sum(extend(images + [w]) for w in range(g.n)
+                   if w not in images
+                   and all(adj[u][v] == adj[images[u]][w] for u in range(v)))
+
+    return extend([])
+
+
+def _assert_automorphisms(g, gens):
+    edges = set(g.edges)
+    for p in gens:
+        assert sorted(p) == list(range(g.n))
+        assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == edges
+
+
+def _k8_minus_matching():
+    return make_graph(8, [(u, v) for u, v in combinations(range(8), 2)
+                          if v != u + 4])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_automorphism_generators_span_aut_on_small_graphs(seed):
+    # random graphs, twin blow-ups and cycles (no twins at all) on at most
+    # 7 vertices: the generated group is the whole of Aut
+    rnd = random.Random(seed)
+    graphs = [make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+              for n in (5, 6, 7)] if seed == 0 else []
+    for _ in range(15):
+        n = rnd.randint(0, 7)
+        graphs.append(make_graph(n, random_gnp(
+            n, rnd.choice((0.3, 0.5, 0.7)), rnd.randrange(2 ** 31))))
+        graphs.append(_twin_blowup(rnd))
+    for g in graphs:
+        gens = _automorphism_generators(g)
+        _assert_automorphisms(g, gens)
+        assert _group_order(gens, g.n) == _count_automorphisms(g), g
+
+
+SYMMETRIC_EXAMPLES = {
+    "k8-minus-matching": (_k8_minus_matching(), 384),
+    "K7": (make_graph(7, combinations(range(7), 2)), 5040),
+    "hex-3": (generate_family(FamilyCertificate.hex_triangle(3)), 6),
+    "clique-string-5x3": (
+        generate_family(FamilyCertificate.clique_string(5, 3)), 288),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_EXAMPLES))
+def test_automorphism_generators_of_the_symmetric_examples(name):
+    g, order = SYMMETRIC_EXAMPLES[name]
+    for h in (g, _shuffled(g, 7)):
+        gens = _automorphism_generators(h)
+        _assert_automorphisms(h, gens)
+        assert _group_order(gens, h.n) == order

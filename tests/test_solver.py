@@ -9,8 +9,8 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    SolverConfig, betti, build_cup_form, compute_m2,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
-from raagh.graphs import biconnected_blocks
-from raagh.solver import (_glued_m2, _heuristic_seeds, _parts,
+from raagh.graphs import _twins, biconnected_blocks
+from raagh.solver import (_glued_m2, _heuristic_seeds, _orbit_checks, _parts,
                           _parts_worth_scanning, _plan, _scan)
 
 from oracles import integer_order_scan, m2_oracle, random_gnp
@@ -124,6 +124,10 @@ def test_branch_and_bound_matches_integer_order_on_a_seeded_battery():
         if idx % 4 == 3:
             res = compute_m2(g, two_workers)
             assert (res.m2, res.witness, res.exhaustive) == expected, idx
+        # orbit pruning below the b4 gate compute_m2 applies
+        plan = _plan(t.clique_rows)
+        checks = _orbit_checks(g, t, plan)
+        assert _scan(plan, ceiling, checks=checks)[:2] == (m2, witness), idx
     assert ceiling_hits >= 20
 
 
@@ -225,6 +229,8 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
         rank, alpha, nodes = _scan(plan, m2, m2 - 2)
         assert (rank, alpha) == (m2, witness), idx
         assert nodes <= _scan(plan, ceiling)[2], idx
+        checks = _orbit_checks(g, t, plan)
+        assert _scan(plan, m2, m2 - 2, checks)[:2] == (m2, witness), idx
     assert glued_count >= 40 and cut >= 10
 
 
@@ -313,6 +319,9 @@ def test_rings_with_hung_pieces_match_integer_order():
         res = compute_m2(g)
         assert (res.m2, res.witness, res.exhaustive) == (
             m2, AlphaVector(witness, t.num_cliques), True), idx
+        plan = _plan(t.clique_rows)
+        checks = _orbit_checks(g, t, plan)
+        assert _scan(plan, m2, m2 - 2, checks)[:2] == (m2, witness), idx
     assert cycles >= 5
 
 
@@ -371,6 +380,100 @@ def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
     rank, _alpha, nodes = _scan(_plan(t.clique_rows), parity_ceiling(t.dim))
     assert t.num_cliques == 20 and rank == 60
     assert nodes < (1 << 21) // 100
+
+
+# --------------------------------------------------------------------------
+# orbit pruning
+# --------------------------------------------------------------------------
+
+def k8_minus_matching():
+    return make_graph(8, [e for e in combinations(range(8), 2)
+                          if e not in {(0, 1), (2, 3), (4, 5), (6, 7)}])
+
+
+def blown_up(g, sizes):
+    """Vertex v of g replaced by a clique of sizes[v] true twins, the
+    cliques of adjacent vertices fully joined."""
+    owner = [v for v in range(g.n) for _ in range(sizes[v])]
+    return make_graph(len(owner), [
+        (a, b) for a, b in combinations(range(len(owner)), 2)
+        if owner[a] == owner[b] or g.has_edge(owner[a], owner[b])])
+
+
+def symmetric_battery(seed):
+    """Seeded graphs with large automorphism groups: K5, K6, K8 minus a
+    perfect matching and two relabelings of it; twin blow-ups of C5 and of
+    hex side 2; and the octahedron K_{2,2,2} with K4s hung on some of its
+    edges (on all 12 in the first), relabeled."""
+    rnd = random.Random(seed)
+    k8m = k8_minus_matching()
+    out = [make_graph(5, combinations(range(5), 2)),
+           make_graph(6, combinations(range(6), 2)),
+           k8m, relabeled(k8m, rnd), relabeled(k8m, rnd)]
+    c5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    hex2 = generate_family(FamilyCertificate.hex_triangle(2))
+    for base in (c5, c5, c5, hex2, hex2, hex2):
+        while True:
+            g = blown_up(base, [rnd.choice((1, 1, 2, 2, 3))
+                                for _ in range(base.n)])
+            if 1 <= len(build_cup_form(g).cliques) <= 14:
+                break
+        out.append(relabeled(g, rnd))
+    octahedron = [e for e in combinations(range(6), 2) if e[1] != e[0] + 3]
+    for count in (12, 3, 5, 7):
+        edges, n = set(octahedron), 6
+        for u, v in rnd.sample(octahedron, count):
+            edges |= set(combinations((u, v, n, n + 1), 2))
+            n += 2
+        out.append(relabeled(make_graph(n, sorted(edges)), rnd))
+    return out
+
+
+def twin_swaps(g):
+    """The transpositions of each twin with the least of its class."""
+    gens = []
+    for v, least in enumerate(_twins(g)):
+        if least != v:
+            p = list(range(g.n))
+            p[v], p[least] = least, v
+            gens.append(tuple(p))
+    return gens
+
+
+def test_orbit_pruning_matches_integer_order_on_symmetric_graphs(monkeypatch):
+    # no generators, twin swaps only, and the full search: the generators
+    # change which subtrees are skipped, never (m2, witness)
+    pruned = 0
+    for idx, g in enumerate(symmetric_battery(12)):
+        t = build_cup_form(g)
+        plan = _plan(t.clique_rows)
+        ceiling = parity_ceiling(t.dim)
+        m2, witness = integer_order_scan(g)
+        plain_nodes = _scan(plan, ceiling)[2]
+        for generators in (lambda h: [], twin_swaps,
+                           raagh.solver._automorphism_generators):
+            with monkeypatch.context() as m:
+                m.setattr(raagh.solver, "_automorphism_generators", generators)
+                checks = _orbit_checks(g, t, plan)
+            rank, alpha, nodes = _scan(plan, ceiling, checks=checks)
+            assert (rank, alpha) == (m2, witness), idx
+            assert nodes <= plain_nodes, idx
+            assert _scan(plan, m2, m2 - 2, checks)[:2] == (m2, witness), idx
+        pruned += nodes < plain_nodes
+        res = compute_m2(g)
+        assert (res.m2, res.witness.value) == (m2, witness), idx
+    assert pruned >= 10
+
+
+def test_orbit_pruning_cuts_the_k8_minus_matching_scan():
+    # |Aut| = 384; the unpruned scan visits 16,530 nodes
+    g = k8_minus_matching()
+    t = build_cup_form(g)
+    plan = _plan(t.clique_rows)
+    ceiling = parity_ceiling(t.dim)
+    assert _scan(plan, ceiling)[2] == 16530
+    rank, alpha, nodes = _scan(plan, ceiling, checks=_orbit_checks(g, t, plan))
+    assert (rank, alpha) == (22, 1650) and nodes <= 1000
 
 
 def test_ceiling_early_exit_keeps_first_maximiser():
@@ -441,8 +544,7 @@ def test_worker_count_does_not_change_results():
 
 def test_scan_starts_no_process_whatever_the_worker_count(monkeypatch):
     # K8 minus a perfect matching: b4 = 16, scanned whole
-    g = make_graph(8, [e for e in combinations(range(8), 2)
-                       if e not in {(0, 1), (2, 3), (4, 5), (6, 7)}])
+    g = k8_minus_matching()
     expected = compute_m2(g)
 
     def no_process(*args, **kwargs):
