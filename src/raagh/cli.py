@@ -112,6 +112,51 @@ def report_document(g: Graph, report: HReport, config: SolverConfig,
     return doc
 
 
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append the text of value to out; indent is a newline and the spaces
+    of value's level.  A non-str dict key raises TypeError."""
+    kind = type(value)
+    if kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is bool or value is None:
+        out.append(_CONSTANTS[value])
+    elif kind is dict and value:
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            out.append(sep + inner + _quote(key) + ": ")
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "}")
+    elif kind is list and value:
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]")
+    else:  # json.dumps escapes every newline inside a string
+        out.append(json.dumps(value, indent=2).replace("\n", indent))
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), whose indent runs CPython's pure-Python
+    encoder, written directly for dicts, lists, str, int, bool and None.
+    Anything else, the float of --timings included, goes through
+    json.dumps itself, and so does a value with a non-str dict key."""
+    out: list[str] = []
+    try:
+        _write_json(value, out, "\n")
+    except TypeError:
+        return json.dumps(value, indent=2)
+    return "".join(out)
+
+
 def render_text_report(report: HReport) -> str:
     g = report.graph
     lines = [f"graph: {g.n} vertices, {len(g.edges)} edges"]
@@ -202,7 +247,7 @@ def cmd_compute(args) -> int:
     if args.json:
         doc = report_document(g, report, config, requested,
                               elapsed if args.timings else None)
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         text = render_text_report(report)
         if args.timings:

@@ -276,7 +276,8 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     back = {v: i for i, v in enumerate(vmap)}
     edges = [(back[u], back[v]) for u, v in g.edges if u in back and v in back]
     labels = tuple(g.label(v) for v in vmap) if g.labels is not None else None
-    return make_graph(len(vmap), edges, labels=labels), vmap
+    # an increasing vertex map keeps the edges normalized and sorted
+    return Graph(len(vmap), tuple(edges), labels), vmap
 
 
 def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
@@ -835,46 +836,48 @@ def _parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: expected 'u v', got {stripped!r}")
         raw_edges.append((parts[0], parts[1], lineno))
 
-    ids: dict[str, int] = {}
+    ids: dict[int, int] = {}
     if declared_n is not None:
         _check_vertex_count(declared_n, "vertices directive")
 
     def vertex(token: str, lineno: int) -> int:
+        # ASCII digits only: int() would also take "1_0", "+1" and "٣"
+        negative = token[:1] == "-"
+        digits = token[negative:]
         try:
-            value = int(token)
-        except ValueError:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            value = int(digits)
+        except ValueError:  # also an integer over the digit limit
             raise ParseError(f"line {lineno}: vertex {token!r} is not an integer") from None
-        if value < 0:
-            raise ParseError(f"line {lineno}: out-of-range index {value}")
-        key = str(value)
+        if negative:
+            raise ParseError(f"line {lineno}: out-of-range index {token}")
         if declared_n is not None:
             if value >= declared_n:
                 raise ParseError(f"line {lineno}: out-of-range index {value} (n={declared_n})")
             return value
-        if key not in ids:
-            ids[key] = len(ids)
-        return ids[key]
+        if value not in ids:
+            ids[value] = len(ids)
+        return ids[value]
 
-    edges = []
     seen = set()
     for tu, tv, lineno in raw_edges:
         u, v = vertex(tu, lineno), vertex(tv, lineno)
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {tu}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate edge {tu} {tv}")
         seen.add(key)
-        edges.append(key)
 
     if declared_n is None:
         n = _check_vertex_count(len(ids), "vertex count")
     else:
         n = declared_n
     labels = None
-    if declared_n is None and any(ids[k] != int(k) for k in ids):
-        labels = tuple(sorted(ids, key=ids.get))
-    return make_graph(n, edges, labels=labels, certificate=certificate)
+    if declared_n is None and any(ids[k] != k for k in ids):
+        labels = tuple(map(str, ids))  # ids holds vertices in id order
+    return Graph(n, tuple(sorted(seen)), labels, certificate)
 
 
 def _parse_adjacency_csv(text: str) -> Graph:
@@ -905,7 +908,7 @@ def _parse_adjacency_csv(text: str) -> Graph:
                     f"line {rows[j][0]}: asymmetric matrix at ({i},{j}) vs ({j},{i})")
             if matrix[i][j]:
                 edges.append((i, j))
-    return make_graph(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def _is_int(value) -> bool:
@@ -930,7 +933,6 @@ def _parse_json(text: str) -> Graph:
     raw = data.get("edges", [])
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list of [u, v] pairs")
-    edges = []
     seen = set()
     for pos, pair in enumerate(raw):
         if (not isinstance(pair, list)) or len(pair) != 2:
@@ -942,15 +944,14 @@ def _parse_json(text: str) -> Graph:
             raise ParseError(f"edge #{pos}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge #{pos}: out-of-range index in [{u}, {v}] (n={n})")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ParseError(f"edge #{pos}: duplicate edge [{u}, {v}]")
         seen.add(key)
-        edges.append(key)
     certificate = None
     if data.get("certificate") is not None:
         certificate = FamilyCertificate.from_dict(data["certificate"])
-    return make_graph(n, edges, certificate=certificate)
+    return Graph(n, tuple(sorted(seen)), certificate=certificate)
 
 
 def serialize_graph(g: Graph, fmt: str = "edges") -> str:

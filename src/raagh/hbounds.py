@@ -280,6 +280,17 @@ def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
     return _report(g, numbers, res, mode, exact)
 
 
+def _vertex_report(labels: tuple[str] | None) -> HReport:
+    """compute_h of the one-vertex graph, without a clique walk: its betti
+    numbers are (1, 1), so b4 = b2 = 0 and h = 0."""
+    res = M2Result(0, AlphaVector(0, 0), 0, True)
+    return HReport(Graph(1, (), labels), (1, 1), res, "exhaustive", 0, 0, 0,
+                   ExactValue(0, TRIVIAL_H4))
+
+
+_VERTEX_REPORT = _vertex_report(None)  # shared by every unlabeled one
+
+
 # --------------------------------------------------------------------------
 # decomposition
 # --------------------------------------------------------------------------
@@ -303,7 +314,7 @@ def _decompose(g: Graph, numbers: tuple[int, ...] | None, config: SolverConfig,
     """decompose_h, reusing numbers = betti(g), when given, for the piece
     that is g itself."""
     _covered, free = classify_edges(g)
-    covered_g = make_graph(g.n, _covered, labels=g.labels)
+    covered_g = Graph(g.n, _covered, g.labels)
 
     piece_vertex_sets = list(biconnected_blocks(covered_g))
     piece_vertex_sets.extend((v,) for v in range(g.n)
@@ -315,6 +326,11 @@ def _decompose(g: Graph, numbers: tuple[int, ...] | None, config: SolverConfig,
         if not free and len(vset) == g.n:
             sub, vmap = g, tuple(range(g.n))
             sub_numbers = betti(g) if numbers is None else numbers
+        elif len(vset) == 1:  # a vertex isolated by the deletion
+            report = (_VERTEX_REPORT if g.labels is None
+                      else _vertex_report((g.labels[vset[0]],)))
+            pieces.append(DecompositionPiece(vset, report.graph, report))
+            continue
         else:
             sub, vmap = induced_subgraph(covered_g, vset)
             sub_numbers = betti(sub)

@@ -1,4 +1,5 @@
 import json
+import random
 from importlib import resources
 from itertools import combinations
 
@@ -7,11 +8,14 @@ import pytest
 
 import raagh.cli
 import raagh.graphs
-from raagh import (FamilyCertificate, build_cup_form, dump_matrix,
-                   dump_template, generate_family, make_graph, parse_graph,
-                   serialize_graph, substitute)
+from raagh import (FamilyCertificate, betti, build_cup_form, compute_h,
+                   dump_matrix, dump_template, generate_family, make_graph,
+                   parse_graph, serialize_graph, substitute)
 from raagh.cli import main
 from raagh.form import AlphaVector
+from raagh.solver import DEFAULT_CONFIG
+
+from oracles import random_gnp
 
 
 def run(capsys, *argv):
@@ -181,11 +185,12 @@ _HUGE_INT = "1" + "0" * 5000  # over Python's digit limit for int()
     ("json", '{"vertices": 2, "edges": [[0, 1]], '
              '"certificate": {"family": "grid", "cells": [[0.5, 1.7]]}}',
      "not integers"),
+    ("edges", "1_0 2\n2 3\n", "not an integer"),
 ], ids=["edges-cert-n", "json-cert-n", "edges-cert-cells", "json-cert-cells",
         "json-float-vertices", "json-string-vertices", "json-bool-vertices",
         "json-bool-endpoints", "json-float-endpoint", "json-huge-int",
         "edges-cert-huge-int", "edges-cert-float-side", "json-cert-bool-n",
-        "json-cert-float-cells"])
+        "json-cert-float-cells", "edges-underscore-vertex"])
 def test_malformed_input_exits_2(capsys, tmp_path, fmt, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -316,6 +321,65 @@ def test_heuristic_flag_switches_mode(capsys, join_file):
     doc = json.loads(out)
     assert doc["solver"]["mode"] == "heuristic"
     assert doc["m2"]["value"] <= 6
+
+
+# --------------------------------------------------------------------------
+# the JSON writer
+# --------------------------------------------------------------------------
+
+def _writer_documents():
+    """report_document output for sparse random graphs with isolated
+    vertices and free edges, catalog members under --heuristic and labeled
+    inputs, each with and without a timings float."""
+    cases = []
+    rnd = random.Random(20261018)
+    while len(cases) < 12:
+        n = rnd.randint(10, 30)
+        g = make_graph(n, random_gnp(n, rnd.choice((0.2, 0.3)),
+                                     rnd.randrange(10**6)))
+        if len(betti(g)) > 4 and betti(g)[4] <= 10:
+            cases.append((g, compute_h(g), "exhaustive"))
+    for cert in (FamilyCertificate.clique_string(5, 2),
+                 FamilyCertificate.face_string(3),
+                 FamilyCertificate.hex_triangle(2),
+                 FamilyCertificate.grid([(0, 0), (1, 0), (1, 1)])):
+        g = generate_family(cert)
+        cases.append((g, compute_h(g, heuristic=True), "heuristic"))
+    for text in ("5 9\n9 12\n12 5\n", "7 3\n3 8\n8 7\n7 1\n1 3\n1 8\n8 40\n"):
+        g = parse_graph(text, "edges")
+        cases.append((g, compute_h(g), "exhaustive"))
+    return [raagh.cli.report_document(g, rep, DEFAULT_CONFIG, mode, elapsed)
+            for g, rep, mode in cases for elapsed in (None, 0.0123456)]
+
+
+def test_json_writer_matches_json_dumps_on_reports():
+    docs = _writer_documents()
+    assert any(p["b2"] == 0 for d in docs if d["decomposition"]
+               for p in d["decomposition"]["pieces"])
+    assert any("timings" in d for d in docs)
+    for doc in docs:
+        assert raagh.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": {}, "b": []}, [[], {}, [[]]], None, True, False, 0, -17,
+    2**80, "h\u00e9llo \u2603 \"quoted\"\n", {"x": [None, True, {"y": -1}]},
+    {"f": 0.5, "g": [float("inf")]}, (1, [2]), {"t": (3, 4)}, {1: [2]},
+    {"a": {None: 1, True: [2, {}]}},
+])
+def test_json_writer_matches_json_dumps_on_plain_values(value):
+    assert raagh.cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_compute_json_output_is_json_dumps_indent_2(capsys, tmp_path):
+    edges = list(combinations(range(4), 2)) + [(3, 4), (4, 5), (7, 8)]
+    path = tmp_path / "mixed.edges"
+    path.write_text("# vertices: 10\n"
+                    + "".join(f"{u} {v}\n" for u, v in edges))
+    for extra in ((), ("--heuristic",), ("--timings",)):
+        code, out, _ = run(capsys, "compute", str(path), "--json", *extra)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -414,6 +414,11 @@ def test_edge_list_directives():
     assert parse_graph(text, "edges").certificate == FamilyCertificate.face_string(3)
 
 
+def test_edge_list_reads_leading_zeros_as_the_same_vertex():
+    g = parse_graph("01 2\n1 3\n", "edges")
+    assert g.n == 3 and g.edges == ((0, 1), (0, 2)) and g.labels == ("1", "2", "3")
+
+
 def test_edge_list_compacts_sparse_ids_and_keeps_labels():
     g = parse_graph("5 9\n9 12\n", "edges")
     assert g.n == 3 and g.edges == ((0, 1), (1, 2))
@@ -428,6 +433,12 @@ def test_edge_list_compacts_sparse_ids_and_keeps_labels():
     ("0 1\n1 0\n", "edges", "duplicate"),
     ("0 1\n1\n", "edges", "expected 'u v'"),
     ("0 x\n", "edges", "not an integer"),
+    ("1_0 2\n2 3\n", "edges", "not an integer"),
+    ("+1 2\n", "edges", "not an integer"),
+    ("\u0663 2\n", "edges", "not an integer"),  # ARABIC-INDIC DIGIT THREE
+    ("\uff11 2\n", "edges", "not an integer"),  # FULLWIDTH DIGIT ONE
+    ("# vertices: 20\n1_0 2\n", "edges", "not an integer"),
+    ("0 -1\n", "edges", "out-of-range index -1"),
     ("# vertices: 3\n0 4\n", "edges", "out-of-range"),
     ("# vertices: no\n", "edges", "vertices directive"),
     ("0,1\n1,1\n", "csv", "diagonal"),

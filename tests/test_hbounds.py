@@ -13,10 +13,11 @@ from raagh import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                    CapExceeded, ExactValue, FamilyCertificate, HReport,
                    SolverConfig, betti, certified_h, compute_h, compute_m2,
                    decompose_h, generate_family, h_family, h_free_abelian,
-                   make_graph)
+                   make_graph, parse_graph)
 import raagh.graphs
 import raagh.hbounds
 import raagh.solver
+from raagh.graphs import classify_edges, induced_subgraph
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
 from oracles import disjoint_union, random_gnp
@@ -452,6 +453,49 @@ def test_one_clique_walk_serves_each_need(monkeypatch):
         walks.clear()
         compute_h(g)
         assert len(walks) == 2
+
+
+def _isolated_vertex_graphs():
+    """Unlabeled graphs and one parsed without a vertices directive, which
+    carries labels; each leaves vertices isolated once free edges go."""
+    rnd = random.Random(20261019)
+    labeled = parse_graph("5 9\n5 12\n5 30\n9 12\n9 30\n12 30\n"
+                          "30 44\n44 7\n7 8\n", "edges")
+    assert labeled.labels is not None
+    return [assembly_graph(), labeled] + [_multi_piece_graph(rnd)
+                                          for _ in range(8)]
+
+
+def test_isolated_vertex_pieces_report_as_the_one_vertex_graph():
+    for g in _isolated_vertex_graphs():
+        covered = make_graph(g.n, classify_edges(g)[0], labels=g.labels)
+        lone = [p for p in decompose_h(g).pieces if len(p.vertices) == 1]
+        assert lone
+        for piece in lone:
+            sub, vmap = induced_subgraph(covered, piece.vertices)
+            assert (piece.graph, piece.vertices) == (sub, vmap)
+            assert piece.report == compute_h(sub)
+            if g.labels is None:  # one report shared by every such piece
+                assert piece.report is lone[0].report
+
+
+def test_only_blocks_are_cut_out_and_walked(monkeypatch):
+    calls = {"induced_subgraph": [], "betti": []}
+    for name, seen in calls.items():
+        def counting(g, *args, _real=getattr(raagh.graphs, name), _seen=seen):
+            _seen.append(g)
+            return _real(g, *args)
+        monkeypatch.setattr(raagh.graphs, name, counting)
+        monkeypatch.setattr(raagh.hbounds, name, counting)
+    for g in _isolated_vertex_graphs():
+        for seen in calls.values():
+            seen.clear()
+        rep = compute_h(g)
+        blocks = sum(1 for p in rep.decomposition.pieces if p.graph.n > 1)
+        assert len(calls["induced_subgraph"]) == blocks
+        # one walk for g itself, then one per block
+        assert [h.n for h in calls["betti"]][0] == g.n
+        assert len(calls["betti"]) == blocks + 1
 
 
 def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():
