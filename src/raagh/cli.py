@@ -25,7 +25,7 @@ import time
 
 from . import graphs
 from .form import AlphaVector, build_cup_form, dump_matrix, dump_template, substitute
-from .graphs import (FORMATS, FamilyCertificate, Graph, ParseError,
+from .graphs import (FORMATS, FamilyCertificate, Graph, ParseError, _decimal,
                      generate_family, parse_graph, serialize_graph, to_dot)
 from .hbounds import DecompositionReport, ExactValue, HReport, compute_h
 from .solver import DEFAULT_CONFIG, CapExceeded, SolverConfig
@@ -271,7 +271,7 @@ def _parse_cells(raw: str):
         if len(parts) != 2:
             raise ParseError(f"bad grid cell {chunk!r}, expected x,y")
         try:
-            cells.append((int(parts[0]), int(parts[1])))
+            cells.append(tuple(_decimal(p.strip()) for p in parts))
         except ValueError:
             raise ParseError(f"bad grid cell {chunk!r}, expected integers") from None
     if not cells:

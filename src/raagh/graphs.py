@@ -6,9 +6,10 @@ other module: the k-cliques of a graph are always enumerated in lexicographic
 order of their (strictly increasing) vertex tuples.
 
 The module also houses the graph family generators (edgeless, complete,
-clique edge-strings, face-strings, grids, hex thick triangles), the structural
-recognizer for a subset of those families, and the three text formats
-(edge list, adjacency CSV, JSON).
+clique edge-strings, face-strings, grids, hex thick triangles), recognition
+of a subset of those families (a string is relabeled along its chain of
+maximal cliques and compared with the generated model), and the three text
+formats (edge list, adjacency CSV, JSON).
 """
 
 from __future__ import annotations
@@ -379,21 +380,20 @@ def generate_family(cert: FamilyCertificate) -> Graph:
         _require(cert.n is not None and cert.n >= 0, "complete: n must be >= 0")
         m = n * (n - 1) // 2
         _require(m <= MAX_EDGES, f"complete: {m} edges is over the limit of {MAX_EDGES}")
-        return make_graph(cert.n, combinations(range(cert.n), 2), certificate=cert)
+        return Graph(n, tuple(combinations(range(n), 2)), certificate=cert)
     if fam == "clique-string":
         s, k = cert.clique_size, cert.count
         _require(s is not None and s in (4, 5, 6, 7), "clique-string: size must be in 4..7")
         _require(k is not None and k >= 1, "clique-string: count must be >= 1")
-        edges = set()
-        for j in range(k):
-            block = range((s - 2) * j, (s - 2) * j + s)
-            edges.update(combinations(block, 2))
-        return make_graph(n, edges, certificate=cert)
+        # i's last clique ends at the greatest vertex i is adjacent to
+        edges = [(i, j) for i in range(n)
+                 for j in range(i + 1, (s - 2) * min(i // (s - 2), k - 1) + s)]
+        return Graph(n, tuple(edges), certificate=cert)
     if fam == "face-string":
         k = cert.count
         _require(k is not None and k >= 1, "face-string: count must be >= 1")
         edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
-        return make_graph(n, edges, certificate=cert)
+        return Graph(n, tuple(edges), certificate=cert)
     if fam == "grid":
         return _generate_grid(cert)
     if fam == "hex-triangle":
@@ -427,7 +427,7 @@ def _generate_grid(cert: FamilyCertificate) -> Graph:
     for x, y in cells:
         quad = [index[(x, y)], index[(x + 1, y)], index[(x, y + 1)], index[(x + 1, y + 1)]]
         edges.update(combinations(sorted(quad), 2))
-    return make_graph(len(corners), edges, certificate=cert)
+    return Graph(len(corners), tuple(sorted(edges)), certificate=cert)
 
 
 def _generate_hex_triangle(cert: FamilyCertificate) -> Graph:
@@ -456,7 +456,7 @@ def _generate_hex_triangle(cert: FamilyCertificate) -> Graph:
             add((i, j + 1), (i + 1, j - 1))
         if (i + 1, j) in index and (i + 1, j + 1) in index:  # interior up-left edge
             add((i, j), (i + 1, j + 1))
-    return make_graph(len(verts), edges, certificate=cert)
+    return Graph(len(verts), tuple(sorted(edges)), certificate=cert)
 
 
 # --------------------------------------------------------------------------
@@ -620,8 +620,8 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
     and neither are graphs with more than 40 vertices.
 
     Candidates are filtered by counts (vertices, edges), then confirmed by
-    reconstructing the family's defining structure, so the answer does not
-    depend on how the input happens to be labelled.
+    verify_certificate, so the answer does not depend on how the input
+    happens to be labelled.
     """
     m = len(g.edges)
     if m == 0:
@@ -631,15 +631,17 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
     if g.n > _RECOGNIZE_MAX_N:
         return None
 
-    # each structural check pins the clique number, so none is computed
     for s in (4, 5, 6, 7):
-        if (g.n - 2) % (s - 2) == 0:
-            k = (g.n - 2) // (s - 2)
-            if k >= 2 and m == s * (s - 1) // 2 * k - (k - 1) and _is_clique_string(g, s, k):
-                return FamilyCertificate.clique_string(s, k)
+        k, rest = divmod(g.n - 2, s - 2)
+        if rest == 0 and k >= 2 and m == s * (s - 1) // 2 * k - (k - 1):
+            cert = FamilyCertificate.clique_string(s, k)
+            if verify_certificate(g, cert):
+                return cert
     k = g.n - 3
-    if k >= 3 and m == 3 * k + 3 and _is_face_string(g, k):
-        return FamilyCertificate.face_string(k)
+    if k >= 3 and m == 3 * k + 3:
+        cert = FamilyCertificate.face_string(k)
+        if verify_certificate(g, cert):
+            return cert
     return None
 
 
@@ -673,50 +675,28 @@ def _chain_order(parts: list, overlap: int) -> list | None:
     return [sets[i] for i in order]
 
 
-def _is_clique_string(g: Graph, s: int, k: int) -> bool:
-    """True iff g is k copies of K_s glued in a path along disjoint edges."""
-    blocks = maximal_cliques(g)
-    if len(blocks) != k or any(len(b) != s for b in blocks):
-        return False
-    chain = _chain_order(blocks, 2)
+def _is_chain_of(g: Graph, model: Graph, overlap: int) -> bool:
+    """True iff g is isomorphic to model, a clique-string (overlap 2) or a
+    face-string (overlap 3) as generate_family numbers it.
+
+    Chains the maximal cliques of g, numbers the vertices in order of the
+    run (first, last) of chained cliques holding them, and compares the
+    renumbered edges with the model's.  The model numbers its vertices in
+    run order, vertices with equal runs are twins in it and reversing the
+    chain is an automorphism, so every member passes; a pass is an explicit
+    isomorphism, so nothing else does.  The maximal cliques cover every
+    vertex, so each one gets a run."""
+    chain = _chain_order(maximal_cliques(g), overlap)
     if chain is None:
         return False
-    # the glue edges must not touch: an L-shaped chain of cliques whose
-    # shared edges meet in a vertex has the same vertex/edge/clique counts
-    # but is not a string
-    glued: set[int] = set()
-    for a, b in zip(chain, chain[1:]):
-        share = a & b
-        if glued & share:
-            return False
-        glued |= share
-    return len(set().union(*chain)) == g.n
-
-
-def _is_face_string(g: Graph, k: int) -> bool:
-    """True iff g is the cube of a path on k+3 vertices (each window of four
-    consecutive vertices spans a 4-clique).
-
-    Chains the k 4-cliques, sorts the vertices by the run (first, last) of
-    windows holding them, and compares the edges with the cube of that
-    path.  Vertices with the same run are twins in the cube, so the edge set
-    does not depend on how ties are ordered."""
-    windows = enumerate_cliques(g, 4).cliques
-    if len(windows) != k:
-        return False
-    chain = _chain_order(windows, 3)
-    if chain is None:
-        return False
-    span: dict[int, tuple[int, int]] = {}
-    for i, window in enumerate(chain):
-        for v in window:
-            span[v] = (span.get(v, (i, i))[0], i)
-    if len(span) != g.n:
-        return False
-    path = sorted(span, key=span.get)
-    want = {(min(u, v), max(u, v))
-            for i, u in enumerate(path) for v in path[i + 1:i + 4]}
-    return want == set(g.edges)
+    run: dict[int, tuple[int, int]] = {}
+    for i, clique in enumerate(chain):
+        for v in clique:
+            run[v] = (run.get(v, (i, i))[0], i)
+    pos = {v: p for p, v in enumerate(sorted(run, key=run.__getitem__))}
+    edges = sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+                   for u, v in g.edges)
+    return tuple(edges) == model.edges
 
 
 def _family_vertex_count(cert: FamilyCertificate) -> int | None:
@@ -757,10 +737,8 @@ def verify_certificate(g: Graph, cert: FamilyCertificate) -> bool:
         return False
     if len(g.edges) != len(model.edges):
         return False
-    if fam == "clique-string":
-        return cert.count == 1 or _is_clique_string(g, cert.clique_size, cert.count)
-    if fam == "face-string":
-        return _is_face_string(g, cert.count)
+    if fam in ("clique-string", "face-string"):
+        return _is_chain_of(g, model, 2 if fam == "clique-string" else 3)
     if g.n > _RECOGNIZE_MAX_N:
         return False
     return is_isomorphic(g, model)
@@ -801,6 +779,16 @@ def parse_graph(text: str, fmt: str = "edges") -> Graph:
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 
 
+def _decimal(token: str) -> int:
+    """The integer spelled by ASCII decimal digits after an optional '-';
+    ValueError for anything else.  int() alone would also take "1_0", "+1"
+    and "\u0663"."""
+    digits = token[token[:1] == "-":]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)  # ValueError too over the digit limit
+
+
 def _check_vertex_count(n: int, what: str) -> int:
     if n < 0:
         raise ParseError(f"{what} must be non-negative")
@@ -819,7 +807,7 @@ def _parse_edge_list(text: str) -> Graph:
             body = stripped[1:].strip()
             if body.lower().startswith("vertices:"):
                 try:
-                    declared_n = int(body.split(":", 1)[1])
+                    declared_n = _decimal(body.split(":", 1)[1].strip())
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad vertices directive") from None
             elif body.lower().startswith("certificate:"):
@@ -841,16 +829,11 @@ def _parse_edge_list(text: str) -> Graph:
         _check_vertex_count(declared_n, "vertices directive")
 
     def vertex(token: str, lineno: int) -> int:
-        # ASCII digits only: int() would also take "1_0", "+1" and "٣"
-        negative = token[:1] == "-"
-        digits = token[negative:]
         try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
-            value = int(digits)
-        except ValueError:  # also an integer over the digit limit
+            value = _decimal(token)
+        except ValueError:
             raise ParseError(f"line {lineno}: vertex {token!r} is not an integer") from None
-        if negative:
+        if token[:1] == "-":  # "-0" too
             raise ParseError(f"line {lineno}: out-of-range index {token}")
         if declared_n is not None:
             if value >= declared_n:

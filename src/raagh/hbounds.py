@@ -284,7 +284,7 @@ def _vertex_report(labels: tuple[str] | None) -> HReport:
     """compute_h of the one-vertex graph, without a clique walk: its betti
     numbers are (1, 1), so b4 = b2 = 0 and h = 0."""
     res = M2Result(0, AlphaVector(0, 0), 0, True)
-    return HReport(Graph(1, (), labels), (1, 1), res, "exhaustive", 0, 0, 0,
+    return _report(Graph(1, (), labels), (1, 1), res, "exhaustive",
                    ExactValue(0, TRIVIAL_H4))
 
 

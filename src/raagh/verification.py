@@ -142,49 +142,6 @@ def m2_oracle(g: Graph) -> tuple[int, int]:
     return best_rank, best_alpha
 
 
-def canonical_key_oracle(g: Graph):
-    """canonical_key without any pruning: individualization-refinement that
-    branches on every vertex of each target cell, so it visits at least
-    |Aut(g)| leaves, and keeps the least leaf edge tuple."""
-    n, adj = g.n, g.adjacency
-    if n == 0:
-        return (0, ())
-
-    def refine(colors):
-        while True:
-            sigs = [(colors[v], tuple(sorted(colors[u] for u in range(n)
-                                             if adj[v] >> u & 1)))
-                    for v in range(n)]
-            order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = tuple(order[s] for s in sigs)
-            if new == colors:
-                return colors
-            colors = new
-
-    best = None
-
-    def search(colors):
-        nonlocal best
-        cells = sorted({c for c in colors if colors.count(c) > 1})
-        if not cells:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            pos = {v: i for i, v in enumerate(perm)}
-            key = tuple(sorted(tuple(sorted((pos[u], pos[v])))
-                               for u, v in g.edges))
-            if best is None or key < best:
-                best = key
-            return
-        fresh = max(colors) + 1
-        for v in range(n):
-            if colors[v] == cells[0]:
-                split = list(colors)
-                split[v] = fresh
-                search(refine(tuple(split)))
-
-    search(refine((0,) * n))
-    return (n, best)
-
-
 def random_graph_battery(count: int = 200, seed: int = 20260814,
                          max_b4: int = 12):
     """Deterministic stream of `count` random graphs with b4 <= max_b4."""

@@ -55,6 +55,19 @@ def test_generate_face_string_and_grid(capsys):
     assert (g.n, len(g.edges)) == (6, 11)
 
 
+@pytest.mark.parametrize("cells", ["1_0,0", "+3,0", "0,\u0663"])
+def test_grid_cells_must_be_decimal_integers(capsys, cells):
+    code, out, err = run(capsys, "generate", "grid", "--cells", cells)
+    assert code == 2 and out == "" and "expected integers" in err
+
+
+def test_grid_cells_may_be_negative_and_spaced(capsys):
+    code, out, _ = run(capsys, "generate", "grid", "--cells", "-1, -2; -1,-1")
+    assert code == 0
+    assert parse_graph(out, "edges").certificate == FamilyCertificate.grid(
+        [(-1, -2), (-1, -1)])
+
+
 def test_generate_parameter_defaults_and_errors(capsys):
     # --count defaults to 1, so this is just K5
     code, out, _ = run(capsys, "generate", "clique-string", "--size", "5")
@@ -186,11 +199,17 @@ _HUGE_INT = "1" + "0" * 5000  # over Python's digit limit for int()
              '"certificate": {"family": "grid", "cells": [[0.5, 1.7]]}}',
      "not integers"),
     ("edges", "1_0 2\n2 3\n", "not an integer"),
+    ("edges", "# vertices: 1_1\n0 10\n", "bad vertices directive"),
+    ("edges", "# vertices: +3\n0 1\n", "bad vertices directive"),
+    ("edges", "# vertices: \u0663\n0 1\n", "bad vertices directive"),
+    ("edges", "# vertices: -3\n", "must be non-negative"),
 ], ids=["edges-cert-n", "json-cert-n", "edges-cert-cells", "json-cert-cells",
         "json-float-vertices", "json-string-vertices", "json-bool-vertices",
         "json-bool-endpoints", "json-float-endpoint", "json-huge-int",
         "edges-cert-huge-int", "edges-cert-float-side", "json-cert-bool-n",
-        "json-cert-float-cells", "edges-underscore-vertex"])
+        "json-cert-float-cells", "edges-underscore-vertex",
+        "edges-underscore-directive", "edges-plus-directive",
+        "edges-arabic-indic-directive", "edges-negative-directive"])
 def test_malformed_input_exits_2(capsys, tmp_path, fmt, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)

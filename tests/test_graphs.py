@@ -287,6 +287,50 @@ def test_recognizers_agree_with_isomorphism_on_a_seeded_battery():
                                              len(generate_family(cert).edges))
         assert _check_against_isomorphism(bent, cert) == (False, None)
     assert recognized >= 22 and rejected >= 200
+    recognized = rejected = 0
+    for s in (4, 5, 6, 7):
+        for k in range(2, 7):
+            cert = FamilyCertificate.clique_string(s, k)
+            model = generate_family(cert)
+            variants = [model] + [_perturbed(model, rnd, 1 + i % 2) for i in range(6)]
+            for g in variants:
+                iso, found = _check_against_isomorphism(
+                    _shuffled(g, rnd.getrandbits(32)), cert)
+                assert (found == cert) == iso, (s, k, g.edges)
+                recognized += found == cert
+                rejected += not iso
+    assert recognized >= 20 and rejected >= 100
+
+
+def _glued(n, cliques):
+    """The graph on n vertices whose edges are those of the given cliques."""
+    return make_graph(n, {e for c in cliques for e in combinations(c, 2)})
+
+
+def test_chain_check_rejects_each_way_a_chain_fails():
+    def chain(g, cert):
+        overlap = 2 if cert.family == "clique-string" else 3
+        return raagh.graphs._chain_order(maximal_cliques(g), overlap)
+
+    # two maximal cliques meet in a triangle, more than a glue edge
+    wide = _glued(8, [range(4), range(1, 5), range(4, 8), (3, 5)])
+    # a path of two K4s beside a ring of four glued along disjoint edges
+    ring = _glued(14, [range(4), range(2, 6), range(4, 8), (6, 7, 0, 1),
+                       range(8, 12), range(10, 14)])
+    # K6 and an isolated vertex, which no 4-clique holds
+    lone = _glued(7, [range(6)])
+    for g, cert in ((wide, FamilyCertificate.clique_string(4, 3)),
+                    (ring, FamilyCertificate.clique_string(4, 6)),
+                    (lone, FamilyCertificate.face_string(4))):
+        model = generate_family(cert)
+        assert (g.n, len(g.edges)) == (model.n, len(model.edges))
+        assert chain(g, cert) is None
+        assert not verify_certificate(g, cert)
+        assert recognize_family(g) is None
+    # a certificate whose model cannot be built: no clique-string of K8s
+    eights = _glued(14, [range(8), range(6, 14)])
+    assert not verify_certificate(
+        eights, FamilyCertificate("clique-string", clique_size=8, count=2))
 
 
 def test_recognizer_skips_large_graphs():
@@ -356,7 +400,8 @@ def test_complete_graph_over_the_edge_limit_is_refused_before_it_is_built(
     def refuse(*args, **kwargs):
         raise AssertionError("built the graph")
 
-    monkeypatch.setattr(raagh.graphs, "make_graph", refuse)
+    # the edges of a complete model are its vertex pairs
+    monkeypatch.setattr(raagh.graphs, "combinations", refuse)
     # 1449 vertices is under MAX_VERTICES but over 2^20 edges
     for n in (1449, raagh.graphs.MAX_VERTICES):
         with pytest.raises(ValueError, match="edges is over the limit of 1048576"):
@@ -428,6 +473,11 @@ def test_edge_list_compacts_sparse_ids_and_keeps_labels():
     assert again.edges == g.edges
 
 
+def test_edge_list_skips_blank_lines():
+    assert parse_graph("0 1\n\n   \n1 2\n\n", "edges") == parse_graph(
+        "0 1\n1 2\n", "edges")
+
+
 @pytest.mark.parametrize("text,fmt,fragment", [
     ("0 0\n", "edges", "self-loop"),
     ("0 1\n1 0\n", "edges", "duplicate"),
@@ -441,6 +491,10 @@ def test_edge_list_compacts_sparse_ids_and_keeps_labels():
     ("0 -1\n", "edges", "out-of-range index -1"),
     ("# vertices: 3\n0 4\n", "edges", "out-of-range"),
     ("# vertices: no\n", "edges", "vertices directive"),
+    ("# vertices: 1_1\n0 10\n", "edges", "vertices directive"),
+    ("# vertices: +3\n", "edges", "vertices directive"),
+    ("# vertices: \u0663\n", "edges", "vertices directive"),
+    ("# vertices: -3\n", "edges", "vertices directive must be non-negative"),
     ("0,1\n1,1\n", "csv", "diagonal"),
     ("0,1\n0,0\n", "csv", "asymmetric"),
     ("0,1,0\n1,0\n0,0,0\n", "csv", "entries"),
@@ -476,6 +530,12 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("0 1\n1 2\n2 2\n", "edges")
     with pytest.raises(ParseError, match="line 2"):
         parse_graph("0,1\n1,1\n", "csv")
+
+
+def test_dot_export_labels_the_vertices_of_a_compacted_graph():
+    assert to_dot(parse_graph("5 9\n9 12\n", "edges")) == (
+        'graph G {\n  0 [label="5"];\n  1 [label="9"];\n  2 [label="12"];\n'
+        '  0 -- 1;\n  1 -- 2;\n}\n')
 
 
 def test_dot_export_mentions_every_edge():

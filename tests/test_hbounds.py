@@ -17,6 +17,7 @@ from raagh import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
 import raagh.graphs
 import raagh.hbounds
 import raagh.solver
+from raagh.cli import render_text_report
 from raagh.graphs import classify_edges, induced_subgraph
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
@@ -319,6 +320,28 @@ def test_pendant_edges_add_two_each():
         assert rep.exact.provenance == DECOMPOSITION_AGGREGATE
 
 
+def test_text_report_lists_the_pieces_and_the_aggregate():
+    lines = render_text_report(compute_h(assembly_graph())).splitlines()
+    assert "exact: h = 62 [decomposition-aggregate, theorem]" in lines
+    start = lines.index("decomposition: 16 free edges, 19 pieces")
+    assert lines[start + 1:start + 5] == [
+        "  piece {0,1,2,3,4,5,6}: b2=15 m2=12 h=18 [certified-example]",
+        "  piece {6,7,8,9}: b2=6 m2=6 h=6 [free-abelian]",
+        "  piece {10,11,12,13}: b2=6 m2=6 h=6 [free-abelian]",
+        "  piece {14}: b2=0 m2=0 h=0 [trivial-h4]"]
+    assert len(lines) == start + 21
+    assert lines[-1] == "  aggregate: h = 62"
+
+
+def test_text_report_says_when_the_exact_value_is_unknown():
+    hexagon = generate_family(FamilyCertificate.hex_triangle(3))
+    rep = compute_h(make_graph(hexagon.n, hexagon.edges), heuristic=True)
+    assert (rep.m2.m2, rep.m2.exhaustive, rep.exact) == (18, False, None)
+    text = render_text_report(rep)
+    assert "\nm2: 18 (heuristic, not certified; " in text
+    assert text.endswith("\nexact: unknown\n")
+
+
 def test_assembly_graph_aggregate_and_witness_transplant():
     g = assembly_graph()
     rep = compute_h(g)
@@ -449,6 +472,7 @@ def test_one_clique_walk_serves_each_need(monkeypatch):
     # over-cap piece builds its cup form once
     strings = [generate_family(FamilyCertificate.clique_string(s, k))
                for s, k in ((5, 3), (6, 2))]  # b4 = 15, and 30 over the cap
+    strings.append(generate_family(FamilyCertificate.face_string(20)))
     for g in [boxes_graph()] + [make_graph(h.n, h.edges) for h in strings]:
         walks.clear()
         compute_h(g)
