@@ -648,18 +648,26 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
 def _chain_order(parts: list, overlap: int) -> list | None:
     """The parts, as sets, ordered into a path whose consecutive members
     meet in exactly ``overlap`` vertices (smaller overlaps count as
-    non-adjacent), or None if that adjacency is not a path."""
+    non-adjacent), or None if that adjacency is not a path or some vertex
+    lies in more than overlap + 1 parts, as no vertex of a string does (2
+    cliques of a clique-string, 4 of a face-string).  Only parts sharing a
+    vertex are compared, so with that limit the work is linear."""
     k = len(parts)
     sets = [set(p) for p in parts]
+    holding: dict[int, list[int]] = {}   # vertex -> parts holding it
+    for i, part in enumerate(sets):
+        for v in part:
+            holding.setdefault(v, []).append(i)
+    if any(len(held) > overlap + 1 for held in holding.values()):
+        return None
     neigh: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            common = len(sets[i] & sets[j])
-            if common == overlap:
-                neigh[i].append(j)
-                neigh[j].append(i)
-            elif common > overlap:
-                return None
+    for i, j in {pair for held in holding.values() for pair in combinations(held, 2)}:
+        common = len(sets[i] & sets[j])
+        if common == overlap:
+            neigh[i].append(j)
+            neigh[j].append(i)
+        elif common > overlap:
+            return None
     if k == 1:
         return sets
     ends = [i for i in range(k) if len(neigh[i]) == 1]

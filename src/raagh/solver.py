@@ -72,6 +72,20 @@ are a subset of its nodes.  Smaller blocks, at most 2^11 encodings,
 skip the generator search (about half a millisecond).  _part_rank scans
 parts with rows deleted, which breaks the symmetry, so it takes no tests.
 
+Heuristic.  m2_heuristic reports what ranking its fixed seeds one by one
+in seed order gives: the highest rank with the least seed reaching it, or
+the first seed in seed order that reaches the ceiling.  The all-ones seed,
+seeds[0], is ranked first and often reaches the ceiling alone.  The others
+go through one trial walk of _scan: it visits only the given encodings, in
+integer order, with the same pivot reuse and bound, from the incumbent
+rank(seeds[0]) - 1, so it returns the least seed of the highest rank
+unless seeds[0] beats them all, and a tie with seeds[0] keeps the smaller.
+A walk that reaches the ceiling stops at the least ceiling seed; every
+seed below it was ranked or bounded below the ceiling, so the first one in
+seed order is that hit or a larger seed listed before it, and only those
+are tested, each by a walk of one trial.  So the witness is the seed-order
+one, and every report stays as it was.
+
 Every scan runs in this process, so the result, witness included, does
 not depend on SolverConfig.workers.
 """
@@ -79,6 +93,7 @@ not depend on SolverConfig.workers.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
@@ -184,8 +199,8 @@ def _plan(clique_rows) -> tuple:
     return nrows, flips, cuts, levels, entry
 
 
-def _scan(plan, ceiling: int, best: int = -1,
-          checks=None) -> tuple[int, int | None, int]:
+def _scan(plan, ceiling: int, best: int = -1, checks=None,
+          trials=None) -> tuple[int, int | None, int]:
     """(best rank, first encoding reaching it, nodes) over every encoding of
     the plan's cliques, by depth-first branch and bound in integer order,
     starting from the incumbent rank best.  Only a strictly higher rank is a
@@ -206,6 +221,14 @@ def _scan(plan, ceiling: int, best: int = -1,
     on stepping down to cut i, before its rows are reduced, the subtree of
     levels[i] is skipped when a test shows that an automorphism maps every
     encoding in it to a smaller one.
+
+    trials, when given, is a sorted, non-empty sequence of encodings, and
+    the walk visits only those: it starts at trials[0] and steps to the
+    least trial past the current subtree, so the result is the first
+    maximizer among the trials.  A step still changes only cliques at or
+    above the level the walk left, so the pivots before its entry cut stay
+    valid.  A trial set need not be closed under Aut(G), so a trial walk
+    takes no checks.
     """
     nrows, flips, cuts, levels, entry = plan
     tests = checks or ((),) * len(cuts)
@@ -220,7 +243,12 @@ def _scan(plan, ceiling: int, best: int = -1,
     # (best | 1 is best + 1 for an even rank, and -1 before any rank);
     # always once the ceiling is reached
     slack = nrows if best >= ceiling else (best | 1) - nrows
-    value, i = 0, 0
+    value = i = k = 0
+    if trials is not None:
+        value = trials[0]
+        for q in _mask_bits(value):
+            for p, bit in flips[q]:
+                rows[p] ^= bit
     while True:
         nodes += 1
         r = mark[i]
@@ -253,6 +281,9 @@ def _scan(plan, ceiling: int, best: int = -1,
                         break
                     row ^= pivot
         nxt = (value | skip) + 1
+        if trials is not None:
+            k = bisect_left(trials, nxt, k)
+            nxt = trials[k] if k < len(trials) else end
         if nxt == end:
             return best_rank, best_alpha, nodes
         changed = value ^ nxt
@@ -502,22 +533,37 @@ def _heuristic_seeds(g: Graph, template: CupFormTemplate) -> tuple[int, ...]:
 
 
 def m2_heuristic(g: Graph) -> M2Result:
-    """Best rank over a fixed trial set of functionals.  The result is a
-    lower bound for m2; it is certified (exhaustive=True) only when a trial
-    reaches the parity ceiling or there are no 4-cliques at all.  The
-    seeds start with all-ones, so the first trial sets the best rank."""
+    """Best rank over the fixed trial set of _heuristic_seeds, as if each
+    seed were ranked in seed order: the result is the maximum rank with the
+    least seed reaching it, except that the first seed in seed order to
+    reach the parity ceiling ends the search and is the witness.  The
+    result is a lower bound for m2; it is certified (exhaustive=True) only
+    at the ceiling or when there are no 4-cliques at all.
+
+    seeds[0] is ranked directly and returned at once at the ceiling.  The
+    other seeds, sorted, go through one trial walk of _scan from the
+    incumbent rank(seeds[0]) - 1, which keeps the least seed of the highest
+    rank at or above it.  When that reaches the ceiling, the walk's hit is
+    the least ceiling seed, so the first one in seed order is found by
+    testing, in seed order, only the seeds above it up to it."""
     template = build_cup_form(g)
     b2, b4 = template.dim, template.num_cliques
     if b4 == 0:
         return M2Result(0, AlphaVector(0, 0), b2, True)
     ceiling = parity_ceiling(b2)
-    best_rank, best_alpha = -1, 0
-    for value in _heuristic_seeds(g, template):
-        r = rank_gf2(substitute(template, AlphaVector(value, b4)).rows)
-        if r > best_rank or (r == best_rank and value < best_alpha):
-            best_rank, best_alpha = r, value
-            if r >= ceiling:
-                break
+    seeds = _heuristic_seeds(g, template)
+    best_alpha = seeds[0]
+    best_rank = rank_gf2(substitute(template, AlphaVector(best_alpha, b4)).rows)
+    if best_rank < ceiling and len(seeds) > 1:
+        plan = _plan(template.clique_rows)
+        rank, alpha, _nodes = _scan(plan, ceiling, best_rank - 1,
+                                    trials=sorted(seeds[1:]))
+        if alpha is not None and (rank > best_rank or alpha < best_alpha):
+            best_rank, best_alpha = rank, alpha
+        if best_rank >= ceiling:
+            best_alpha = next(
+                v for v in seeds[1:] if v == alpha or v > alpha
+                and _scan(plan, ceiling, ceiling - 1, trials=(v,))[0] >= ceiling)
     return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
                     best_rank >= ceiling)
 

@@ -5,23 +5,26 @@ which the acceptance checks share; they are re-exported here under the same
 names.  The helpers below stay test-only: the package counts components by
 its own bitmask flood fill and never builds disjoint unions, its symplectic
 reduction forms Mv from the rows of M, its scan is a branch and bound that
-integer_order_scan checks, and canonical_key_oracle is canonical_key
-without any pruning.  Expected values in the tests were frozen from these.
+integer_order_scan checks, its heuristic walks its seeds in sorted order
+where heuristic_oracle ranks each one in seed order, and
+canonical_key_oracle is canonical_key without any pruning.  Expected values in the tests were frozen from these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from raagh import (AlphaVector, Graph, build_cup_form, induced_subgraph,
-                   make_graph, parity_ceiling, rank_gf2, substitute)
+import raagh.solver
+from raagh import (AlphaVector, Graph, M2Result, build_cup_form,
+                   induced_subgraph, make_graph, parity_ceiling, rank_gf2,
+                   substitute)
 from raagh.verification import (cliques_oracle, form_matrix_oracle, m2_oracle,
                                 rank_oracle)
 
 __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
-           "disjoint_union", "form_matrix_oracle", "integer_order_scan",
-           "m2_oracle", "matvec", "pair", "random_gnp", "rank_oracle",
-           "rows_to_lists"]
+           "disjoint_union", "form_matrix_oracle", "heuristic_oracle",
+           "integer_order_scan", "m2_oracle", "matvec", "pair", "random_gnp",
+           "rank_oracle", "rows_to_lists"]
 
 
 def rows_to_lists(rows, ncols: int) -> list[list[int]]:
@@ -41,6 +44,26 @@ def integer_order_scan(g):
             if rank >= ceiling:
                 break
     return best, witness
+
+
+def heuristic_oracle(g):
+    """m2_heuristic by ranking each seed with substitute + rank_gf2 in seed
+    order, stopping at the first to reach the parity ceiling.  The seeds
+    come from raagh.solver._heuristic_seeds, looked up at call time."""
+    template = build_cup_form(g)
+    b2, b4 = template.dim, template.num_cliques
+    if b4 == 0:
+        return M2Result(0, AlphaVector(0, 0), b2, True)
+    ceiling = parity_ceiling(b2)
+    best_rank, best_alpha = -1, 0
+    for value in raagh.solver._heuristic_seeds(g, template):
+        r = rank_gf2(substitute(template, AlphaVector(value, b4)).rows)
+        if r > best_rank or (r == best_rank and value < best_alpha):
+            best_rank, best_alpha = r, value
+            if r >= ceiling:
+                break
+    return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
+                    best_rank >= ceiling)
 
 
 def matvec(mat, x: int) -> int:

@@ -333,6 +333,24 @@ def test_chain_check_rejects_each_way_a_chain_fails():
         eights, FamilyCertificate("clique-string", clique_size=8, count=2))
 
 
+def test_chain_order_refuses_a_vertex_in_more_cliques_than_a_string_has():
+    # a hub on a path of triangles: its maximal cliques chain with overlap
+    # 2, but the hub lies in all four, and a string vertex in at most 3
+    hub = _glued(10, [(0, 1, 2, 3), (0, 3, 4, 5), (0, 5, 6, 7), (0, 7, 8, 9)])
+    assert raagh.graphs._chain_order(maximal_cliques(hub), 2) is None
+    # face-string vertices lie in up to 4 cliques, the limit for overlap 3
+    face = generate_family(FamilyCertificate.face_string(6))
+    chain = raagh.graphs._chain_order(maximal_cliques(face), 3)
+    assert [sorted(c) for c in chain] == [list(range(i, i + 4)) for i in range(6)]
+
+
+def test_a_relabeled_face_string_2000_verifies():
+    cert = FamilyCertificate.face_string(2000)
+    g = _shuffled(generate_family(cert), 2000)
+    assert verify_certificate(g, cert)
+    assert not verify_certificate(g, FamilyCertificate.face_string(1999))
+
+
 def test_recognizer_skips_large_graphs():
     g = generate_family(FamilyCertificate.face_string(45))
     assert g.n > 40

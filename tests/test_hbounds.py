@@ -603,11 +603,12 @@ def test_theorem_grade_set_excludes_only_the_conjectural_tag():
 
 
 # --------------------------------------------------------------------------
-# reference tables script
+# scripts
 # --------------------------------------------------------------------------
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TABLES = os.path.join(ROOT, "scripts", "reproduce_reference_tables.py")
+SURVEY = os.path.join(ROOT, "scripts", "random_survey.py")
 
 
 def test_reference_tables_script_passes_every_row():
@@ -627,3 +628,14 @@ def test_reference_tables_script_exits_1_on_a_miss(monkeypatch, capsys):
     monkeypatch.setattr(tables, "h_free_abelian", lambda n: 2)
     assert tables.main(["--max-k", "1", "--max-n", "4"]) == 1
     assert "n=4" in capsys.readouterr().out
+
+
+def test_random_survey_script_runs_and_repeats_itself():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    runs = [subprocess.run([sys.executable, SURVEY, "--count", "5"], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    for out in runs:
+        assert out.returncode == 0, out.stdout + out.stderr
+    assert runs[0].stdout.startswith("5 graphs, seed 20260814\n")
+    assert runs[0].stdout == runs[1].stdout

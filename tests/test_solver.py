@@ -13,7 +13,8 @@ from raagh.graphs import _twins, biconnected_blocks
 from raagh.solver import (_glued_m2, _heuristic_seeds, _orbit_checks, _parts,
                           _parts_worth_scanning, _plan, _scan)
 
-from oracles import integer_order_scan, m2_oracle, random_gnp
+from oracles import (form_matrix_oracle, heuristic_oracle, integer_order_scan,
+                     m2_oracle, random_gnp, rank_oracle)
 
 
 def small_random_graphs(count, seed0, max_b4=10):
@@ -372,6 +373,55 @@ def test_a_scan_from_an_incumbent_reports_no_hit_as_none():
     assert _scan(plan, m2, m2 - 2)[:2] == (m2, witness)
 
 
+def test_a_walk_over_every_encoding_is_the_plain_scan():
+    for idx, g in enumerate(scan_battery(120, 15)):
+        t = build_cup_form(g)
+        plan = _plan(t.clique_rows)
+        ceiling = parity_ceiling(t.dim)
+        every = tuple(range(1 << t.num_cliques))
+        assert (_scan(plan, ceiling, trials=every)[:2]
+                == _scan(plan, ceiling)[:2]), idx
+
+
+def test_a_trial_walk_keeps_the_first_maximizer_among_its_trials():
+    # seeded subsets, one-element ones among them, drawn unsorted and
+    # sorted for the walk, against the reference rank of each trial; the
+    # reference form is linear in the functional, so it is summed from the
+    # forms of single cliques
+    rnd = random.Random(16)
+    walks = singles = 0
+    for idx, g in enumerate(scan_battery(60, 17)):
+        t = build_cup_form(g)
+        b4 = t.num_cliques
+        plan = _plan(t.clique_rows)
+        ceiling = parity_ceiling(t.dim)
+        units = [form_matrix_oracle(g, [int(q == c) for c in range(b4)])
+                 for q in range(b4)]
+
+        def rank(v):
+            mat = [[0] * t.dim for _ in range(t.dim)]
+            for q in range(b4):
+                if v >> q & 1:
+                    mat = [[a ^ b for a, b in zip(row, unit)]
+                           for row, unit in zip(mat, units[q])]
+            return rank_oracle(mat)
+
+        for size in (1, rnd.randint(1, min(1 << b4, 200)), rnd.randint(1, 24)):
+            trials = sorted({rnd.getrandbits(b4) for _ in range(size)})
+            ranks = [rank(v) for v in trials]
+            best = max(ranks)
+            first = trials[ranks.index(best)]
+            assert _scan(plan, ceiling, trials=trials)[:2] == (best, first), idx
+            # from an incumbent: only a strictly higher rank is a hit
+            for incumbent in (best - 2, best):
+                expected = (best, first) if best > incumbent else (incumbent, None)
+                assert (_scan(plan, ceiling, incumbent, trials=trials)[:2]
+                        == expected), idx
+            walks += 1
+            singles += len(trials) == 1
+    assert walks == 180 and singles >= 60
+
+
 def test_bound_prunes_all_but_a_sliver_of_the_face_string_20_tree():
     # m2 = 60 is one below b2 = 63 and two below what 63 rows could give,
     # so most subtrees are capped at the incumbent; the full tree of
@@ -568,6 +618,60 @@ def test_heuristic_never_beats_and_often_matches_exhaustive(idx):
     assert heur.m2 <= exact.m2
     t = build_cup_form(g)
     assert rank_gf2(substitute(t, heur.witness).rows) == heur.m2
+
+
+def heuristic_battery(seed):
+    """Seeded G(n, p) with n 5..14; relabeled complete graphs K6..K8 and
+    clique-strings s = 4..7, k = 1..3; face-strings 8..40 and hex triangles
+    of side 2 and 3, relabeled."""
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(40):
+        n = rnd.randint(5, 14)
+        p = rnd.choice((0.35, 0.5, 0.65)) if n > 10 else rnd.choice((0.5, 0.7, 0.9))
+        out.append(make_graph(n, random_gnp(n, p, rnd.getrandbits(32))))
+    certs = [FamilyCertificate.complete(n) for n in (6, 7, 8)]
+    certs += [FamilyCertificate.clique_string(s, k)
+              for s in range(4, 8) for k in range(1, 4)]
+    certs += [FamilyCertificate.face_string(k) for k in (8, 13, 20, 28, 40)]
+    certs += [FamilyCertificate.hex_triangle(k) for k in (2, 3)]
+    out += [relabeled(generate_family(c), rnd) for c in certs]
+    return out
+
+
+def test_heuristic_matches_the_seed_order_oracle(monkeypatch):
+    graphs = heuristic_battery(18)
+    outcomes = set()
+    for idx, g in enumerate(graphs):
+        res = m2_heuristic(g)
+        assert res == heuristic_oracle(g), idx
+        outcomes.add(res.exhaustive)
+    assert outcomes == {False, True}
+    # the pools must fit in b4; (3, 1) and (7, 5, 6, 1) tie and reorder
+    pools = ((1,), (3, 1), (7, 5, 6, 1))
+    for pool in pools:
+        monkeypatch.setattr(raagh.solver, "_heuristic_seeds",
+                            lambda g, t, pool=pool: pool)
+        for idx, g in enumerate(graphs[::3]):
+            if build_cup_form(g).num_cliques >= 3:
+                assert m2_heuristic(g) == heuristic_oracle(g), (pool, idx)
+
+
+@pytest.mark.parametrize("cert, first", [
+    (FamilyCertificate.complete(7), 2),
+    (FamilyCertificate.clique_string(7, 2), 20),
+], ids=["complete-7", "clique-string-7x2"])
+def test_heuristic_witness_is_the_first_seed_at_the_ceiling(cert, first):
+    # a random seed reaches the ceiling first, not the all-ones probe
+    g = generate_family(cert)
+    t = build_cup_form(g)
+    seeds = _heuristic_seeds(g, t)
+    res = m2_heuristic(g)
+    assert res.exhaustive and res.m2 == parity_ceiling(t.dim)
+    assert res.witness.value == seeds[first]
+    assert all(rank_gf2(substitute(t, AlphaVector(v, t.num_cliques)).rows)
+               < res.m2 for v in seeds[:first])
+    assert res == heuristic_oracle(g)
 
 
 def test_heuristic_is_deterministic():
