@@ -29,7 +29,6 @@ from .graphs import (FORMATS, FamilyCertificate, Graph, ParseError, _decimal,
                      generate_family, parse_graph, serialize_graph, to_dot)
 from .hbounds import DecompositionReport, ExactValue, HReport, compute_h
 from .solver import DEFAULT_CONFIG, CapExceeded, SolverConfig
-from .verification import ACCEPTANCE_CHECKS, run_acceptance
 
 SCHEMA_VERSION = 1
 
@@ -326,6 +325,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    # imported here: no other command needs the acceptance corpus
+    from .verification import ACCEPTANCE_CHECKS, run_acceptance
+
     wanted = set(args.only) if args.only else None
     if wanted:
         known = {check_id for check_id, _, _ in ACCEPTANCE_CHECKS}

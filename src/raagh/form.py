@@ -19,18 +19,16 @@ GF(2) matrices are stored as tuples of Python ints, one int per row, bit j
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import CliqueIndex, Graph, enumerate_cliques
+from .graphs import CliqueIndex, Graph, _Record, enumerate_cliques
 
 
 # --------------------------------------------------------------------------
 # template
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CupFormTemplate:
+class CupFormTemplate(_Record):
     """Symbolic matrix of the degree-2 cup product.
 
     ``entries`` maps (row, col) -> (clique_id, sign) for the nonzero cells,
@@ -38,10 +36,12 @@ class CupFormTemplate:
     Both (r, c) and (c, r) are present; the diagonal is identically zero.
     """
 
-    graph: Graph
-    edges: CliqueIndex
-    cliques: CliqueIndex
-    entries: dict
+    _fields = ("graph", "edges", "cliques", "entries")
+
+    def __init__(self, graph: Graph, edges: CliqueIndex, cliques: CliqueIndex,
+                 entries: dict):
+        self.__dict__.update(graph=graph, edges=edges, cliques=cliques,
+                             entries=entries)
 
     @property
     def dim(self) -> int:
@@ -81,8 +81,7 @@ def build_cup_form(g: Graph) -> CupFormTemplate:
 # alpha vectors (degree-4 functionals)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphaVector:
+class AlphaVector(_Record):
     """Element of the dual of degree-4 cohomology over GF(2).
 
     Encoded as an integer whose bit q (LSB first) is the coefficient of the
@@ -90,12 +89,12 @@ class AlphaVector:
     encoding orders all functionals, which fixes witness tie-breaking.
     """
 
-    value: int
-    length: int
+    _fields = ("value", "length")
 
-    def __post_init__(self):
-        if self.value < 0 or self.value >> self.length:
+    def __init__(self, value: int, length: int):
+        if value < 0 or value >> length:
             raise ValueError("alpha value out of range for its length")
+        self.__dict__.update(value=value, length=length)
 
     def bit(self, q: int) -> int:
         return self.value >> q & 1
@@ -124,11 +123,11 @@ class AlphaVector:
 # GF(2) matrices
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
+class Gf2Matrix(_Record):
+    _fields = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows: int, ncols: int, rows: tuple[int, ...]):
+        self.__dict__.update(nrows=nrows, ncols=ncols, rows=rows)
 
     def entry(self, r: int, c: int) -> int:
         return self.rows[r] >> c & 1
@@ -211,14 +210,16 @@ def kernel_basis(mat: Gf2Matrix) -> tuple[int, ...]:
 # symplectic structure
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymplecticDecomposition:
+class SymplecticDecomposition(_Record):
     """Hyperbolic pairs (x_i, y_i) with B(x_i, y_i) = 1 and a basis of the
     radical; together they span the whole space and pairs are orthogonal to
     each other and to the radical."""
 
-    pairs: tuple[tuple[int, int], ...]
-    radical: tuple[int, ...]
+    _fields = ("pairs", "radical")
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...],
+                 radical: tuple[int, ...]):
+        self.__dict__.update(pairs=pairs, radical=radical)
 
 
 def symplectic_reduce(mat: Gf2Matrix) -> SymplecticDecomposition:

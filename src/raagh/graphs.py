@@ -15,7 +15,6 @@ formats (edge list, adjacency CSV, JSON).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -28,8 +27,45 @@ class ParseError(ValueError):
 # core types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyCertificate:
+class _Record:
+    """Base of the package's immutable records: equality, hash and repr by
+    the fields named in ``_fields``, in that order, and equality only
+    between instances of one class.  Each subclass's ``__init__`` fills its
+    fields through the instance ``__dict__``; after that, assignment and
+    deletion raise AttributeError.  No ``__slots__``, since cached_property
+    needs that ``__dict__`` too.
+
+    Plain classes, not the standard library's frozen data classes: their
+    generated code cost about 1 ms per class at import, some 15 ms for the
+    package, several times the work of a sparse report.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FamilyCertificate(_Record):
     """Names a catalog family and its parameters.
 
     Only ``generate_family`` attaches certificates; ``recognize_family``
@@ -43,12 +79,14 @@ class FamilyCertificate:
     - "hex-triangle"  (side)
     """
 
-    family: str
-    n: int | None = None
-    clique_size: int | None = None
-    count: int | None = None
-    cells: tuple[tuple[int, int], ...] | None = None
-    side: int | None = None
+    _fields = ("family", "n", "clique_size", "count", "cells", "side")
+
+    def __init__(self, family: str, n: int | None = None,
+                 clique_size: int | None = None, count: int | None = None,
+                 cells: tuple[tuple[int, int], ...] | None = None,
+                 side: int | None = None):
+        self.__dict__.update(family=family, n=n, clique_size=clique_size,
+                             count=count, cells=cells, side=side)
 
     @classmethod
     def edgeless(cls, n: int) -> "FamilyCertificate":
@@ -107,29 +145,29 @@ class FamilyCertificate:
         return cls(str(data["family"]), **kwargs)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Immutable simple graph.  ``edges`` is lex-sorted with u < v throughout."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = None
-    certificate: FamilyCertificate | None = None
+    _fields = ("n", "edges", "labels", "certificate")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
+                 labels: tuple[str, ...] | None = None,
+                 certificate: FamilyCertificate | None = None):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+        for u, v in edges:
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range or not ordered")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-        if tuple(sorted(self.edges)) != self.edges:
+        if tuple(sorted(edges)) != edges:
             raise ValueError("edges must be lexicographically sorted")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise ValueError("labels length must equal vertex count")
+        self.__dict__.update(n=n, edges=edges, labels=labels,
+                             certificate=certificate)
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -162,12 +200,13 @@ def make_graph(n, edges, labels=None, certificate=None) -> Graph:
                  certificate=certificate)
 
 
-@dataclass(frozen=True)
-class CliqueIndex:
+class CliqueIndex(_Record):
     """All k-cliques of a graph in lexicographic order, with position lookup."""
 
-    k: int
-    cliques: tuple[tuple[int, ...], ...]
+    _fields = ("k", "cliques")
+
+    def __init__(self, k: int, cliques: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(k=k, cliques=cliques)
 
     @cached_property
     def position(self) -> dict:

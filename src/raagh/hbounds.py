@@ -22,14 +22,14 @@ are theorem grade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
 
 from .form import AlphaVector
-from .graphs import (FamilyCertificate, Graph, betti, biconnected_blocks,
-                     canonical_key, classify_edges, enumerate_cliques,
+from .graphs import (FamilyCertificate, Graph, _Record, betti,
+                     biconnected_blocks, canonical_key, classify_edges,
+                     enumerate_cliques,
                      generate_family, induced_subgraph, make_graph,
                      recognize_family, verify_certificate)
 from .solver import (DEFAULT_CONFIG, CapExceeded, M2Result, SolverConfig,
@@ -54,18 +54,18 @@ THEOREM_GRADE = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class ExactValue:
-    value: int
-    provenance: str
+class ExactValue(_Record):
+    _fields = ("value", "provenance")
+
+    def __init__(self, value: int, provenance: str):
+        self.__dict__.update(value=value, provenance=provenance)
 
     @property
     def theorem_grade(self) -> bool:
         return self.provenance in THEOREM_GRADE
 
 
-@dataclass(frozen=True)
-class HReport:
+class HReport(_Record):
     """Everything known about h for one graph.
 
     m2 is always set; m2_mode records how it was obtained ("exhaustive",
@@ -74,15 +74,27 @@ class HReport:
     inside them.
     """
 
-    graph: Graph
-    betti_numbers: tuple[int, ...]
-    m2: M2Result
-    m2_mode: str
-    lower_trivial: int
-    lower_cohomological: int
-    upper: int
-    exact: ExactValue | None
-    decomposition: "DecompositionReport | None" = None
+    _fields = ("graph", "betti_numbers", "m2", "m2_mode", "lower_trivial",
+               "lower_cohomological", "upper", "exact", "decomposition")
+
+    def __init__(self, graph: Graph, betti_numbers: tuple[int, ...],
+                 m2: M2Result, m2_mode: str, lower_trivial: int,
+                 lower_cohomological: int, upper: int,
+                 exact: ExactValue | None,
+                 decomposition: DecompositionReport | None = None):
+        if not lower_trivial <= lower_cohomological <= upper:
+            raise ValueError(
+                f"violates lower_trivial <= lower_cohomological <= upper: "
+                f"{lower_trivial}, {lower_cohomological}, {upper}")
+        if exact is not None and not lower_trivial <= exact.value <= upper:
+            raise ValueError(
+                f"violates lower_trivial <= exact <= upper: "
+                f"{lower_trivial}, {exact.value}, {upper}")
+        self.__dict__.update(graph=graph, betti_numbers=betti_numbers, m2=m2,
+                             m2_mode=m2_mode, lower_trivial=lower_trivial,
+                             lower_cohomological=lower_cohomological,
+                             upper=upper, exact=exact,
+                             decomposition=decomposition)
 
     @property
     def b2(self) -> int:
@@ -92,36 +104,28 @@ class HReport:
     def b4(self) -> int:
         return self.betti_numbers[4] if len(self.betti_numbers) > 4 else 0
 
-    def __post_init__(self):
-        if not self.lower_trivial <= self.lower_cohomological <= self.upper:
-            raise ValueError(
-                f"violates lower_trivial <= lower_cohomological <= upper: "
-                f"{self.lower_trivial}, {self.lower_cohomological}, {self.upper}")
-        if self.exact is not None \
-                and not self.lower_trivial <= self.exact.value <= self.upper:
-            raise ValueError(
-                f"violates lower_trivial <= exact <= upper: "
-                f"{self.lower_trivial}, {self.exact.value}, {self.upper}")
 
-
-@dataclass(frozen=True)
-class DecompositionPiece:
+class DecompositionPiece(_Record):
     """One irreducible piece: its graph plus the parent vertices it uses."""
 
-    vertices: tuple[int, ...]
-    graph: Graph
-    report: HReport
+    _fields = ("vertices", "graph", "report")
+
+    def __init__(self, vertices: tuple[int, ...], graph: Graph, report: HReport):
+        self.__dict__.update(vertices=vertices, graph=graph, report=report)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(_Record):
     """Breakdown of a graph into free edges (in no 4-clique) and the
     components/blocks left after deleting them.  Piece b2 values plus the
     number of free edges always add back up to the parent b2."""
 
-    free_edges: tuple[tuple[int, int], ...]
-    pieces: tuple[DecompositionPiece, ...]
-    aggregate_exact: ExactValue | None
+    _fields = ("free_edges", "pieces", "aggregate_exact")
+
+    def __init__(self, free_edges: tuple[tuple[int, int], ...],
+                 pieces: tuple[DecompositionPiece, ...],
+                 aggregate_exact: ExactValue | None):
+        self.__dict__.update(free_edges=free_edges, pieces=pieces,
+                             aggregate_exact=aggregate_exact)
 
     @property
     def r(self) -> int:
@@ -192,31 +196,36 @@ def h_family(cert: FamilyCertificate, config: SolverConfig = DEFAULT_CONFIG,
 # individually certified graphs
 # --------------------------------------------------------------------------
 
-def _certified_catalog():
-    """Graphs with proven h values that sit in no parametrized family:
-    K5 and K4 glued along an edge, and K8 minus a perfect matching."""
+@cache
+def _certified_catalog() -> dict:
+    """Graphs with proven h values that sit in no parametrized family, with
+    their h, by (vertices, edges) counts: K5 and K4 glued along an edge,
+    and K8 minus a perfect matching."""
     k5_k4 = make_graph(7, set(combinations(range(5), 2))
                        | set(combinations((3, 4, 5, 6), 2)))
     matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
     boxes = make_graph(8, [e for e in combinations(range(8), 2)
                            if e not in matching])
-    return ((k5_k4, 18), (boxes, 26))
+    out: dict = {}
+    for example, h in ((k5_k4, 18), (boxes, 26)):
+        out.setdefault((example.n, len(example.edges)), []).append((example, h))
+    return out
 
 
 @cache
-def _certified_keys() -> tuple[frozenset, dict]:
-    """The catalog's (vertices, edges) counts and its h by canonical key."""
-    catalog = _certified_catalog()
-    return (frozenset((example.n, len(example.edges)) for example, _ in catalog),
-            {canonical_key(example): h for example, h in catalog})
+def _certified_keys(counts: tuple[int, int]) -> dict:
+    """h by canonical key for the catalog examples with these counts; only
+    the examples a graph could be isomorphic to are ever keyed."""
+    return {canonical_key(example): h
+            for example, h in _certified_catalog()[counts]}
 
 
 def certified_h(g: Graph) -> ExactValue | None:
     """Exact value if g is isomorphic to an individually certified graph."""
-    counts, keys = _certified_keys()
-    if (g.n, len(g.edges)) not in counts:
+    counts = (g.n, len(g.edges))
+    if counts not in _certified_catalog():
         return None
-    value = keys.get(canonical_key(g))
+    value = _certified_keys(counts).get(canonical_key(g))
     return None if value is None else ExactValue(value, CERTIFIED_EXAMPLE)
 
 

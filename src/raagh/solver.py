@@ -69,7 +69,10 @@ higher than the incumbent), or skipped the same way, so the incumbent at
 every point is what the plain scan has there: the result (rank, first
 maximizer) is the plain scan's, with any subset of Aut(G), and the nodes
 are a subset of its nodes.  Smaller blocks, at most 2^11 encodings,
-skip the generator search (about half a millisecond).  _part_rank scans
+skip the generator search (about half a millisecond), and so do blocks
+whose parts share no row: the witness scan over parts that just add stops
+early, while the search grows with the number of symmetric parts (28
+disjoint K4s: about 1 s, against 2 ms for the scan).  _part_rank scans
 parts with rows deleted, which breaks the symmetry, so it takes no tests.
 
 Heuristic.  m2_heuristic reports what ranking its fixed seeds one by one
@@ -94,11 +97,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
-from .graphs import (Graph, _automorphism_generators, _mask_bits,
+from .graphs import (Graph, _automorphism_generators, _mask_bits, _Record,
                      biconnected_blocks, induced_subgraph, make_graph,
                      maximal_cliques)
 
@@ -119,8 +121,7 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Knobs for compute_m2.
 
     cap bounds the exponent of the exhaustive scan (b4 <= cap).  workers is
@@ -128,15 +129,16 @@ class SolverConfig:
     process, so it changes nothing.
     """
 
-    cap: int = 28
-    workers: int = 1
+    _fields = ("cap", "workers")
+
+    def __init__(self, cap: int = 28, workers: int = 1):
+        self.__dict__.update(cap=cap, workers=workers)
 
 
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True)
-class M2Result:
+class M2Result(_Record):
     """Outcome of a rank search.
 
     exhaustive is True when the value is certified to be the true maximum:
@@ -145,10 +147,12 @@ class M2Result:
     case, and then its witness need not be the canonically first one.
     """
 
-    m2: int
-    witness: AlphaVector
-    radical_dim: int
-    exhaustive: bool
+    _fields = ("m2", "witness", "radical_dim", "exhaustive")
+
+    def __init__(self, m2: int, witness: AlphaVector, radical_dim: int,
+                 exhaustive: bool):
+        self.__dict__.update(m2=m2, witness=witness, radical_dim=radical_dim,
+                             exhaustive=exhaustive)
 
 
 def parity_ceiling(b2: int) -> int:
@@ -497,8 +501,12 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
         return M2Result(0, AlphaVector(0, 0), b2, True)
 
     plan = _plan(template.clique_rows)
-    checks = _orbit_checks(g, template, plan) if b4 >= _ORBIT_PRUNE_B4 else None
     parts = _parts_worth_scanning(template.clique_rows)
+    # over parts that share no row the generator search costs more than
+    # it could prune (see the module docstring)
+    shared = parts is None or any(outer for _cliques, outer in parts)
+    checks = (_orbit_checks(g, template, plan)
+              if b4 >= _ORBIT_PRUNE_B4 and shared else None)
     if parts is not None:
         glued = _glued_m2(template.clique_rows, parts)
         rank, alpha, _nodes = _scan(plan, glued, glued - 2, checks)
@@ -572,14 +580,15 @@ def m2_heuristic(g: Graph) -> M2Result:
 # radicals
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadicalBasis:
+class RadicalBasis(_Record):
     """Kernel of the substituted form at one functional: bitmask vectors over
     the edge basis plus their rendered z-notation."""
 
-    alpha: AlphaVector
-    vectors: tuple[int, ...]
-    rendered: tuple[str, ...]
+    _fields = ("alpha", "vectors", "rendered")
+
+    def __init__(self, alpha: AlphaVector, vectors: tuple[int, ...],
+                 rendered: tuple[str, ...]):
+        self.__dict__.update(alpha=alpha, vectors=vectors, rendered=rendered)
 
     @property
     def dim(self) -> int:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .form import (AlphaVector, build_cup_form, dump_template, kernel_basis,
                    max_isotropic, rank_gf2, substitute)
-from .graphs import (FamilyCertificate, Graph, enumerate_cliques,
+from .graphs import (FamilyCertificate, Graph, _Record, enumerate_cliques,
                      generate_family, make_graph, parse_graph)
 from .hbounds import (DECOMPOSITION_AGGREGATE, CLIQUE_STRING_6,
                       CLIQUE_STRING_7, FREE_ABELIAN, compute_h,
@@ -399,13 +398,13 @@ ACCEPTANCE_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    description: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(_Record):
+    _fields = ("check_id", "description", "passed", "detail", "seconds")
+
+    def __init__(self, check_id: str, description: str, passed: bool,
+                 detail: str, seconds: float):
+        self.__dict__.update(check_id=check_id, description=description,
+                             passed=passed, detail=detail, seconds=seconds)
 
 
 def run_acceptance(check_ids=None) -> list[CheckResult]:

@@ -135,6 +135,29 @@ def test_certified_h_recognizes_catalog_graphs_up_to_relabeling():
     assert certified_h(make_graph(7, combinations(range(7), 2))) is None
 
 
+def test_certified_h_keys_only_the_examples_with_the_graphs_counts(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return raagh.graphs.canonical_key(g)
+
+    monkeypatch.setattr(raagh.hbounds, "canonical_key", counting)
+    raagh.hbounds._certified_keys.cache_clear()
+    perm = [3, 0, 6, 1, 5, 2, 4]
+    g = k5_k4_glued()
+    relabeled = make_graph(7, [(perm[u], perm[v]) for u, v in g.edges])
+    assert certified_h(relabeled) == ExactValue(18, CERTIFIED_EXAMPLE)
+    assert calls == [g, relabeled]  # the example, then the input
+    perm = [5, 2, 7, 0, 3, 6, 1, 4]
+    boxes = boxes_graph()
+    relabeled = make_graph(8, [(perm[u], perm[v]) for u, v in boxes.edges])
+    assert certified_h(relabeled) == ExactValue(26, CERTIFIED_EXAMPLE)
+    assert calls[2:] == [boxes, relabeled]
+    assert certified_h(relabeled) == ExactValue(26, CERTIFIED_EXAMPLE)
+    assert len(calls) == 5  # keys of the examples are kept per count
+
+
 # --------------------------------------------------------------------------
 # whole-graph reports
 # --------------------------------------------------------------------------

@@ -526,6 +526,22 @@ def test_orbit_pruning_cuts_the_k8_minus_matching_scan():
     assert (rank, alpha) == (22, 1650) and nodes <= 1000
 
 
+def test_parts_sharing_no_row_skip_the_generator_search(monkeypatch):
+    # 28 disjoint K4s split into parts with no outer rows; the generator
+    # search there took about a second for a scan of a few nodes
+    g = make_graph(112, [e for i in range(0, 112, 4)
+                         for e in combinations(range(i, i + 4), 2)])
+    assert all(not outer for _cliques, outer in
+               _parts_worth_scanning(build_cup_form(g).clique_rows))
+
+    def refuse(h):
+        raise AssertionError("generator search on parts that share no row")
+
+    monkeypatch.setattr(raagh.solver, "_automorphism_generators", refuse)
+    res = compute_m2(g, SolverConfig(cap=28))
+    assert (res.m2, res.witness.value, res.exhaustive) == (168, (1 << 28) - 1, True)
+
+
 def test_ceiling_early_exit_keeps_first_maximiser():
     # a graph whose m2 hits the parity ceiling: early exit must return the
     # same witness the no-early-exit scan finds first
