@@ -117,7 +117,8 @@ def main(argv=None):
          ("2x2 square", FamilyCertificate.grid(
              [(0, 0), (1, 0), (0, 1), (1, 1)])),
          ("hex side 2", FamilyCertificate.hex_triangle(2)),
-         ("hex side 3", FamilyCertificate.hex_triangle(3))])
+         ("hex side 3", FamilyCertificate.hex_triangle(3)),
+         ("hex side 4", FamilyCertificate.hex_triangle(4))])
     assembled = assembly()
     print(f"{sum(ok)}/{len(ok)} rows match, assembly "
           f"{'matches' if assembled else 'MISSES'} h = 62")

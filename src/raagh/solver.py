@@ -49,31 +49,64 @@ just add.  compute_m2 takes this path only when the parts' scans,
 2^(cliques + outer rows) encodings each plus a fixed cost per scan, add
 up to fewer than the block's 2^b4.
 
-The witness then comes from one scan of the whole block that starts from
-the incumbent m2 - 2 with ceiling m2: it skips every subtree whose bound
-cannot reach m2 and stops at the first encoding that does.  No rank
-exceeds m2, so that encoding is the first maximizer, and every node it
-visits the plain scan visits too, since the plain scan's incumbent stays
-at or below m2 - 2 until it reaches the same encoding.
+Descending targets.  compute_m2 scans from an upper bound top on every
+rank, one pass per target t = top, top - 2, ...: a pass is a scan with
+ceiling t from the incumbent t - 2, so it skips every subtree whose bound
+cannot reach t and stops at the first encoding that does.  The passes
+before it found no rank of t + 2 or more, so no rank exceeds t and that
+encoding is the first maximizer.  A pass prunes wherever the plain scan
+does, since the plain scan's incumbent stays at or below m2 - 2 until it
+reaches the witness and is m2 after it, so each pass visits a subset of the
+plain scan's nodes.  On a split block top is the glued m2 and one pass
+finds the witness; otherwise top is the term-rank bound.
+
+Term rank.  The rank of a matrix is at most its term rank, the largest
+number of nonzero entries with no two in one row or column: a maximum
+matching of rows to columns on the support (Edmonds 1967; Hopcroft and
+Karp 1973), grown here by augmenting paths.  An entry of the form lies in
+one 4-clique only, the one its two disjoint edges span, so the support of
+the all-ones encoding holds every encoding's, and its even term rank is
+top.  That is never above the parity ceiling, since a term rank is at
+most the number of rows.  In a subtree, the live support (the cliques
+below its level and the fixed 1-cliques) bounds every encoding there the
+same way.  On unsplit blocks with b4 >= _TERM_RANK_B4 whose top lies
+below the parity ceiling, the cuts of the top _TERM_RANK_LEVELS levels
+test it and skip a subtree whose even term rank does not beat the best; a
+0-child repairs its parent's matching, dropping the entries of its new
+0-cliques and re-augmenting (see _scan).  Where the term rank meets the
+ceiling, as on K8 minus a matching (24 rows, term rank 24), the top cuts
+rarely lose enough support to prune and the matchings cost more than they
+save.  Like the bound, the test skips only subtrees that hold no higher
+rank, so the result is the plain scan's.
+_part_rank descends from a part's own top on parts of at least
+_PART_DESCENT_CLIQUES cliques (the K6s of clique-string 6xk); smaller
+parts, like the K5s of 5xk, scan faster from no incumbent.
 
 Orbit pruning.  An automorphism of the graph permutes the 4-cliques and
 the rows alike, so it maps each encoding to one of the same rank.  The
 first maximizer is therefore the least encoding of its orbit under
 Aut(G): no encoding that some automorphism maps lower is ever the
-witness.  On blocks with b4 >= _ORBIT_PRUNE_B4, both scans take per-cut
-tests from generators of Aut(G) (_orbit_checks) and skip a subtree when a
-generator maps every encoding in it lower, read off the bits the subtree
-fixes (isomorphism pruning, Margot 2002).  A skipped encoding x has a
-lower image of the same rank that is either visited, bound-skipped (so no
-higher than the incumbent), or skipped the same way, so the incumbent at
-every point is what the plain scan has there: the result (rank, first
-maximizer) is the plain scan's, with any subset of Aut(G), and the nodes
-are a subset of its nodes.  Smaller blocks, at most 2^11 encodings,
-skip the generator search (about half a millisecond), and so do blocks
-whose parts share no row: the witness scan over parts that just add stops
-early, while the search grows with the number of symmetric parts (28
-disjoint K4s: about 1 s, against 2 ms for the scan).  _part_rank scans
-parts with rows deleted, which breaks the symmetry, so it takes no tests.
+witness.  Both scans can take per-cut tests from generators of Aut(G)
+(_orbit_checks) and skip a subtree when a generator maps every encoding
+in it lower, read off the bits the subtree fixes (isomorphism pruning,
+Margot 2002).  A skipped encoding x has a lower image of the same rank
+that is either visited, bound-skipped (so no higher than the incumbent),
+or skipped the same way, so the incumbent at every point is what the
+plain scan has there: the result (rank, first maximizer) is the plain
+scan's, with any subset of Aut(G), and the nodes are a subset of its
+nodes.  The generator search costs about half a millisecond to a
+millisecond, so it runs only where it has paid in measurements: on
+unsplit blocks with b4 >= _ORBIT_PRUNE_B4 that have twins (two vertices
+with the same neighbours apart from each other), and on split blocks with
+b4 >= _ORBIT_GLUED_B4 whose parts share a row.  Twin-free blocks, like
+face-strings (whose one automorphism, the reversal, decides at level 0
+only), circulants and hex triangles, saved at most a few milliseconds;
+the witness scan of clique-string 5x3 saved 6-54 nodes for 0.8 ms, where
+5x4 saved about 500 of 1,000 nodes and 5x5 about 20,000 of 28,000.  Over
+parts that share no row the search grows with the number of symmetric
+parts (28 disjoint K4s: about 1 s, against 2 ms for the scan).
+_part_rank scans parts with rows deleted, which breaks the symmetry, so it
+takes no tests.
 
 Heuristic.  m2_heuristic reports what ranking its fixed seeds one by one
 in seed order gives: the highest rank with the least seed reaching it, or
@@ -101,11 +134,15 @@ from bisect import bisect_left
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
 from .graphs import (Graph, _automorphism_generators, _mask_bits, _Record,
-                     biconnected_blocks, induced_subgraph, make_graph,
+                     _twins, biconnected_blocks, induced_subgraph, make_graph,
                      maximal_cliques)
 
 _PART_SCAN_COST = 64
 _ORBIT_PRUNE_B4 = 12
+_ORBIT_GLUED_B4 = 18
+_TERM_RANK_B4 = 10
+_TERM_RANK_LEVELS = 10
+_PART_DESCENT_CLIQUES = 8
 _DEFAULT_HEURISTIC_SEED = 0x5EED
 _HEURISTIC_TRIES = 512
 
@@ -203,8 +240,76 @@ def _plan(clique_rows) -> tuple:
     return nrows, flips, cuts, levels, entry
 
 
+def _support(plan) -> list[int]:
+    """Row masks of the support of every clique of the plan together.  An
+    entry (row, column) lies in one 4-clique only (its two disjoint edges
+    span it), so this is the form at the all-ones encoding."""
+    rows = [0] * plan[0]
+    for contribs in plan[1]:
+        for p, bit in contribs:
+            rows[p] |= bit
+    return rows
+
+
+def _augment(adj, mate, owner, size: int, need: int) -> int:
+    """Grow a matching of rows to columns inside the support adj (row ->
+    column mask) by augmenting paths from its free rows, each tried once,
+    until it holds need pairs; returns its size.
+
+    mate maps a row to its column bit (0 when free) and owner a column bit
+    to its row, and both are updated in place.  From any matching, trying
+    every free row once gives a maximum one: a row with no augmenting path
+    gets none after other augmentations.  So a size below need is the term
+    rank.  The columns a failed search saw lead to no free column until the
+    matching changes, so they stay seen until the next success.
+    """
+    if size >= need:
+        return size
+    taken = seen = 0
+    for c in owner:
+        taken |= c
+    for r, row in enumerate(adj):
+        if size >= need:
+            break
+        if not row or mate[r]:
+            continue
+        # depth-first search: path[k] reaches path[k + 1] through the
+        # column cols[k] it would take over
+        path, cols = [r], []
+        while path:
+            u = path[-1]
+            free = adj[u] & ~taken
+            if free:
+                c = free & -free
+                taken |= c
+                cols.append(c)
+                for v, col in zip(path, cols):
+                    owner[col] = v
+                    mate[v] = col
+                size += 1
+                seen = 0
+                break
+            cand = adj[u] & ~seen
+            if cand:
+                c = cand & -cand
+                seen |= c
+                cols.append(c)
+                path.append(owner[c])
+            else:
+                path.pop()
+                if cols:
+                    cols.pop()
+    return size
+
+
+def _term_rank(rows) -> int:
+    """Largest number of nonzero entries, no two in one row or column, of a
+    support given as row masks: a bound on the rank of every matrix on it."""
+    return _augment(rows, [0] * len(rows), {}, 0, len(rows) + 1)
+
+
 def _scan(plan, ceiling: int, best: int = -1, checks=None,
-          trials=None) -> tuple[int, int | None, int]:
+          trials=None, terms=None) -> tuple[int, int | None, int]:
     """(best rank, first encoding reaching it, nodes) over every encoding of
     the plan's cliques, by depth-first branch and bound in integer order,
     starting from the incumbent rank best.  Only a strictly higher rank is a
@@ -233,9 +338,24 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
     above the level the walk left, so the pivots before its entry cut stay
     valid.  A trial set need not be closed under Aut(G), so a trial walk
     takes no checks.
+
+    terms, when given, is the lowest level whose cut tests the term rank:
+    on stepping down to such a cut, the subtree is skipped when the even
+    term rank of its live support, the cliques below the level and the
+    fixed 1-cliques, does not beat the best.  Each tested cut keeps its
+    (support, matching); a child drops its new 0-cliques' entries from a
+    copy of its parent's and re-augments.
     """
     nrows, flips, cuts, levels, entry = plan
     tests = checks or ((),) * len(cuts)
+    tested = 0
+    if terms is not None:
+        adj = _support(plan)
+        mate = [0] * nrows
+        owner: dict[int, int] = {}
+        supports = [(adj, mate, owner, _augment(adj, mate, owner, 0, nrows))]
+        supports += [None] * (len(cuts) - 1)
+        tested = sum(level >= terms for level in levels)
     rows = [0] * nrows
     pivots: dict[int, int] = {}
     log: list[int] = []         # pivot keys in insertion order
@@ -273,6 +393,24 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
             if tests[i] and _maps_below(tests[i], value):
                 skip = (1 << levels[i]) - 1
                 break
+            if i < tested:
+                need = slack + nrows + 1
+                adj, mate, owner, size = supports[i - 1]
+                gone = ~value & ((1 << levels[i - 1]) - (1 << levels[i]))
+                if gone or size < need:
+                    adj, mate, owner = adj[:], mate[:], dict(owner)
+                    for q in _mask_bits(gone):
+                        for p, bit in flips[q]:
+                            adj[p] ^= bit
+                            if mate[p] == bit:
+                                mate[p] = 0
+                                del owner[bit]
+                                size -= 1
+                    size = _augment(adj, mate, owner, size, need)
+                supports[i] = adj, mate, owner, size
+                if size < need:
+                    skip = (1 << levels[i]) - 1
+                    break
             for p in range(cut, cuts[i]):
                 row = rows[p]
                 while row:
@@ -410,7 +548,9 @@ def _part_rank(clique_rows, cliques, deleted: int) -> int:
         if contribs:
             kept.append(contribs)
     plan = _plan(kept)
-    return _scan(plan, parity_ceiling(plan[0]))[0]
+    if len(kept) < _PART_DESCENT_CLIQUES:
+        return _scan(plan, parity_ceiling(plan[0]))[0]
+    return _descend(plan, _top(plan))[0]
 
 
 def _parts_worth_scanning(clique_rows) -> list | None:
@@ -485,6 +625,27 @@ def _glued_m2(clique_rows, parts) -> int:
     return total
 
 
+def _top(plan) -> int:
+    """The even term rank of the plan's whole support: no encoding has a
+    higher rank.  A term rank is at most the number of rows, so this is at
+    most the parity ceiling."""
+    return parity_ceiling(_term_rank(_support(plan)))
+
+
+def _descend(plan, top: int, checks=None, terms=None) -> tuple[int, int, int]:
+    """(m2, first maximizer, nodes) by one scan per target top, top - 2,
+    ..., each from the incumbent target - 2: the first that hits.  top must
+    bound every rank from above, so no rank exceeds the target of a pass,
+    and its hit is the first encoding of maximal rank."""
+    nodes = 0
+    while True:
+        rank, alpha, count = _scan(plan, top, top - 2, checks, terms=terms)
+        nodes += count
+        if alpha is not None:
+            return rank, alpha, nodes
+        top -= 2
+
+
 def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     """Certified m2 by scanning every functional (early exit at the parity
     ceiling still certifies).  Raises CapExceeded when b4 > config.cap.
@@ -502,16 +663,21 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
 
     plan = _plan(template.clique_rows)
     parts = _parts_worth_scanning(template.clique_rows)
-    # over parts that share no row the generator search costs more than
-    # it could prune (see the module docstring)
-    shared = parts is None or any(outer for _cliques, outer in parts)
-    checks = (_orbit_checks(g, template, plan)
-              if b4 >= _ORBIT_PRUNE_B4 and shared else None)
-    if parts is not None:
-        glued = _glued_m2(template.clique_rows, parts)
-        rank, alpha, _nodes = _scan(plan, glued, glued - 2, checks)
+    terms = None
+    if parts is None:
+        top = _top(plan)
+        if b4 >= _TERM_RANK_B4 and top < parity_ceiling(b2):
+            terms = b4 - _TERM_RANK_LEVELS
+        orbits = b4 >= _ORBIT_PRUNE_B4 and any(
+            least != v for v, least in enumerate(_twins(g)))
     else:
-        rank, alpha, _nodes = _scan(plan, parity_ceiling(b2), checks=checks)
+        top = _glued_m2(template.clique_rows, parts)
+        # over parts that share no row the generator search costs more than
+        # it could prune (see the module docstring)
+        orbits = b4 >= _ORBIT_GLUED_B4 and any(
+            outer for _cliques, outer in parts)
+    checks = _orbit_checks(g, template, plan) if orbits else None
+    rank, alpha, _nodes = _descend(plan, top, checks, terms)
     return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
 
 

@@ -6,7 +6,8 @@ names.  The helpers below stay test-only: the package counts components by
 its own bitmask flood fill and never builds disjoint unions, its symplectic
 reduction forms Mv from the rows of M, its scan is a branch and bound that
 integer_order_scan checks, its heuristic walks its seeds in sorted order
-where heuristic_oracle ranks each one in seed order, and
+where heuristic_oracle ranks each one in seed order, its term rank grows
+a matching where term_rank_oracle minimizes a cover, and
 canonical_key_oracle is canonical_key without any pruning.  Expected values in the tests were frozen from these.
 """
 
@@ -24,7 +25,7 @@ from raagh.verification import (cliques_oracle, form_matrix_oracle, m2_oracle,
 __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
            "disjoint_union", "form_matrix_oracle", "heuristic_oracle",
            "integer_order_scan", "m2_oracle", "matvec", "pair", "random_gnp",
-           "rank_oracle", "rows_to_lists"]
+           "rank_oracle", "rows_to_lists", "term_rank_oracle"]
 
 
 def rows_to_lists(rows, ncols: int) -> list[list[int]]:
@@ -44,6 +45,20 @@ def integer_order_scan(g):
             if rank >= ceiling:
                 break
     return best, witness
+
+
+def term_rank_oracle(rows) -> int:
+    """Term rank of a support given as row masks of columns, by Konig's
+    theorem: the fewest rows and columns covering every entry, over every
+    set of covering rows (2^rows sets, so small supports only)."""
+    best = len(rows)
+    for chosen in range(1 << len(rows)):
+        columns = 0
+        for r, row in enumerate(rows):
+            if not chosen >> r & 1:
+                columns |= row
+        best = min(best, chosen.bit_count() + columns.bit_count())
+    return best
 
 
 def heuristic_oracle(g):

@@ -10,11 +10,12 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
 from raagh.graphs import _twins, biconnected_blocks
-from raagh.solver import (_glued_m2, _heuristic_seeds, _orbit_checks, _parts,
-                          _parts_worth_scanning, _plan, _scan)
+from raagh.solver import (_augment, _descend, _glued_m2, _heuristic_seeds,
+                          _orbit_checks, _parts, _parts_worth_scanning, _plan,
+                          _scan, _term_rank, _top)
 
 from oracles import (form_matrix_oracle, heuristic_oracle, integer_order_scan,
-                     m2_oracle, random_gnp, rank_oracle)
+                     m2_oracle, random_gnp, rank_oracle, term_rank_oracle)
 
 
 def small_random_graphs(count, seed0, max_b4=10):
@@ -540,6 +541,151 @@ def test_parts_sharing_no_row_skip_the_generator_search(monkeypatch):
     monkeypatch.setattr(raagh.solver, "_automorphism_generators", refuse)
     res = compute_m2(g, SolverConfig(cap=28))
     assert (res.m2, res.witness.value, res.exhaustive) == (168, (1 << 28) - 1, True)
+
+
+# --------------------------------------------------------------------------
+# term-rank bound and descending targets
+# --------------------------------------------------------------------------
+
+# (row masks of columns, term rank)
+HAND_BUILT_SUPPORTS = [
+    ([], 0),
+    ([0b0], 0),
+    # three rows on two columns
+    ([0b11, 0b11, 0b11], 2),
+    # the first row's greedy pick blocks the second: one augmenting path
+    ([0b11, 0b01], 2),
+    # an odd term rank: the rows of a triangle's adjacency
+    ([0b110, 0b101, 0b011], 3),
+    # an empty row between rows that compete for column 2
+    ([0b100, 0b000, 0b110, 0b100], 2),
+    # a 4-cycle's rows plus a pendant column reached only from row 3
+    ([0b1010, 0b0101, 0b1010, 0b10101], 4),
+]
+
+
+def test_term_rank_matches_the_brute_force_oracle():
+    for rows, expected in HAND_BUILT_SUPPORTS:
+        assert term_rank_oracle(rows) == expected, rows
+        assert _term_rank(rows) == expected, rows
+    rnd = random.Random(31)
+    for _ in range(300):
+        nrows, ncols = rnd.randint(1, 8), rnd.randint(1, 8)
+        density = rnd.choice((0.15, 0.3, 0.5))
+        rows = [sum(1 << c for c in range(ncols) if rnd.random() < density)
+                for _ in range(nrows)]
+        assert _term_rank(rows) == term_rank_oracle(rows), rows
+
+
+def test_a_repaired_matching_grows_back_to_the_term_rank():
+    # as at a cut of the scan: entries leave a maximum matching's support,
+    # the matching keeps its surviving pairs, and every free row is tried
+    # again; a row that was free before may be the one that augments
+    rnd = random.Random(32)
+    for _ in range(300):
+        n = rnd.randint(2, 8)
+        rows = [rnd.getrandbits(n) for _ in range(n)]
+        mate, owner = [0] * n, {}
+        _augment(rows, mate, owner, 0, n)
+        adj = list(rows)
+        for r in range(n):
+            adj[r] &= ~rnd.getrandbits(n) | rnd.getrandbits(n)
+        size = 0
+        for r in range(n):
+            if mate[r] and not adj[r] & mate[r]:
+                del owner[mate[r]]
+                mate[r] = 0
+            size += mate[r] != 0
+        assert _augment(adj, mate, owner, size, n + 1) == term_rank_oracle(adj)
+        assert sorted(owner.values()) == [r for r in range(n) if mate[r]]
+        assert all(adj[r] & c for c, r in owner.items())
+        # a need at or below the size stops at once
+        assert _augment(adj, mate, owner, 1, 1) == 1
+
+
+def descending_battery():
+    """scan_battery, glued, ring and symmetric graphs, and hex triangles of
+    side 2 and 3 under two relabelings each."""
+    rnd = random.Random(33)
+    hexes = [relabeled(generate_family(FamilyCertificate.hex_triangle(side)),
+                       rnd) for side in (2, 3) for _ in range(2)]
+    return (scan_battery(80, 34) + glued_battery(18, 35) + ring_battery(8, 36)
+            + symmetric_battery(37) + hexes)
+
+
+def test_descending_scan_matches_integer_order(monkeypatch):
+    # with orbit checks and without, with the cut term-rank test at no cut
+    # and at every cut; compute_m2 with the test forced at every cut and
+    # parts scanned by descent whatever their size
+    monkeypatch.setattr(raagh.solver, "_TERM_RANK_B4", 0)
+    monkeypatch.setattr(raagh.solver, "_TERM_RANK_LEVELS", 64)
+    monkeypatch.setattr(raagh.solver, "_PART_DESCENT_CLIQUES", 0)
+    below = 0
+    for idx, g in enumerate(descending_battery()):
+        t = build_cup_form(g)
+        plan = _plan(t.clique_rows)
+        m2, witness = integer_order_scan(g)
+        top = _top(plan)
+        assert m2 <= top <= parity_ceiling(t.dim), idx
+        below += top < parity_ceiling(t.dim)
+        for checks in (None, _orbit_checks(g, t, plan)):
+            for terms in (None, 0):
+                assert _descend(plan, top, checks, terms)[:2] == (m2, witness), idx
+        parts = _parts(t.clique_rows)
+        if len(parts) > 1:
+            assert _glued_m2(t.clique_rows, parts) == m2, idx
+        res = compute_m2(g)
+        assert (res.m2, res.witness.value, res.exhaustive) == (m2, witness, True), idx
+    assert below >= 40
+
+
+def test_each_descent_pass_visits_no_more_than_the_plain_scan():
+    # every pass prunes at least where the plain scan does, so on a block
+    # whose term rank meets m2 the one pass is a subset of the plain scan
+    tight = 0
+    for idx, g in enumerate(scan_battery(60, 38)):
+        t = build_cup_form(g)
+        plan = _plan(t.clique_rows)
+        rank, _alpha, plain = _scan(plan, parity_ceiling(t.dim))
+        if _top(plan) == rank:
+            assert _descend(plan, rank)[2] <= plain, idx
+            tight += 1
+    assert tight >= 30
+
+
+def test_hex_side_4_is_pinned():
+    # the parent of the term-rank bound took about 9 s for this, with the
+    # same (m2, witness); the root bound is m2, twelve below the ceiling
+    g = generate_family(FamilyCertificate.hex_triangle(4))
+    t = build_cup_form(g)
+    assert (t.num_cliques, parity_ceiling(t.dim), _top(_plan(t.clique_rows))) == (
+        24, 48, 36)
+    res = compute_m2(g)
+    assert (res.m2, res.witness.value, res.exhaustive) == (36, 9047697, True)
+
+
+@pytest.mark.parametrize("cert, searched", [
+    (FamilyCertificate.face_string(16), False),
+    (FamilyCertificate.clique_string(5, 3), False),
+    (FamilyCertificate.clique_string(5, 4), True),
+], ids=["face-string-16", "clique-string-5x3", "clique-string-5x4"])
+def test_the_generator_search_runs_only_where_it_pays(monkeypatch, cert,
+                                                      searched):
+    # face-strings have no twins and the reversal alone; a split block
+    # below b4 = 18 has a witness scan of a few dozen nodes
+    calls = []
+    search = raagh.solver._automorphism_generators
+
+    def counted(h):
+        calls.append(h)
+        return search(h)
+
+    monkeypatch.setattr(raagh.solver, "_automorphism_generators", counted)
+    compute_m2(relabeled(generate_family(cert), random.Random(39)))
+    assert bool(calls) == searched
+    calls.clear()
+    compute_m2(k8_minus_matching())
+    assert len(calls) == 1
 
 
 def test_ceiling_early_exit_keeps_first_maximiser():
