@@ -193,18 +193,24 @@ def render_text_report(report: HReport) -> str:
 # --------------------------------------------------------------------------
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (UnicodeDecodeError, OSError):
+        raise ParseError(f"cannot read {path}") from None
 
 
 def _write_output(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError:
+        raise ParseError(f"cannot write {out}") from None
 
 
 def _env_int(name: str) -> int | None:
@@ -431,9 +437,6 @@ def main(argv=None) -> int:
         return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

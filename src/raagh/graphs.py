@@ -553,59 +553,20 @@ def _target_cell(colors: tuple[int, ...]) -> list[int] | None:
     return None
 
 
-def canonical_key(g: Graph):
-    """Canonical form of g: the lexicographically least edge tuple over all
-    relabelings compatible with iterated colour refinement.  Equal keys
-    characterize isomorphism.
+def _canonical_search(g: Graph):
+    """(least leaf edge tuple, generators of Aut(g)) from one search of the
+    individualize-refine tree (McKay 1981; McKay & Piperno 2014).
 
-    The search is pruned by twins (see _twins).  A twin swap fixes the path
-    of individualized vertices and the refined colouring, and it maps the
-    subtree under u onto the subtree under v with the same leaf keys.  Each
-    target cell therefore branches on one vertex per twin class, and the key
-    is exactly the one the unpruned search finds.  Other symmetries are not
-    pruned, so a graph whose automorphisms are not twin swaps still costs
-    about one leaf per automorphism: keep such graphs to a few dozen
-    vertices."""
-    n = g.n
-    if n == 0:
-        return (0, ())
-    twin = _twins(g)
-    nbrs = [tuple(_mask_bits(a)) for a in g.adjacency]
-    best: list = [None]
-
-    def search(colors):
-        target = _target_cell(colors)
-        if target is None:
-            key = tuple(sorted(tuple(sorted((colors[u], colors[v])))
-                               for u, v in g.edges))
-            if best[0] is None or key < best[0]:
-                best[0] = key
-            return
-        tried = set()
-        for v in target:
-            if twin[v] not in tried:
-                tried.add(twin[v])
-                search(_individualize(nbrs, colors, v))
-
-    search(_refine(nbrs, (0,) * n))
-    return (n, best[0])
-
-
-def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms of g, each a tuple mapping vertex v to p[v], found
-    without a full search.  They generate all of Aut(g) on every graph the
-    tests check, but nothing guarantees that.
-
-    They start with the twin transpositions.  Then the search walks the
-    first path of the individualize-refine tree (the least vertex of each
-    target cell) to its leaf.  Deepest level first, for every other vertex
-    w of the level's target cell that is not yet in the orbit of the path's
-    vertex under the generators fixing the path above, it individualizes w
-    and refines down to one leaf along first vertices.  Matching that leaf's
-    colours with the first leaf's is a bijection; it is kept when it maps
-    the edges onto themselves.  That is at most n leaves.  Every map
-    returned is an automorphism; one that the search misses only costs
-    pruning, never a wrong answer."""
+    Each generator is a tuple mapping vertex v to p[v].  The list starts
+    with the twin transpositions (see _twins).  A leaf whose edge tuple
+    equals the first leaf's adds the map onto the first leaf's vertices of
+    the same colours.  A node skips a target-cell vertex in the orbit of an
+    explored sibling under the generators that fix the node's path
+    pointwise, since such a generator maps the sibling's subtree onto the
+    vertex's with the same leaf keys.  For the same reason a new generator
+    sends the search back to the first-path node its leaf's path leaves
+    from.  Each first-path node thus reaches the orbit of its child under
+    the automorphisms fixing its path, so the generators span Aut(g)."""
     n = g.n
     twin = _twins(g)
     gens, last = [], {}
@@ -617,33 +578,57 @@ def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
             p[u], p[v] = v, u
             gens.append(tuple(p))
     nbrs = [tuple(_mask_bits(a)) for a in g.adjacency]
-    path = []   # (colours, target cell) per level of the first path
-    colors = _refine(nbrs, (0,) * n)
-    while (target := _target_cell(colors)) is not None:
-        path.append((colors, target))
-        colors = _individualize(nbrs, colors, target[0])
-    first = sorted(range(n), key=colors.__getitem__)   # colour -> vertex
-    edges = set(g.edges)
-    for level in reversed(range(len(path))):
-        colors, target = path[level]
-        above = [cell[0] for _colors, cell in path[:level]]
-        for w in target[1:]:
-            stab = [p for p in gens if all(p[u] == u for u in above)]
-            orbit, frontier = {target[0]}, [target[0]]
+    first = best = None   # (key, path, colour -> vertex) of the first leaf
+
+    def search(colors, path):
+        """The depth of the first-path node to resume at."""
+        nonlocal first, best
+        target = _target_cell(colors)
+        if target is None:
+            key = tuple(sorted(tuple(sorted((colors[u], colors[v])))
+                               for u, v in g.edges))
+            if first is None:
+                first = key, path, sorted(range(n), key=colors.__getitem__)
+                best = key
+            elif key == first[0]:
+                gens.append(tuple(first[2][c] for c in colors))
+                return next(i for i, (u, v) in enumerate(zip(path, first[1]))
+                            if u != v)
+            elif key < best:
+                best = key
+            return len(path)
+        orbit = set()
+        for v in target:
+            if v in orbit:
+                continue
+            orbit.add(v)
+            resume = search(_individualize(nbrs, colors, v), path + (v,))
+            if resume < len(path):
+                return resume
+            stab = [p for p in gens if all(p[u] == u for u in path)]
+            frontier = list(orbit)
             for u in frontier:
                 for p in stab:
                     if p[u] not in orbit:
                         orbit.add(p[u])
                         frontier.append(p[u])
-            if w in orbit:
-                continue
-            leaf = _individualize(nbrs, colors, w)
-            while (cell := _target_cell(leaf)) is not None:
-                leaf = _individualize(nbrs, leaf, cell[0])
-            p = tuple(first[c] for c in leaf)
-            if all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges):
-                gens.append(p)
-    return gens
+        return len(path)
+
+    search(_refine(nbrs, (0,) * n), ())
+    return best, gens
+
+
+def canonical_key(g: Graph):
+    """Canonical form of g: the lexicographically least edge tuple over all
+    relabelings compatible with iterated colour refinement, found by
+    _canonical_search.  Equal keys characterize isomorphism."""
+    return (g.n, _canonical_search(g)[0])
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each a tuple mapping vertex v to p[v], found by
+    _canonical_search."""
+    return _canonical_search(g)[1]
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

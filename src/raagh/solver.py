@@ -86,25 +86,27 @@ Orbit pruning.  An automorphism of the graph permutes the 4-cliques and
 the rows alike, so it maps each encoding to one of the same rank.  The
 first maximizer is therefore the least encoding of its orbit under
 Aut(G): no encoding that some automorphism maps lower is ever the
-witness.  Both scans can take per-cut tests from generators of Aut(G)
-(_orbit_checks) and skip a subtree when a generator maps every encoding
-in it lower, read off the bits the subtree fixes (isomorphism pruning,
-Margot 2002).  A skipped encoding x has a lower image of the same rank
-that is either visited, bound-skipped (so no higher than the incumbent),
-or skipped the same way, so the incumbent at every point is what the
-plain scan has there: the result (rank, first maximizer) is the plain
-scan's, with any subset of Aut(G), and the nodes are a subset of its
-nodes.  The generator search costs about half a millisecond to a
-millisecond, so it runs only where it has paid in measurements: on
-unsplit blocks with b4 >= _ORBIT_PRUNE_B4 that have twins (two vertices
-with the same neighbours apart from each other), and on split blocks with
-b4 >= _ORBIT_GLUED_B4 whose parts share a row.  Twin-free blocks, like
-face-strings (whose one automorphism, the reversal, decides at level 0
-only), circulants and hex triangles, saved at most a few milliseconds;
-the witness scan of clique-string 5x3 saved 6-54 nodes for 0.8 ms, where
-5x4 saved about 500 of 1,000 nodes and 5x5 about 20,000 of 28,000.  Over
-parts that share no row the search grows with the number of symmetric
-parts (28 disjoint K4s: about 1 s, against 2 ms for the scan).
+witness.  Both scans can take per-cut tests (_orbit_checks) from the
+generators of Aut(G) that _automorphism_generators reads off the
+individualize-refine search behind canonical_key, and skip a subtree
+when a generator maps every encoding in it lower, read off the bits the
+subtree fixes (isomorphism pruning, Margot 2002).  A skipped encoding x
+has a lower image of the same rank that is either visited, bound-skipped
+(so no higher than the incumbent), or skipped the same way, so the
+incumbent at every point is what the plain scan has there: the result
+(rank, first maximizer) is the plain scan's, with any subset of Aut(G),
+and the nodes are a subset of its nodes.  The generator search costs
+about half a millisecond to a millisecond, so it runs only where it has
+paid in measurements: on unsplit blocks with b4 >= _ORBIT_PRUNE_B4 that
+have twins (two vertices with the same neighbours apart from each
+other), and on split blocks with b4 >= _ORBIT_GLUED_B4 whose parts share
+a row.  Twin-free blocks, like face-strings (whose one automorphism, the
+reversal, decides at level 0 only), circulants and hex triangles, saved
+at most a few milliseconds; the witness scan of clique-string 5x3 saved
+6-54 nodes for 0.8 ms, where 5x4 saved about 500 of 1,000 nodes and 5x5
+about 20,000 of 28,000.  Over parts that share no row the search grows
+with the number of symmetric parts (28 disjoint K4s: about 0.5 s,
+against 2 ms for the scan).
 _part_rank scans parts with rows deleted, which breaks the symmetry, so it
 takes no tests.
 

@@ -7,8 +7,12 @@ its own bitmask flood fill and never builds disjoint unions, its symplectic
 reduction forms Mv from the rows of M, its scan is a branch and bound that
 integer_order_scan checks, its heuristic walks its seeds in sorted order
 where heuristic_oracle ranks each one in seed order, its term rank grows
-a matching where term_rank_oracle minimizes a cover, and
-canonical_key_oracle is canonical_key without any pruning.  Expected values in the tests were frozen from these.
+a matching where term_rank_oracle minimizes a cover,
+canonical_key_oracle is canonical_key without any pruning, and
+count_automorphisms backtracks over vertex maps where the package searches
+the individualize-refine tree.  graphs_up_to lists every graph up to
+isomorphism by canonical_key.  Expected values in the tests were frozen
+from these.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from itertools import combinations
 
 import raagh.solver
 from raagh import (AlphaVector, Graph, M2Result, build_cup_form,
-                   induced_subgraph, make_graph, parity_ceiling, rank_gf2,
-                   substitute)
+                   canonical_key, induced_subgraph, make_graph, parity_ceiling,
+                   rank_gf2, substitute)
 from raagh.verification import (cliques_oracle, form_matrix_oracle, m2_oracle,
                                 rank_oracle)
 
 __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
-           "disjoint_union", "form_matrix_oracle", "heuristic_oracle",
+           "count_automorphisms", "disjoint_union", "form_matrix_oracle",
+           "graphs_up_to", "group_order", "heuristic_oracle",
            "integer_order_scan", "m2_oracle", "matvec", "pair", "random_gnp",
            "rank_oracle", "rows_to_lists", "term_rank_oracle"]
 
@@ -177,3 +182,49 @@ def canonical_key_oracle(g: Graph):
 
     search(refine((0,) * n))
     return (n, best)
+
+
+def group_order(gens, n: int) -> int:
+    """Order of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    for a in frontier:
+        for p in gens:
+            b = tuple(p[a[v]] for v in range(n))
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return len(seen)
+
+
+def count_automorphisms(g: Graph) -> int:
+    """|Aut(g)| by backtracking: vertex v is mapped after 0..v-1, to an
+    unused vertex with the same adjacency to their images."""
+    adj = [[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
+
+    def extend(images):
+        v = len(images)
+        if v == g.n:
+            return 1
+        return sum(extend(images + [w]) for w in range(g.n)
+                   if w not in images
+                   and all(adj[u][v] == adj[images[u]][w] for u in range(v)))
+
+    return extend([])
+
+
+def graphs_up_to(n: int) -> tuple[tuple[Graph, ...], ...]:
+    """Every graph with at most n vertices up to isomorphism, one tuple per
+    vertex count.  Each graph on k vertices is a graph on k - 1 vertices
+    plus vertex k - 1 joined to some subset of the others, in all 2^(k-1)
+    ways; the first graph with each canonical_key is kept."""
+    levels = [(make_graph(0, []),)]
+    for k in range(1, n + 1):
+        kept = {}
+        for g in levels[-1]:
+            for mask in range(1 << (k - 1)):
+                h = make_graph(k, g.edges + tuple(
+                    (u, k - 1) for u in range(k - 1) if mask >> u & 1))
+                kept.setdefault(canonical_key(h), h)
+        levels.append(tuple(kept.values()))
+    return tuple(levels)

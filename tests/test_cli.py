@@ -164,6 +164,24 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "graph.edges" in err
 
 
+def test_undecodable_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"0 1\n\xff\n")
+    code, _, err = run(capsys, "compute", str(bad))
+    assert code == 2 and err == f"error: cannot read {bad}\n"
+
+
+def test_directory_input_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "compute", str(tmp_path))
+    assert code == 2 and err == f"error: cannot read {tmp_path}\n"
+
+
+def test_unwritable_output_exits_2(capsys, join_file, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "compute", join_file, "--json", "--out", str(out))
+    assert code == 2 and err == f"error: cannot write {out}\n"
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("0 0\n")

@@ -13,7 +13,8 @@ from raagh.graphs import (_automorphism_generators, biconnected_blocks,
                           classify_edges, induced_subgraph)
 
 from oracles import (canonical_key_oracle, cliques_oracle,
-                     connected_components, disjoint_union, random_gnp)
+                     connected_components, count_automorphisms,
+                     disjoint_union, graphs_up_to, group_order, random_gnp)
 
 
 def join_graph():
@@ -624,16 +625,68 @@ def _twin_blowup(rnd):
     return _shuffled(make_graph(len(classes), edges), rnd.randrange(2 ** 31))
 
 
+def _cycle(n):
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _petersen():
+    return make_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)])
+
+
+def _prism3():
+    return make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                          (0, 3), (1, 4), (2, 5)])
+
+
+# graphs without twins, so that only the automorphisms the search finds
+# prune it, each as given and relabeled
+TWIN_FREE = [h for g in (_cycle(5), _cycle(6), _cycle(7), _prism3(),
+                         _petersen())
+             for h in (g, _shuffled(g, 3))]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_canonical_key_matches_unpruned_oracle(seed):
     rnd = random.Random(seed)
+    graphs = list(TWIN_FREE) if seed == 0 else []
     for _ in range(25):
         n = rnd.randint(0, 7)
-        gnp = make_graph(n, random_gnp(n, rnd.choice((0.3, 0.5, 0.7)),
-                                       rnd.randrange(2 ** 31)))
-        blowup = _twin_blowup(rnd)
-        for g in (gnp, blowup):
-            assert canonical_key(g) == canonical_key_oracle(g)
+        graphs.append(make_graph(n, random_gnp(
+            n, rnd.choice((0.3, 0.5, 0.7)), rnd.randrange(2 ** 31))))
+        graphs.append(_twin_blowup(rnd))
+    for g in graphs:
+        assert canonical_key(g) == canonical_key_oracle(g)
+
+
+@pytest.mark.parametrize("g", [_shuffled(_cycle(40), 1),
+                               _shuffled(_petersen(), 1)],
+                         ids=["C40", "petersen"])
+def test_found_automorphisms_prune_the_canonical_search(monkeypatch, g):
+    # without pruning by the automorphisms it finds, the search
+    # individualizes 120 times on C40 and 190 times on the Petersen graph
+    calls = []
+    individualize = raagh.graphs._individualize
+
+    def counted(nbrs, colors, v):
+        calls.append(v)
+        return individualize(nbrs, colors, v)
+
+    monkeypatch.setattr(raagh.graphs, "_individualize", counted)
+    canonical_key(g)
+    assert len(calls) <= g.n
+
+
+def test_census_of_graphs_on_at_most_7_vertices():
+    # OEIS A000088; every generator set spans the whole of Aut
+    levels = graphs_up_to(7)
+    assert [len(graphs) for graphs in levels] == [1, 1, 2, 4, 11, 34, 156,
+                                                  1044]
+    for g in levels[7]:
+        gens = _automorphism_generators(g)
+        _assert_automorphisms(g, gens)
+        assert group_order(gens, 7) == count_automorphisms(g), g
 
 
 def test_relabeled_one_row_grid_certificate_verifies():
@@ -654,35 +707,6 @@ def test_is_isomorphic_on_graphs_made_of_twins(g):
 # automorphism generators
 # --------------------------------------------------------------------------
 
-def _group_order(gens, n):
-    """Order of the permutation group the generators span, by closure."""
-    identity = tuple(range(n))
-    seen, frontier = {identity}, [identity]
-    for a in frontier:
-        for p in gens:
-            b = tuple(p[a[v]] for v in range(n))
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return len(seen)
-
-
-def _count_automorphisms(g):
-    """|Aut(g)| by backtracking: vertex v is mapped after 0..v-1, to an
-    unused vertex with the same adjacency to their images."""
-    adj = [[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
-
-    def extend(images):
-        v = len(images)
-        if v == g.n:
-            return 1
-        return sum(extend(images + [w]) for w in range(g.n)
-                   if w not in images
-                   and all(adj[u][v] == adj[images[u]][w] for u in range(v)))
-
-    return extend([])
-
-
 def _assert_automorphisms(g, gens):
     edges = set(g.edges)
     for p in gens:
@@ -697,11 +721,10 @@ def _k8_minus_matching():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_automorphism_generators_span_aut_on_small_graphs(seed):
-    # random graphs, twin blow-ups and cycles (no twins at all) on at most
-    # 7 vertices: the generated group is the whole of Aut
+    # random graphs and twin blow-ups on at most 7 vertices, and the
+    # twin-free graphs: the generated group is the whole of Aut
     rnd = random.Random(seed)
-    graphs = [make_graph(n, [(i, (i + 1) % n) for i in range(n)])
-              for n in (5, 6, 7)] if seed == 0 else []
+    graphs = list(TWIN_FREE) if seed == 0 else []
     for _ in range(15):
         n = rnd.randint(0, 7)
         graphs.append(make_graph(n, random_gnp(
@@ -710,7 +733,7 @@ def test_automorphism_generators_span_aut_on_small_graphs(seed):
     for g in graphs:
         gens = _automorphism_generators(g)
         _assert_automorphisms(g, gens)
-        assert _group_order(gens, g.n) == _count_automorphisms(g), g
+        assert group_order(gens, g.n) == count_automorphisms(g), g
 
 
 SYMMETRIC_EXAMPLES = {
@@ -728,4 +751,4 @@ def test_automorphism_generators_of_the_symmetric_examples(name):
     for h in (g, _shuffled(g, 7)):
         gens = _automorphism_generators(h)
         _assert_automorphisms(h, gens)
-        assert _group_order(gens, h.n) == order
+        assert group_order(gens, h.n) == order

@@ -529,7 +529,7 @@ def test_orbit_pruning_cuts_the_k8_minus_matching_scan():
 
 def test_parts_sharing_no_row_skip_the_generator_search(monkeypatch):
     # 28 disjoint K4s split into parts with no outer rows; the generator
-    # search there took about a second for a scan of a few nodes
+    # search there takes about half a second for a scan of a few nodes
     g = make_graph(112, [e for i in range(0, 112, 4)
                          for e in combinations(range(i, i + 4), 2)])
     assert all(not outer for _cliques, outer in
