@@ -25,8 +25,8 @@ import time
 
 from . import graphs
 from .form import AlphaVector, build_cup_form, dump_matrix, dump_template, substitute
-from .graphs import (FORMATS, FamilyCertificate, Graph, ParseError, _decimal,
-                     generate_family, parse_graph, serialize_graph, to_dot)
+from .graphs import (FORMATS, FamilyCertificate, Graph, ParseError, _clip,
+                     _decimal, generate_family, parse_graph, serialize_graph, to_dot)
 from .hbounds import DecompositionReport, ExactValue, HReport, compute_h
 from .solver import DEFAULT_CONFIG, CapExceeded, SolverConfig
 
@@ -221,7 +221,7 @@ def _env_int(name: str) -> int | None:
         return int(raw)
     except ValueError:
         raise ParseError(f"environment variable {name} must be an integer, "
-                         f"got {raw!r}") from None
+                         f"got {_clip(raw)!r}") from None
 
 
 def _solver_config(args) -> SolverConfig:
@@ -274,11 +274,11 @@ def _parse_cells(raw: str):
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise ParseError(f"bad grid cell {chunk!r}, expected x,y")
+            raise ParseError(f"bad grid cell {_clip(chunk)!r}, expected x,y")
         try:
             cells.append(tuple(_decimal(p.strip()) for p in parts))
         except ValueError:
-            raise ParseError(f"bad grid cell {chunk!r}, expected integers") from None
+            raise ParseError(f"bad grid cell {_clip(chunk)!r}, expected integers") from None
     if not cells:
         raise ParseError("grid needs at least one cell")
     return cells

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import CliqueIndex, Graph, _Record, enumerate_cliques
+from .graphs import CliqueIndex, Graph, _clip, _Record, enumerate_cliques
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +112,7 @@ class AlphaVector(_Record):
     def from_bitstring(cls, text: str) -> "AlphaVector":
         """Parse "0110..." with position q = coefficient of clique q."""
         if not text or any(ch not in "01" for ch in text):
-            raise ValueError(f"alpha bitstring must be nonempty 0/1, got {text!r}")
+            raise ValueError(f"alpha bitstring must be nonempty 0/1, got {_clip(text)!r}")
         return cls.from_bits(int(ch) for ch in text)
 
     def to_bitstring(self) -> str:

@@ -227,19 +227,20 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
-def _walk(g: Graph, k: int, counts: list[int], out: list | None = None) -> None:
+def _walk(g: Graph, k: int, counts: list[int], out: list, size: int) -> None:
     """Ordered DFS over the cliques of g with at most k vertices, from the
     empty clique: a clique grows by vertices above its last member that are
-    adjacent to every member, so the k-cliques arrive in lexicographic order
-    (out, when given, collects them).  counts[d] gains the number of
-    d-cliques, read off each parent's mask of allowed extensions."""
+    adjacent to every member, so the cliques of each size arrive in
+    lexicographic order (out collects those with ``size`` vertices).
+    counts[d] gains the number of d-cliques, read off each parent's mask
+    of allowed extensions."""
     adj = g.adjacency
 
     def extend(prefix: tuple[int, ...], allowed: int, depth: int):
         counts[depth + 1] += allowed.bit_count()
+        if depth + 1 == size:
+            out.extend(prefix + (v,) for v in _mask_bits(allowed))
         if depth + 1 == k:
-            if out is not None:
-                out.extend(prefix + (v,) for v in _mask_bits(allowed))
             return
         for v in _mask_bits(allowed):
             nxt = allowed & adj[v] & ~((1 << (v + 1)) - 1)
@@ -255,14 +256,13 @@ def enumerate_cliques(g: Graph, k: int) -> CliqueIndex:
     if k < 1:
         raise ValueError("k must be >= 1")
     out: list[tuple[int, ...]] = []
-    _walk(g, k, [0] * (k + 1), out)
+    _walk(g, k, [0] * (k + 1), out, k)
     return CliqueIndex(k, tuple(out))
 
 
-def betti(g: Graph) -> tuple[int, ...]:
-    """Cohomology ranks of the associated group: b_k = number of k-cliques
-    for k >= 1, and b_0 = number of connected components.  One clique walk
-    counts every size."""
+def _census(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(betti(g), the 4-cliques of g in lexicographic order) from one
+    clique walk that counts every size."""
     adj = g.adjacency
     unseen = (1 << g.n) - 1
     b0 = 0
@@ -276,8 +276,15 @@ def betti(g: Graph) -> tuple[int, ...]:
             frontier = reach & unseen
         b0 += 1
     counts = [b0] + [0] * (g.n + 1)
-    _walk(g, g.n + 1, counts)  # no clique has n + 1 vertices
-    return tuple(counts[:counts.index(0, 1)])
+    quads: list[tuple[int, ...]] = []
+    _walk(g, g.n + 1, counts, quads, 4)  # no clique has n + 1 vertices
+    return tuple(counts[:counts.index(0, 1)]), quads
+
+
+def betti(g: Graph) -> tuple[int, ...]:
+    """Cohomology ranks of the associated group: b_k = number of k-cliques
+    for k >= 1, and b_0 = number of connected components; see _census."""
+    return _census(g)[0]
 
 
 def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -369,20 +376,6 @@ def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
                     if low[u] >= disc[p]:
                         pop_block(p, u)
     return blocks
-
-
-def classify_edges(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Partition edges into (in some 4-clique, in no 4-clique).  uv lies in
-    a 4-clique exactly when its common neighbourhood spans an edge."""
-    adj = g.adjacency
-    covered, free = [], []
-    for u, v in g.edges:
-        common = adj[u] & adj[v]
-        if any(adj[w] & common for w in _mask_bits(common)):
-            covered.append((u, v))
-        else:
-            free.append((u, v))
-    return tuple(covered), tuple(free)
 
 
 # --------------------------------------------------------------------------
@@ -811,13 +804,19 @@ def parse_graph(text: str, fmt: str = "edges") -> Graph:
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 
 
+def _clip(text: str) -> str:
+    """text, or past 40 characters its first 40 and '...': as much of an
+    offending input as an error message echoes."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _decimal(token: str) -> int:
     """The integer spelled by ASCII decimal digits after an optional '-';
     ValueError for anything else.  int() alone would also take "1_0", "+1"
     and "\u0663"."""
     digits = token[token[:1] == "-":]
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{token!r} is not an integer")
+        raise ValueError(f"{_clip(token)!r} is not an integer")
     return int(token)  # ValueError too over the digit limit
 
 
@@ -853,7 +852,7 @@ def _parse_edge_list(text: str) -> Graph:
             continue
         parts = stripped.split()
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {stripped!r}")
+            raise ParseError(f"line {lineno}: expected 'u v', got {_clip(stripped)!r}")
         raw_edges.append((parts[0], parts[1], lineno))
 
     ids: dict[int, int] = {}
@@ -864,7 +863,8 @@ def _parse_edge_list(text: str) -> Graph:
         try:
             value = _decimal(token)
         except ValueError:
-            raise ParseError(f"line {lineno}: vertex {token!r} is not an integer") from None
+            raise ParseError(f"line {lineno}: vertex {_clip(token)!r} "
+                             "is not an integer") from None
         if token[:1] == "-":  # "-0" too
             raise ParseError(f"line {lineno}: out-of-range index {token}")
         if declared_n is not None:
@@ -904,7 +904,8 @@ def _parse_adjacency_csv(text: str) -> Graph:
         parsed = []
         for col, cell in enumerate(entries):
             if cell not in ("0", "1"):
-                raise ParseError(f"line {lineno}: entry {cell!r} at column {col} is not 0/1")
+                raise ParseError(f"line {lineno}: entry {_clip(cell)!r} "
+                                 f"at column {col} is not 0/1")
             parsed.append(int(cell))
         rows.append((lineno, parsed))
 

@@ -12,7 +12,8 @@ here combines four ingredients:
                     values
 - decomposition     removing the r edges that lie in no 4-clique and then
                     splitting along cut vertices and components gives
-                    h(G) = sum of piece values + 2 r
+                    h(G) = sum of piece values + 2 r; the 4-cliques from
+                    G's one clique walk fix its free edges and witness bits
 
 An ExactValue tagged conjectural-minimal is *not* a theorem: it is the
 cohomological lower bound offered as the conjectured value when nothing in
@@ -27,11 +28,10 @@ from itertools import combinations
 from math import comb
 
 from .form import AlphaVector
-from .graphs import (FamilyCertificate, Graph, _Record, betti,
-                     biconnected_blocks, canonical_key, classify_edges,
-                     enumerate_cliques,
-                     generate_family, induced_subgraph, make_graph,
-                     recognize_family, verify_certificate)
+from .graphs import (FamilyCertificate, Graph, _census, _Record, betti,
+                     biconnected_blocks, canonical_key, generate_family,
+                     induced_subgraph, make_graph, recognize_family,
+                     verify_certificate)
 from .solver import (DEFAULT_CONFIG, CapExceeded, M2Result, SolverConfig,
                      compute_m2, m2_heuristic)
 
@@ -315,15 +315,17 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     one block spans every vertex, that piece is g itself with the identity
     map, so a certificate attached to g is still honored.
     """
-    return _decompose(g, None, config, heuristic, strict)
+    return _decompose(g, *_census(g), config, heuristic, strict)
 
 
-def _decompose(g: Graph, numbers: tuple[int, ...] | None, config: SolverConfig,
+def _decompose(g: Graph, numbers: tuple[int, ...], quads: list, config: SolverConfig,
                heuristic: bool, strict: bool) -> DecompositionReport:
-    """decompose_h, reusing numbers = betti(g), when given, for the piece
-    that is g itself."""
-    _covered, free = classify_edges(g)
-    covered_g = Graph(g.n, _covered, g.labels)
+    """decompose_h from (numbers, quads) = _census(g): an edge is free
+    exactly when no 4-clique in quads holds it, and the piece that is g
+    itself reuses numbers."""
+    in4 = {e for clique in quads for e in combinations(clique, 2)}
+    free = tuple(e for e in g.edges if e not in in4)
+    covered_g = Graph(g.n, tuple(e for e in g.edges if e in in4), g.labels)
 
     piece_vertex_sets = list(biconnected_blocks(covered_g))
     piece_vertex_sets.extend((v,) for v in range(g.n)
@@ -333,8 +335,7 @@ def _decompose(g: Graph, numbers: tuple[int, ...] | None, config: SolverConfig,
     pieces = []
     for vset in piece_vertex_sets:
         if not free and len(vset) == g.n:
-            sub, vmap = g, tuple(range(g.n))
-            sub_numbers = betti(g) if numbers is None else numbers
+            sub, vmap, sub_numbers = g, tuple(range(g.n)), numbers
         elif len(vset) == 1:  # a vertex isolated by the deletion
             report = (_VERTEX_REPORT if g.labels is None
                       else _vertex_report((g.labels[vset[0]],)))
@@ -351,49 +352,47 @@ def _decompose(g: Graph, numbers: tuple[int, ...] | None, config: SolverConfig,
            for p in pieces):
         total = sum(p.report.exact.value for p in pieces) + 2 * len(free)
         aggregate = ExactValue(total, DECOMPOSITION_AGGREGATE)
-    return DecompositionReport(tuple(free), tuple(pieces), aggregate)
+    return DecompositionReport(free, tuple(pieces), aggregate)
 
 
-def _assemble_m2(g: Graph, decomp: DecompositionReport) -> M2Result:
-    """Parent m2 from piece results.
+def _assemble_m2(g: Graph, decomp: DecompositionReport, quads: list) -> M2Result:
+    """Parent m2 from piece results and quads, g's 4-cliques in order.
 
     Edges outside 4-cliques contribute zero rows to every substituted form
-    and distinct pieces touch disjoint edge/clique sets, so ranks add.  Each
-    parent 4-clique lies in exactly one piece, and vertex maps are
-    increasing, so sorting the pieces' mapped 4-cliques gives the parent's
-    lexicographic 4-clique order, and each piece's witness bits travel with
-    its cliques.  The combined witness is the canonically first maximizer
-    whenever every piece's was.
+    and distinct pieces touch disjoint edge/clique sets, so ranks add.  A
+    4-clique lies in the one block holding its first edge, which per-vertex
+    piece masks find, as two blocks share at most one vertex.  Vertex maps
+    are increasing, so a block's k-th 4-clique is the k-th parent 4-clique
+    inside it and takes bit k of the block's witness.  The combined witness
+    is the canonically first maximizer whenever every piece's was.
     """
-    total = 0
-    exhaustive = True
-    tagged = []  # (parent 4-clique, its witness bit)
-    for piece in decomp.pieces:
-        res = piece.report.m2
-        total += res.m2
-        exhaustive = exhaustive and res.exhaustive
-        if piece.report.b4:
-            cliques = enumerate_cliques(piece.graph, 4).cliques
-            tagged.extend((tuple(piece.vertices[v] for v in clique), res.witness.bit(q))
-                          for q, clique in enumerate(cliques))
-    tagged.sort()
-    witness = sum(bit << q for q, (_clique, bit) in enumerate(tagged))
-    alpha = AlphaVector(witness, len(tagged))
-    return M2Result(total, alpha, len(g.edges) - total, exhaustive)
+    held = [0] * g.n  # bit i of held[v]: piece i holds v
+    for i, piece in enumerate(decomp.pieces):
+        for v in piece.vertices:
+            held[v] |= 1 << i
+    seen = [0] * len(decomp.pieces)  # 4-cliques met so far in each piece
+    witness = 0
+    for q, (u, v, _, _) in enumerate(quads):
+        i = (held[u] & held[v]).bit_length() - 1
+        witness |= decomp.pieces[i].report.m2.witness.bit(seen[i]) << q
+        seen[i] += 1
+    total = sum(p.report.m2.m2 for p in decomp.pieces)
+    return M2Result(total, AlphaVector(witness, len(quads)), len(g.edges) - total,
+                    all(p.report.m2.exhaustive for p in decomp.pieces))
 
 
 def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
               heuristic: bool = False, strict: bool = False) -> HReport:
     """Full analysis of one graph: bounds, m2, exact value when certified,
     and the decomposition whenever it is nontrivial."""
-    numbers = betti(g)
+    numbers, quads = _census(g)
     if _b(numbers, 4) == 0:
         return _piece_report(g, numbers, config, heuristic, strict)
 
-    decomp = _decompose(g, numbers, config, heuristic, strict)
+    decomp = _decompose(g, numbers, quads, config, heuristic, strict)
     if not decomp.free_edges and len(decomp.pieces) == 1 \
             and decomp.pieces[0].graph.n == g.n:
         return decomp.pieces[0].report
 
-    return _report(g, numbers, _assemble_m2(g, decomp), "assembled",
+    return _report(g, numbers, _assemble_m2(g, decomp, quads), "assembled",
                    decomp.aggregate_exact, decomp)

@@ -132,6 +132,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from functools import cache
 
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
@@ -690,7 +691,7 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
 def _heuristic_seeds(g: Graph, template: CupFormTemplate) -> tuple[int, ...]:
     """Functional encodings the heuristic will try, in order: all-ones, the
     union over maximal cliques of their first and last 4-vertex subsets, then
-    _HEURISTIC_TRIES fixed-seed pseudorandom values."""
+    the pseudorandom values of _random_seeds."""
     b4 = template.num_cliques
     full = (1 << b4) - 1
     seeds = [full]
@@ -702,10 +703,16 @@ def _heuristic_seeds(g: Graph, template: CupFormTemplate) -> tuple[int, ...]:
             ends |= 1 << pos[tuple(mc[-4:])]
     if ends:
         seeds.append(ends)
-    rnd = random.Random(_DEFAULT_HEURISTIC_SEED)
-    for _ in range(_HEURISTIC_TRIES):
-        seeds.append(rnd.getrandbits(b4) & full)
+    seeds.extend(_random_seeds(b4))
     return tuple(dict.fromkeys(seeds))
+
+
+@cache
+def _random_seeds(b4: int) -> tuple[int, ...]:
+    """_HEURISTIC_TRIES fixed-seed pseudorandom b4-bit values; they depend
+    on b4 alone, so each b4 draws them once."""
+    rnd = random.Random(_DEFAULT_HEURISTIC_SEED)
+    return tuple(rnd.getrandbits(b4) for _ in range(_HEURISTIC_TRIES))
 
 
 def m2_heuristic(g: Graph) -> M2Result:

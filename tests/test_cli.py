@@ -235,6 +235,33 @@ def test_malformed_input_exits_2(capsys, tmp_path, fmt, text, message):
     assert code == 2 and out == "" and message in err
 
 
+_MEGABYTE = 1 << 20
+
+
+@pytest.mark.parametrize("fmt, text, echoed", [
+    ("edges", "1 " * (_MEGABYTE // 2) + "\n", "got '1 1 1 1 "),
+    ("edges", "0 " + "x" * _MEGABYTE + "\n", "vertex 'xxxx"),
+    ("edges", "0 " + "9" * _MEGABYTE + "\n", "vertex '9999"),
+    ("csv", "0," + "2" * _MEGABYTE + "\n0,0\n", "entry '2222"),
+    ("json", '{"vertices": 2, "edges": [[0, "' + "x" * _MEGABYTE + '"]]}',
+     "integers"),
+], ids=["edges-line", "edges-token", "edges-digits", "csv-cell", "json-endpoint"])
+def test_error_messages_echo_a_bounded_excerpt(capsys, tmp_path, fmt, text, echoed):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "compute", str(path), "--format", fmt)
+    assert code == 2 and out == "" and echoed in err
+    assert len(err.encode()) < 1024
+
+
+def test_huge_alpha_and_cells_are_not_echoed(capsys, join_file):
+    code, _, err = run(capsys, "form", join_file, "--alpha", "2" * _MEGABYTE)
+    assert code == 2 and "got '2222" in err and len(err.encode()) < 1024
+    for cells in ("7" * _MEGABYTE, "0," + "x" * _MEGABYTE):
+        code, _, err = run(capsys, "generate", "grid", "--cells", cells)
+        assert code == 2 and "bad grid cell" in err and len(err.encode()) < 1024
+
+
 def test_parser_is_built_once_and_handlers_resolve_per_call(
         capsys, monkeypatch, join_file):
     raagh.cli.build_parser.cache_clear()

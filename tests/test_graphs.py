@@ -9,8 +9,9 @@ from raagh import (FamilyCertificate, ParseError, betti, canonical_key,
                    enumerate_cliques, generate_family, is_isomorphic,
                    make_graph, maximal_cliques, parse_graph, recognize_family,
                    serialize_graph, to_dot, verify_certificate)
-from raagh.graphs import (_automorphism_generators, biconnected_blocks,
-                          classify_edges, induced_subgraph)
+from raagh.graphs import (_automorphism_generators, _census,
+                          biconnected_blocks, induced_subgraph)
+from raagh.hbounds import decompose_h
 
 from oracles import (canonical_key_oracle, cliques_oracle,
                      connected_components, count_automorphisms,
@@ -86,16 +87,28 @@ def test_betti_counts_every_clique_size_like_the_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_classify_edges_matches_a_4_clique_oracle(seed):
+def test_census_is_the_betti_numbers_and_the_4_cliques(seed):
+    rnd = random.Random(seed)
+    for n in range(4):
+        g = make_graph(n, combinations(range(n), 2))
+        assert _census(g) == (betti(g), list(enumerate_cliques(g, 4).cliques))
+    for _ in range(40):
+        n = rnd.randint(0, 10)
+        g = make_graph(n, random_gnp(n, rnd.choice((0.3, 0.5, 0.7, 0.9)),
+                                     rnd.randrange(2 ** 31)))
+        assert _census(g) == (betti(g), list(enumerate_cliques(g, 4).cliques))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_free_edges_are_those_in_no_4_clique(seed):
     rnd = random.Random(seed)
     for _ in range(40):
         n = rnd.randint(0, 10)
         g = make_graph(n, random_gnp(n, rnd.choice((0.3, 0.5, 0.7)),
                                      rnd.randrange(2 ** 31)))
         in4 = {e for c in cliques_oracle(g, 4) for e in combinations(c, 2)}
-        covered, free = classify_edges(g)
-        assert covered == tuple(e for e in g.edges if e in in4)
-        assert free == tuple(e for e in g.edges if e not in in4)
+        assert decompose_h(g).free_edges == tuple(e for e in g.edges
+                                                  if e not in in4)
 
 
 def test_maximal_cliques_sorted_and_maximal():
@@ -584,13 +597,10 @@ def test_biconnected_blocks():
     assert sorted(biconnected_blocks(wedge)) == [(0, 1, 2, 3), (3, 4, 5, 6)]
 
 
-def test_classify_edges_splits_by_4_clique_membership():
-    g = join_graph()
-    covered, free = classify_edges(g)
-    assert len(covered) == 9 and free == ()
+def test_free_edges_of_the_join_graph_and_a_triangle():
+    assert decompose_h(join_graph()).free_edges == ()
     tri = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    covered, free = classify_edges(tri)
-    assert covered == () and len(free) == 3
+    assert decompose_h(tri).free_edges == tri.edges
 
 
 # --------------------------------------------------------------------------

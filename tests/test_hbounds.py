@@ -18,10 +18,10 @@ import raagh.graphs
 import raagh.hbounds
 import raagh.solver
 from raagh.cli import render_text_report
-from raagh.graphs import classify_edges, induced_subgraph
+from raagh.graphs import induced_subgraph
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
-from oracles import disjoint_union, random_gnp
+from oracles import cliques_oracle, disjoint_union, random_gnp
 
 
 def join_graph():
@@ -489,7 +489,9 @@ def test_one_clique_walk_serves_each_need(monkeypatch):
 
     monkeypatch.setattr(raagh.graphs, "_walk", counting)
     compute_h(assembly_graph())
-    assert len(walks) <= 27
+    # one census of the graph, then betti and the cup form of each of its
+    # three blocks; the witness is assembled from the census's 4-cliques
+    assert len(walks) == 7
     # a whole-graph piece walks twice: for betti(g), which compute_h hands
     # to the piece, and for the cup form; recognition walks nothing, and an
     # over-cap piece builds its cup form once
@@ -515,7 +517,8 @@ def _isolated_vertex_graphs():
 
 def test_isolated_vertex_pieces_report_as_the_one_vertex_graph():
     for g in _isolated_vertex_graphs():
-        covered = make_graph(g.n, classify_edges(g)[0], labels=g.labels)
+        in4 = {e for c in cliques_oracle(g, 4) for e in combinations(c, 2)}
+        covered = make_graph(g.n, in4, labels=g.labels)
         lone = [p for p in decompose_h(g).pieces if len(p.vertices) == 1]
         assert lone
         for piece in lone:
@@ -527,7 +530,7 @@ def test_isolated_vertex_pieces_report_as_the_one_vertex_graph():
 
 
 def test_only_blocks_are_cut_out_and_walked(monkeypatch):
-    calls = {"induced_subgraph": [], "betti": []}
+    calls = {"induced_subgraph": [], "_census": []}
     for name, seen in calls.items():
         def counting(g, *args, _real=getattr(raagh.graphs, name), _seen=seen):
             _seen.append(g)
@@ -541,8 +544,8 @@ def test_only_blocks_are_cut_out_and_walked(monkeypatch):
         blocks = sum(1 for p in rep.decomposition.pieces if p.graph.n > 1)
         assert len(calls["induced_subgraph"]) == blocks
         # one walk for g itself, then one per block
-        assert [h.n for h in calls["betti"]][0] == g.n
-        assert len(calls["betti"]) == blocks + 1
+        assert [h.n for h in calls["_census"]][0] == g.n
+        assert len(calls["_census"]) == blocks + 1
 
 
 def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():
