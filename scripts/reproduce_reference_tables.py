@@ -2,10 +2,11 @@
 """Recompute the certified reference tables and print them side by side
 with the closed-form values.
 
-Everything here is deterministic; the exhaustive solver runs on every row,
-so the script doubles as a self-check of the formulas: it exits 1 when a
-row's bound misses h, when a row's m2 is not certified, or when the
-assembly does not total 62."""
+Everything here is deterministic; the exhaustive solver runs on every row
+within the cap, so the script doubles as a self-check of the formulas: it
+exits 1 when a row's bound misses h, when a row's m2 is not certified, or
+when the assembly does not total 62.  Over the cap the heuristic runs, its
+m2 need not be certified, and a row fails only when its bound exceeds h."""
 
 import argparse
 import sys
@@ -38,6 +39,34 @@ def row(label, g, h_expected):
     print(f"  {label:<18} b2={rep.b2:<3} m2={rep.m2.m2:<3} bound={bound:<3}"
           f" h={h_expected:<3}{mark} ({elapsed:.2f}s{mode})")
     return bound == h_expected and rep.m2.exhaustive
+
+
+def over_cap_row(label, g, h_expected):
+    """Print one heuristic row; True when the bound does not exceed h."""
+    start = time.perf_counter()
+    rep = compute_h(g, heuristic=True)
+    elapsed = time.perf_counter() - start
+    bound = rep.lower_cohomological
+    mark = "=" if bound == h_expected else "<" if bound < h_expected else ">"
+    cert = "" if rep.m2.exhaustive else ", not certified"
+    print(f"  {label:<18} b2={rep.b2:<3} m2={rep.m2.m2:<3} bound={bound:<3}"
+          f" h={h_expected:<3}{mark} ({elapsed:.2f}s, {rep.m2_mode}{cert})")
+    return bound <= h_expected
+
+
+def over_cap():
+    print("over the cap, heuristic (a row fails when its bound exceeds h):")
+    ok = [over_cap_row(f"hex side {s}",
+                       generate_family(FamilyCertificate.hex_triangle(s)),
+                       3 * s * (s + 1))
+          for s in range(5, 9)]
+    for k in (10, 20):
+        cert = FamilyCertificate.clique_string(5, k)
+        ok.append(over_cap_row(f"5-string k={k}", generate_family(cert),
+                               h_family(cert).value))
+    print(f"  {sum(ok)}/{len(ok)} bounds at or below h")
+    print()
+    return ok
 
 
 def family_rows(title, certs):
@@ -119,10 +148,11 @@ def main(argv=None):
          ("hex side 2", FamilyCertificate.hex_triangle(2)),
          ("hex side 3", FamilyCertificate.hex_triangle(3)),
          ("hex side 4", FamilyCertificate.hex_triangle(4))])
+    heuristic = over_cap()
     assembled = assembly()
     print(f"{sum(ok)}/{len(ok)} rows match, assembly "
           f"{'matches' if assembled else 'MISSES'} h = 62")
-    return 0 if all(ok) and assembled else 1
+    return 0 if all(ok) and all(heuristic) and assembled else 1
 
 
 if __name__ == "__main__":

@@ -178,6 +178,17 @@ class Graph(_Record):
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def _maximal_cliques(self) -> tuple[tuple[int, ...], ...]:
+        """maximal_cliques(self): one Bron-Kerbosch walk per graph."""
+        return _bron_kerbosch(self)
+
+    @cached_property
+    def _canonical(self):
+        """_canonical_search(self): one individualize-refine search per
+        graph, shared by canonical_key and _automorphism_generators."""
+        return _canonical_search(self)
+
     def has_edge(self, u: int, v: int) -> bool:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             return False
@@ -288,6 +299,11 @@ def betti(g: Graph) -> tuple[int, ...]:
 
 
 def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Maximal cliques of g, sorted; walked once per graph and kept on it."""
+    return g._maximal_cliques
+
+
+def _bron_kerbosch(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Maximal cliques via Bron-Kerbosch (ascending candidate order)."""
     adj = g.adjacency
     out: list[tuple[int, ...]] = []
@@ -550,8 +566,8 @@ def _canonical_search(g: Graph):
     """(least leaf edge tuple, generators of Aut(g)) from one search of the
     individualize-refine tree (McKay 1981; McKay & Piperno 2014).
 
-    Each generator is a tuple mapping vertex v to p[v].  The list starts
-    with the twin transpositions (see _twins).  A leaf whose edge tuple
+    Each generator is a tuple mapping vertex v to p[v].  The generators
+    start with the twin transpositions (see _twins).  A leaf whose edge tuple
     equals the first leaf's adds the map onto the first leaf's vertices of
     the same colours.  A node skips a target-cell vertex in the orbit of an
     explored sibling under the generators that fix the node's path
@@ -608,20 +624,20 @@ def _canonical_search(g: Graph):
         return len(path)
 
     search(_refine(nbrs, (0,) * n), ())
-    return best, gens
+    return best, tuple(gens)
 
 
 def canonical_key(g: Graph):
     """Canonical form of g: the lexicographically least edge tuple over all
     relabelings compatible with iterated colour refinement, found by
     _canonical_search.  Equal keys characterize isomorphism."""
-    return (g.n, _canonical_search(g)[0])
+    return (g.n, g._canonical[0])
 
 
-def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+def _automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Generators of Aut(g), each a tuple mapping vertex v to p[v], found by
     _canonical_search."""
-    return _canonical_search(g)[1]
+    return g._canonical[1]
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

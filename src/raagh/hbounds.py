@@ -33,7 +33,7 @@ from .graphs import (FamilyCertificate, Graph, _census, _Record, betti,
                      induced_subgraph, make_graph, recognize_family,
                      verify_certificate)
 from .solver import (DEFAULT_CONFIG, CapExceeded, M2Result, SolverConfig,
-                     compute_m2, m2_heuristic)
+                     _heuristic, compute_m2)
 
 TRIVIAL_H4 = "trivial-h4"
 FREE_ABELIAN = "free-abelian"
@@ -245,14 +245,19 @@ def _resolve_certificate(g: Graph) -> FamilyCertificate | None:
 
 def _report(g: Graph, numbers: tuple[int, ...], res: M2Result, mode: str,
             exact: ExactValue | None,
-            decomposition: DecompositionReport | None = None) -> HReport:
+            decomposition: DecompositionReport | None = None,
+            upper: int | None = None) -> HReport:
     """HReport from an m2 result and the exact value found for it, if any.
     Without one, an exhaustive m2 offers the cohomological bound as the
-    conjectured value."""
+    conjectured value.
+
+    upper, by default res.m2, must be a proven upper bound on m2, which
+    res.m2 is only when certified: the cohomological bound is 2 b2 - upper,
+    so an uncertified m2 cannot overstate it."""
     b2 = _b(numbers, 2)
     if exact is None and res.exhaustive:
         exact = ExactValue(2 * b2 - res.m2, CONJECTURAL_MINIMAL)
-    lower_coh = 2 * b2 - res.m2
+    lower_coh = 2 * b2 - (res.m2 if upper is None else upper)
     if exact is not None and exact.theorem_grade:
         # a heuristic that under-finds m2 would otherwise overstate the bound
         lower_coh = min(lower_coh, exact.value)
@@ -271,9 +276,10 @@ def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
                        ExactValue(2 * b2, TRIVIAL_H4))
 
     if heuristic or (b4 > config.cap and not strict):
-        res, mode = m2_heuristic(g), "heuristic"
+        (res, upper), mode = _heuristic(g), "heuristic"
     else:  # over the cap in strict mode, compute_m2 raises CapExceeded
         res, mode = compute_m2(g, config), "exhaustive"
+        upper = res.m2
 
     exact: ExactValue | None = None
     cert = _resolve_certificate(g)
@@ -286,7 +292,7 @@ def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
             exact = None
     if exact is None:
         exact = certified_h(g)
-    return _report(g, numbers, res, mode, exact)
+    return _report(g, numbers, res, mode, exact, upper=upper)
 
 
 def _vertex_report(labels: tuple[str] | None) -> HReport:
@@ -394,5 +400,9 @@ def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
             and decomp.pieces[0].graph.n == g.n:
         return decomp.pieces[0].report
 
+    # piece i's bound is 2 b2_i - U_i; the free edges, in no 4-clique, add
+    # to b2 but not to m2
+    upper = sum(2 * p.report.b2 - p.report.lower_cohomological
+                for p in decomp.pieces)
     return _report(g, numbers, _assemble_m2(g, decomp, quads), "assembled",
-                   decomp.aggregate_exact, decomp)
+                   decomp.aggregate_exact, decomp, upper)

@@ -561,6 +561,62 @@ def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():
 # heuristic mode and soundness
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("side, h", [(5, 90), (6, 126), (8, 216)])
+def test_over_cap_hex_bound_is_taken_at_the_term_rank(side, h):
+    # the heuristic under-finds m2 (58, 84 and 156); 2 b2 - m2 would be 92,
+    # 132 and 228, above h = 3 side (side + 1)
+    rep = compute_h(generate_family(FamilyCertificate.hex_triangle(side)))
+    assert rep.m2_mode == "heuristic" and not rep.m2.exhaustive
+    assert rep.lower_cohomological == h == 3 * side * (side + 1)
+
+
+def test_assembled_bound_adds_the_pieces_bounds():
+    # two hex triangles of side 5 joined by a free edge: 90 + 90 + 2
+    hex5 = generate_family(FamilyCertificate.hex_triangle(5))
+    pair = disjoint_union(hex5, hex5)
+    g = make_graph(pair.n, pair.edges + ((0, hex5.n),))
+    rep = compute_h(g)
+    assert rep.m2_mode == "assembled" and not rep.m2.exhaustive
+    assert rep.lower_cohomological == 182
+
+
+def _counted(monkeypatch, name):
+    """Calls of raagh.graphs.<name>, by the graph each was made on."""
+    calls = []
+    original = getattr(raagh.graphs, name)
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(raagh.graphs, name, counted)
+    return calls
+
+
+def test_compute_h_searches_the_input_once(monkeypatch):
+    # relabeled K8 minus a matching: certified_h keys it and the scan's
+    # orbit tests take its automorphism generators, from one search
+    g = make_graph(8, [(u ^ 5, v ^ 5) for u, v in boxes_graph().edges])
+    calls = _counted(monkeypatch, "_canonical_search")
+    rep = compute_h(g)
+    assert rep.exact == ExactValue(26, CERTIFIED_EXAMPLE)
+    assert sum(h is g for h in calls) == 1
+
+
+@pytest.mark.parametrize("g", [
+    make_graph(7, combinations(range(7), 2)),
+    make_graph(12, [(u * 5 % 12, v * 5 % 12) for u, v in generate_family(
+        FamilyCertificate.clique_string(7, 2)).edges]),
+], ids=["K7", "clique-string-7x2"])
+def test_one_maximal_clique_walk_per_graph(monkeypatch, g):
+    # the heuristic's seeds and its clique-number gate, and the chain test
+    # that recognizes a clique-string, share one walk
+    calls = _counted(monkeypatch, "_bron_kerbosch")
+    rep = compute_h(g, heuristic=True)
+    assert rep.m2_mode == "heuristic" and rep.exact is not None
+    assert len(calls) == 1 and calls[0] is g
+
+
 def test_weak_heuristic_cannot_overstate_the_lower_bound(monkeypatch):
     # K7 with a deliberately bad seed pool: the heuristic finds only rank 6,
     # which would suggest a bound of 36; the known value 22 must win
@@ -654,6 +710,19 @@ def test_reference_tables_script_exits_1_on_a_miss(monkeypatch, capsys):
     monkeypatch.setattr(tables, "h_free_abelian", lambda n: 2)
     assert tables.main(["--max-k", "1", "--max-n", "4"]) == 1
     assert "n=4" in capsys.readouterr().out
+
+
+def test_reference_tables_over_cap_rows_fail_above_h(monkeypatch, capsys):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reference_tables", TABLES)
+    tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tables)
+    # hex sides 5..8 keep h = 3 s (s + 1); the 5-strings get h = 0
+    monkeypatch.setattr(tables, "h_family",
+                        lambda cert: ExactValue(0, CLIQUE_STRING_5))
+    assert tables.over_cap() == [True] * 4 + [False] * 2
+    assert "4/6 bounds at or below h" in capsys.readouterr().out
 
 
 def test_random_survey_script_runs_and_repeats_itself():

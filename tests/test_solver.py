@@ -10,9 +10,10 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
 from raagh.graphs import _twins, biconnected_blocks
-from raagh.solver import (_augment, _descend, _glued_m2, _heuristic_seeds,
-                          _orbit_checks, _parts, _parts_worth_scanning, _plan,
-                          _scan, _term_rank, _top)
+from raagh.solver import (_augment, _descend, _glued_m2, _heuristic,
+                          _heuristic_seeds, _orbit_checks, _parts,
+                          _parts_worth_scanning, _plan, _scan, _term_rank,
+                          _top)
 
 from oracles import (form_matrix_oracle, heuristic_oracle, integer_order_scan,
                      m2_oracle, random_gnp, rank_oracle, term_rank_oracle)
@@ -782,10 +783,25 @@ def test_heuristic_never_beats_and_often_matches_exhaustive(idx):
     assert rank_gf2(substitute(t, heur.witness).rows) == heur.m2
 
 
+def clique_tree(rnd, count):
+    """count K5s and K4s, drawn at random, each after the first glued along
+    an edge of an earlier one: a block that splits at the glued edges."""
+    cliques = [tuple(range(rnd.choice((4, 5))))]
+    n = len(cliques[0])
+    for _ in range(count - 1):
+        u, v = rnd.sample(rnd.choice(cliques), 2)
+        size = rnd.choice((4, 5))
+        cliques.append((u, v) + tuple(range(n, n + size - 2)))
+        n += size - 2
+    return make_graph(n, {e for c in cliques
+                          for e in combinations(sorted(c), 2)})
+
+
 def heuristic_battery(seed):
     """Seeded G(n, p) with n 5..14; relabeled complete graphs K6..K8 and
-    clique-strings s = 4..7, k = 1..3; face-strings 8..40 and hex triangles
-    of side 2 and 3, relabeled."""
+    clique-strings s = 4..7, k = 1..3, and 5xk for k = 4, 6 and 10 (over
+    the cap); face-strings 8..40 and hex triangles of side 2 and 3,
+    relabeled; seeded trees of 2..5 K5s and K4s glued along edges."""
     rnd = random.Random(seed)
     out = []
     for _ in range(40):
@@ -795,20 +811,26 @@ def heuristic_battery(seed):
     certs = [FamilyCertificate.complete(n) for n in (6, 7, 8)]
     certs += [FamilyCertificate.clique_string(s, k)
               for s in range(4, 8) for k in range(1, 4)]
+    certs += [FamilyCertificate.clique_string(5, k) for k in (4, 6, 10)]
     certs += [FamilyCertificate.face_string(k) for k in (8, 13, 20, 28, 40)]
     certs += [FamilyCertificate.hex_triangle(k) for k in (2, 3)]
     out += [relabeled(generate_family(c), rnd) for c in certs]
+    out += [clique_tree(rnd, rnd.randint(2, 5)) for _ in range(12)]
     return out
 
 
 def test_heuristic_matches_the_seed_order_oracle(monkeypatch):
     graphs = heuristic_battery(18)
     outcomes = set()
+    glued = 0
     for idx, g in enumerate(graphs):
-        res = m2_heuristic(g)
-        assert res == heuristic_oracle(g), idx
+        res, upper = _heuristic(g)
+        assert res == m2_heuristic(g) == heuristic_oracle(g), idx
         outcomes.add(res.exhaustive)
+        # below the term rank, the walk stopped at the glued m2
+        glued += upper < _top(_plan(build_cup_form(g).clique_rows))
     assert outcomes == {False, True}
+    assert glued >= 8
     # the pools must fit in b4; (3, 1) and (7, 5, 6, 1) tie and reorder
     pools = ((1,), (3, 1), (7, 5, 6, 1))
     for pool in pools:
@@ -817,6 +839,41 @@ def test_heuristic_matches_the_seed_order_oracle(monkeypatch):
         for idx, g in enumerate(graphs[::3]):
             if build_cup_form(g).num_cliques >= 3:
                 assert m2_heuristic(g) == heuristic_oracle(g), (pool, idx)
+
+
+def test_heuristic_upper_bound_holds_the_exhaustive_m2():
+    checked = 0
+    for idx, g in enumerate(heuristic_battery(18)):
+        t = build_cup_form(g)
+        if t.num_cliques <= 20:
+            res, upper = _heuristic(g)
+            assert res.m2 <= compute_m2(g).m2 <= upper, idx
+            assert upper <= parity_ceiling(t.dim) and upper % 2 == 0, idx
+            checked += 1
+    assert checked >= 40
+
+
+def test_heuristic_walk_stops_at_the_glued_m2(monkeypatch):
+    # clique-string 5x3: term rank 28 = the ceiling, glued m2 18; the walk
+    # stops at the least trial of rank 18 instead of visiting all of them
+    g = relabeled(generate_family(FamilyCertificate.clique_string(5, 3)),
+                  random.Random(5))
+    walks = []
+    scan = raagh.solver._scan
+
+    def counted(plan, ceiling, best=-1, checks=None, trials=None, terms=None):
+        out = scan(plan, ceiling, best, checks, trials, terms)
+        if trials is not None:
+            walks.append((len(trials), out[2]))
+        return out
+
+    monkeypatch.setattr(raagh.solver, "_scan", counted)
+    res = m2_heuristic(g)
+    assert res.m2 == 18 and not res.exhaustive
+    [(trials, nodes)] = walks
+    assert nodes < trials
+    monkeypatch.undo()
+    assert res == heuristic_oracle(g)
 
 
 @pytest.mark.parametrize("cert, first", [
