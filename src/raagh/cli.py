@@ -22,6 +22,8 @@ import json
 import os
 import sys
 import time
+from itertools import chain
+from operator import itemgetter
 
 from . import graphs
 from .form import AlphaVector, build_cup_form, dump_matrix, dump_template, substitute
@@ -38,7 +40,7 @@ SCHEMA_VERSION = 1
 # --------------------------------------------------------------------------
 
 def _graph_digest(g: Graph) -> str:
-    payload = f"{g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges)
+    payload = f"{g.n};" + ",".join(map("%d-%d".__mod__, g.edges))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -52,19 +54,23 @@ def _exact_dict(exact: ExactValue | None):
 def _decomposition_dict(decomp: DecompositionReport | None):
     if decomp is None:
         return None
+    shared: dict = {}  # by report: its pieces' dict, "vertices" aside
     pieces = []
     for piece in decomp.pieces:
         rep = piece.report
-        pieces.append({
-            "vertices": list(piece.vertices),
-            "b2": rep.b2,
-            "b4": rep.b4,
-            "m2": rep.m2.m2,
-            "exhaustive": rep.m2.exhaustive,
-            "exact": _exact_dict(rep.exact),
-        })
+        fields = shared.get(id(rep))
+        if fields is None:
+            fields = shared[id(rep)] = {
+                "vertices": None,
+                "b2": rep.b2,
+                "b4": rep.b4,
+                "m2": rep.m2.m2,
+                "exhaustive": rep.m2.exhaustive,
+                "exact": _exact_dict(rep.exact),
+            }
+        pieces.append({**fields, "vertices": list(piece.vertices)})
     return {
-        "free_edges": [list(e) for e in decomp.free_edges],
+        "free_edges": list(map(list, decomp.free_edges)),
         "pieces": pieces,
         "aggregate_exact": _exact_dict(decomp.aggregate_exact),
     }
@@ -72,7 +78,8 @@ def _decomposition_dict(decomp: DecompositionReport | None):
 
 def report_document(g: Graph, report: HReport, config: SolverConfig,
                     requested_mode: str, elapsed: float | None = None) -> dict:
-    """JSON-ready report with a fixed key order (see report.schema.json)."""
+    """JSON-ready report with a fixed key order (see report.schema.json).
+    Decomposition pieces with one report share its "exact" dict."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "input": {
@@ -117,7 +124,9 @@ _CONSTANTS = {True: "true", False: "false", None: "null"}
 
 def _write_json(value, out: list, indent: str) -> None:
     """Append the text of value to out; indent is a newline and the spaces
-    of value's level.  A non-str dict key raises TypeError."""
+    of value's level.  A lone dict is written key by key, which costs less
+    than _texts does for one value; a list goes to _texts.  A non-str dict
+    key raises TypeError."""
     kind = type(value)
     if kind is int:
         out.append(int.__repr__(value))
@@ -132,15 +141,76 @@ def _write_json(value, out: list, indent: str) -> None:
             _write_json(item, out, inner)
             sep = ","
         out.append(indent + "}")
-    elif kind is list and value:
-        inner, sep = indent + "  ", "["
-        for item in value:
-            out.append(sep + inner)
-            _write_json(item, out, inner)
-            sep = ","
-        out.append(indent + "]")
+    elif kind is list:
+        out.append(_texts([value], indent)[0])
     else:  # json.dumps escapes every newline inside a string
         out.append(json.dumps(value, indent=2).replace("\n", indent))
+
+
+def _texts(values: list, indent: str) -> list[str]:
+    """The text of each of values, all at the level whose newline and
+    spaces are indent, written a kind at a time: ints, strs and constants
+    with one map each; lists of one length from all their items and one
+    %-template (which formats ints itself); dicts with the same keys from
+    one call per key and one %-template, and a dict met again (the same
+    object) from its first text.  So the pieces and free edges of a
+    report cost a few calls per field, not a few per piece or edge.  A
+    non-str dict key raises TypeError."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        return _grouped(values, type, indent)
+    kind = kinds.pop()
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(_quote, values))
+    if kind is bool or kind is type(None):
+        return list(map(_CONSTANTS.__getitem__, values))
+    inner = indent + "  "
+    if kind is list:
+        lengths = set(map(len, values))
+        if len(lengths) > 1:
+            return _grouped(values, len, indent)
+        size = lengths.pop()
+        if not size:
+            return ["[]"] * len(values)
+        items = list(chain.from_iterable(values))
+        if set(map(type, items)) == {int}:  # a bool is never an int here
+            slot = "%d"
+        else:
+            items, slot = _texts(items, inner), "%s"
+        template = "[" + inner + ("," + inner).join([slot] * size) + indent + "]"
+        return list(map(template.__mod__, zip(*[iter(items)] * size)))
+    if kind is dict:
+        ids = list(map(id, values))
+        unique = dict(zip(ids, values))
+        if len(unique) < len(values):
+            texts = dict(zip(unique, _texts(list(unique.values()), indent)))
+            return list(map(texts.__getitem__, ids))
+        shapes = set(map(tuple, values))  # the keys of each, in order
+        if len(shapes) > 1:
+            return _grouped(values, tuple, indent)
+        keys = shapes.pop()
+        if not keys:
+            return ["{}"] * len(values)
+        template = "{" + inner + ("," + inner).join(
+            _quote(key).replace("%", "%%") + ": %s" for key in keys) + indent + "}"
+        columns = [_texts(list(map(itemgetter(key), values)), inner) for key in keys]
+        return list(map(template.__mod__, zip(*columns)))
+    # json.dumps escapes every newline inside a string
+    return [json.dumps(value, indent=2).replace("\n", indent) for value in values]
+
+
+def _grouped(values: list, kind, indent: str) -> list[str]:
+    """_texts of values that differ in kind(value): one call per kind."""
+    groups: dict = {}
+    for i, value in enumerate(values):
+        groups.setdefault(kind(value), []).append(i)
+    out = [""] * len(values)
+    for where in groups.values():
+        for i, text in zip(where, _texts([values[i] for i in where], indent)):
+            out[i] = text
+    return out
 
 
 def _json_text(value) -> str:

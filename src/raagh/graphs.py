@@ -169,6 +169,18 @@ class Graph(_Record):
         self.__dict__.update(n=n, edges=edges, labels=labels,
                              certificate=certificate)
 
+    @classmethod
+    def _normalized(cls, n: int, edges: tuple[tuple[int, int], ...],
+                    labels: tuple[str, ...] | None = None,
+                    certificate: FamilyCertificate | None = None) -> "Graph":
+        """A Graph without __init__'s checks, for callers whose edges are
+        normalized by construction: sorted pairs u < v in range, no
+        duplicates, and labels of length n if any."""
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, labels=labels,
+                          certificate=certificate)
+        return g
+
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
         """Per-vertex neighbour bitmasks (bit v of adjacency[u] = edge u~v)."""
@@ -244,19 +256,28 @@ def _walk(g: Graph, k: int, counts: list[int], out: list, size: int) -> None:
     adjacent to every member, so the cliques of each size arrive in
     lexicographic order (out collects those with ``size`` vertices).
     counts[d] gains the number of d-cliques, read off each parent's mask
-    of allowed extensions."""
+    of allowed extensions; a child with one allowed extension has no
+    grandchildren, so it is counted without a call unless its level is
+    collected."""
     adj = g.adjacency
 
     def extend(prefix: tuple[int, ...], allowed: int, depth: int):
-        counts[depth + 1] += allowed.bit_count()
-        if depth + 1 == size:
+        depth += 1
+        counts[depth] += allowed.bit_count()
+        if depth == size:
             out.extend(prefix + (v,) for v in _mask_bits(allowed))
-        if depth + 1 == k:
+        if depth == k:
             return
-        for v in _mask_bits(allowed):
-            nxt = allowed & adj[v] & ~((1 << (v + 1)) - 1)
-            if nxt:
-                extend(prefix + (v,), nxt, depth + 1)
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            nxt = rest & adj[v]  # the members of allowed above v next to v
+            if nxt & (nxt - 1) or nxt and depth + 1 == size:
+                extend(prefix + (v,), nxt, depth)
+            elif nxt:
+                counts[depth + 1] += 1
 
     extend((), (1 << g.n) - 1, 0)
 
@@ -340,7 +361,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     edges = [(back[u], back[v]) for u, v in g.edges if u in back and v in back]
     labels = tuple(g.label(v) for v in vmap) if g.labels is not None else None
     # an increasing vertex map keeps the edges normalized and sorted
-    return Graph(len(vmap), tuple(edges), labels), vmap
+    return Graph._normalized(len(vmap), tuple(edges), labels), vmap
 
 
 def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
@@ -805,9 +826,9 @@ def parse_graph(text: str, fmt: str = "edges") -> Graph:
     """Parse a graph from one of the supported text formats.
 
     - "edges": lines "u v"; '#' starts a comment; the directives
-      "# vertices: N" and "# certificate: {json}" are honoured.  Without a
-      vertices directive, vertex ids are compacted to 0..n-1 in order of
-      first appearance.
+      "# vertices: N" and "# certificate: {json}" are honoured, each at
+      most once.  Without a vertices directive, vertex ids are compacted
+      to 0..n-1 in order of first appearance.
     - "csv": square comma-separated 0/1 adjacency matrix.
     - "json": {"vertices": n, "edges": [[u,v],...], "certificate": {...}?}.
     """
@@ -845,37 +866,45 @@ def _check_vertex_count(n: int, what: str) -> int:
 
 
 def _parse_edge_list(text: str) -> Graph:
-    declared_n = None
-    certificate = None
-    raw_edges: list[tuple[str, str, int]] = []
+    """The "edges" format of parse_graph, in two loops: one over the lines,
+    each split once, and one over the edge lines, which checks and numbers
+    their vertices and builds the Graph unchecked.  Line errors (a bad
+    directive or a line that is not two tokens) come first, then the
+    vertices directive's range, then each edge line's errors in order."""
+    declared_n = certificate = None
+    rows: list[tuple[str, str, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if body.lower().startswith("vertices:"):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0][0] == "#":
+            body = line.strip()[1:].strip()
+            key = body.lower()
+            if key.startswith("vertices:"):
+                if declared_n is not None:
+                    raise ParseError(f"line {lineno}: repeated vertices directive")
                 try:
                     declared_n = _decimal(body.split(":", 1)[1].strip())
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad vertices directive") from None
-            elif body.lower().startswith("certificate:"):
+            elif key.startswith("certificate:"):
+                if certificate is not None:
+                    raise ParseError(f"line {lineno}: repeated certificate comment")
                 try:
                     certificate = FamilyCertificate.from_dict(
                         json.loads(body.split(":", 1)[1]))
                 except ValueError as exc:  # ParseError, bad JSON, too many digits
                     raise ParseError(f"line {lineno}: bad certificate comment ({exc})") from None
             continue
-        if not stripped:
-            continue
-        parts = stripped.split()
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {_clip(stripped)!r}")
-        raw_edges.append((parts[0], parts[1], lineno))
+            raise ParseError(f"line {lineno}: expected 'u v', got {_clip(line.strip())!r}")
+        rows.append((parts[0], parts[1], lineno))
 
-    ids: dict[int, int] = {}
     if declared_n is not None:
         _check_vertex_count(declared_n, "vertices directive")
 
-    def vertex(token: str, lineno: int) -> int:
+    def vertex(token: str, lineno: int) -> None:
+        """Raise the error of token if it is not a vertex in range."""
         try:
             value = _decimal(token)
         except ValueError:
@@ -883,23 +912,33 @@ def _parse_edge_list(text: str) -> Graph:
                              "is not an integer") from None
         if token[:1] == "-":  # "-0" too
             raise ParseError(f"line {lineno}: out-of-range index {token}")
-        if declared_n is not None:
-            if value >= declared_n:
-                raise ParseError(f"line {lineno}: out-of-range index {value} (n={declared_n})")
-            return value
-        if value not in ids:
-            ids[value] = len(ids)
-        return ids[value]
+        if declared_n is not None and value >= declared_n:
+            raise ParseError(f"line {lineno}: out-of-range index {value} (n={declared_n})")
 
-    seen = set()
-    for tu, tv, lineno in raw_edges:
-        u, v = vertex(tu, lineno), vertex(tv, lineno)
+    ids: dict[int, int] = {}
+    seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
+    for tu, tv, lineno in rows:
+        try:  # plain ASCII decimals in range; anything else is worded by vertex()
+            if not (tu.isdigit() and tv.isdigit() and tu.isascii() and tv.isascii()):
+                raise ValueError
+            u, v = int(tu), int(tv)  # ValueError too over the digit limit
+            if declared_n is not None and (u >= declared_n or v >= declared_n):
+                raise ValueError
+        except ValueError:
+            vertex(tu, lineno)
+            vertex(tv, lineno)
+            raise AssertionError("unreachable") from None
+        if declared_n is None:  # number the ids in order of first appearance
+            u = ids.setdefault(u, len(ids))
+            v = ids.setdefault(v, len(ids))
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {tu}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate edge {tu} {tv}")
         seen.add(key)
+        edges.append(key)
 
     if declared_n is None:
         n = _check_vertex_count(len(ids), "vertex count")
@@ -908,7 +947,8 @@ def _parse_edge_list(text: str) -> Graph:
     labels = None
     if declared_n is None and any(ids[k] != k for k in ids):
         labels = tuple(map(str, ids))  # ids holds vertices in id order
-    return Graph(n, tuple(sorted(seen)), labels, certificate)
+    edges.sort()  # linear on the sorted lists serialize_graph writes
+    return Graph._normalized(n, tuple(edges), labels, certificate)
 
 
 def _parse_adjacency_csv(text: str) -> Graph:

@@ -13,7 +13,9 @@ here combines four ingredients:
 - decomposition     removing the r edges that lie in no 4-clique and then
                     splitting along cut vertices and components gives
                     h(G) = sum of piece values + 2 r; the 4-cliques from
-                    G's one clique walk fix its free edges and witness bits
+                    G's one clique walk fix its free edges and witness bits,
+                    and the pieces that are a lone vertex or a K4 take a
+                    report built without a walk
 
 An ExactValue tagged conjectural-minimal is *not* a theorem: it is the
 cohomological lower bound offered as the conjectured value when nothing in
@@ -24,7 +26,7 @@ are theorem grade.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import comb
 
 from .form import AlphaVector
@@ -303,7 +305,20 @@ def _vertex_report(labels: tuple[str] | None) -> HReport:
                    ExactValue(0, TRIVIAL_H4))
 
 
+def _k4_report(labels: tuple[str, ...] | None, mode: str) -> HReport:
+    """_piece_report of K4 in mode ("exhaustive" or "heuristic"), without
+    a clique walk, scan or recognition.  K4 presents Z^4: betti numbers
+    (1, 4, 6, 4, 1), and its one 4-clique gives a form of rank 6, the
+    parity ceiling, so the scan and the heuristic both certify m2 = 6 with
+    witness 1, and h = h_free_abelian(4) = 6."""
+    res = M2Result(6, AlphaVector(1, 1), 0, True)
+    return _report(Graph(4, _K4_EDGES, labels), (1, 4, 6, 4, 1),
+                   res, mode, ExactValue(h_free_abelian(4), FREE_ABELIAN))
+
+
 _VERTEX_REPORT = _vertex_report(None)  # shared by every unlabeled one
+_K4_EDGES = tuple(combinations(range(4), 2))
+_K4_REPORTS = {mode: _k4_report(None, mode) for mode in ("exhaustive", "heuristic")}
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +345,9 @@ def _decompose(g: Graph, numbers: tuple[int, ...], quads: list, config: SolverCo
     exactly when no 4-clique in quads holds it, and the piece that is g
     itself reuses numbers."""
     in4 = {e for clique in quads for e in combinations(clique, 2)}
-    free = tuple(e for e in g.edges if e not in in4)
-    covered_g = Graph(g.n, tuple(e for e in g.edges if e in in4), g.labels)
+    free = tuple(filterfalse(in4.__contains__, g.edges))
+    covered_g = Graph._normalized(g.n, tuple(filter(in4.__contains__, g.edges)),
+                                  g.labels)
 
     piece_vertex_sets = list(biconnected_blocks(covered_g))
     piece_vertex_sets.extend((v,) for v in range(g.n)
@@ -341,17 +357,21 @@ def _decompose(g: Graph, numbers: tuple[int, ...], quads: list, config: SolverCo
     pieces = []
     for vset in piece_vertex_sets:
         if not free and len(vset) == g.n:
-            sub, vmap, sub_numbers = g, tuple(range(g.n)), numbers
+            report = _piece_report(g, numbers, config, heuristic, strict)
         elif len(vset) == 1:  # a vertex isolated by the deletion
             report = (_VERTEX_REPORT if g.labels is None
                       else _vertex_report((g.labels[vset[0]],)))
-            pieces.append(DecompositionPiece(vset, report.graph, report))
-            continue
+        elif len(vset) == 4:  # each edge lies in a 4-clique, so a K4 block
+            mode = "heuristic" if heuristic or config.cap < 1 else "exhaustive"
+            if mode == "heuristic" and not heuristic and strict:
+                raise CapExceeded(1, config.cap)  # as compute_m2 would
+            report = (_K4_REPORTS[mode] if g.labels is None
+                      else _k4_report(tuple(g.labels[v] for v in vset), mode))
         else:
-            sub, vmap = induced_subgraph(covered_g, vset)
-            sub_numbers = betti(sub)
-        report = _piece_report(sub, sub_numbers, config, heuristic, strict)
-        pieces.append(DecompositionPiece(vmap, sub, report))
+            sub = induced_subgraph(covered_g, vset)[0]
+            report = _piece_report(sub, betti(sub), config, heuristic, strict)
+        # vset is sorted, so it maps each piece vertex to its vertex of g
+        pieces.append(DecompositionPiece(vset, report.graph, report))
 
     aggregate = None
     if all(p.report.exact is not None and p.report.exact.theorem_grade

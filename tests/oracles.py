@@ -10,26 +10,31 @@ where heuristic_oracle ranks each one in seed order, its term rank grows
 a matching where term_rank_oracle minimizes a cover,
 canonical_key_oracle is canonical_key without any pruning, and
 count_automorphisms backtracks over vertex maps where the package searches
-the individualize-refine tree.  graphs_up_to lists every graph up to
-isomorphism by canonical_key.  Expected values in the tests were frozen
-from these.
+the individualize-refine tree, and parse_edge_list_oracle strips, tests and
+splits each line and builds a checked Graph where the package splits each
+line once and builds its Graph unchecked.  graphs_up_to lists every graph
+up to isomorphism by canonical_key.  Expected values in the tests were
+frozen from these.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import raagh.solver
-from raagh import (AlphaVector, Graph, M2Result, build_cup_form,
-                   canonical_key, induced_subgraph, make_graph, parity_ceiling,
-                   rank_gf2, substitute)
+from raagh import (AlphaVector, FamilyCertificate, Graph, M2Result, ParseError,
+                   build_cup_form, canonical_key, induced_subgraph, make_graph,
+                   parity_ceiling, rank_gf2, substitute)
+from raagh.graphs import _check_vertex_count, _clip, _decimal
 from raagh.verification import (cliques_oracle, form_matrix_oracle, m2_oracle,
                                 rank_oracle)
 
 __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
            "count_automorphisms", "disjoint_union", "form_matrix_oracle",
            "graphs_up_to", "group_order", "heuristic_oracle",
-           "integer_order_scan", "m2_oracle", "matvec", "pair", "random_gnp",
+           "integer_order_scan", "m2_oracle", "matvec", "pair",
+           "parse_edge_list_oracle", "random_gnp",
            "rank_oracle", "rows_to_lists", "term_rank_oracle"]
 
 
@@ -228,3 +233,74 @@ def graphs_up_to(n: int) -> tuple[tuple[Graph, ...], ...]:
                 kept.setdefault(canonical_key(h), h)
         levels.append(tuple(kept.values()))
     return tuple(levels)
+
+
+def parse_edge_list_oracle(text: str) -> Graph:
+    """parse_graph(text, "edges") as the package read it before its one-split
+    parser, except that a repeated directive silently replaced the first:
+    every line errors first, then the vertices directive's range, then
+    each edge's errors in order."""
+    declared_n = None
+    certificate = None
+    raw_edges: list[tuple[str, str, int]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
+            if body.lower().startswith("vertices:"):
+                try:
+                    declared_n = _decimal(body.split(":", 1)[1].strip())
+                except ValueError:
+                    raise ParseError(f"line {lineno}: bad vertices directive") from None
+            elif body.lower().startswith("certificate:"):
+                try:
+                    certificate = FamilyCertificate.from_dict(
+                        json.loads(body.split(":", 1)[1]))
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: bad certificate comment ({exc})") from None
+            continue
+        if not stripped:
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v', got {_clip(stripped)!r}")
+        raw_edges.append((parts[0], parts[1], lineno))
+
+    ids: dict[int, int] = {}
+    if declared_n is not None:
+        _check_vertex_count(declared_n, "vertices directive")
+
+    def vertex(token: str, lineno: int) -> int:
+        try:
+            value = _decimal(token)
+        except ValueError:
+            raise ParseError(f"line {lineno}: vertex {_clip(token)!r} "
+                             "is not an integer") from None
+        if token[:1] == "-":
+            raise ParseError(f"line {lineno}: out-of-range index {token}")
+        if declared_n is not None:
+            if value >= declared_n:
+                raise ParseError(f"line {lineno}: out-of-range index {value} (n={declared_n})")
+            return value
+        if value not in ids:
+            ids[value] = len(ids)
+        return ids[value]
+
+    seen = set()
+    for tu, tv, lineno in raw_edges:
+        u, v = vertex(tu, lineno), vertex(tv, lineno)
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop at vertex {tu}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate edge {tu} {tv}")
+        seen.add(key)
+
+    if declared_n is None:
+        n = _check_vertex_count(len(ids), "vertex count")
+    else:
+        n = declared_n
+    labels = None
+    if declared_n is None and any(ids[k] != k for k in ids):
+        labels = tuple(map(str, ids))
+    return Graph(n, tuple(sorted(seen)), labels, certificate)

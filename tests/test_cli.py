@@ -221,13 +221,19 @@ _HUGE_INT = "1" + "0" * 5000  # over Python's digit limit for int()
     ("edges", "# vertices: +3\n0 1\n", "bad vertices directive"),
     ("edges", "# vertices: \u0663\n0 1\n", "bad vertices directive"),
     ("edges", "# vertices: -3\n", "must be non-negative"),
+    ("edges", "# vertices: 3\n# vertices: 6\n0 1\n",
+     "line 2: repeated vertices directive"),
+    ("edges", '# certificate: {"family": "complete", "n": 2}\n'
+              '# certificate: {"family": "edgeless", "n": 2}\n0 1\n',
+     "line 2: repeated certificate comment"),
 ], ids=["edges-cert-n", "json-cert-n", "edges-cert-cells", "json-cert-cells",
         "json-float-vertices", "json-string-vertices", "json-bool-vertices",
         "json-bool-endpoints", "json-float-endpoint", "json-huge-int",
         "edges-cert-huge-int", "edges-cert-float-side", "json-cert-bool-n",
         "json-cert-float-cells", "edges-underscore-vertex",
         "edges-underscore-directive", "edges-plus-directive",
-        "edges-arabic-indic-directive", "edges-negative-directive"])
+        "edges-arabic-indic-directive", "edges-negative-directive",
+        "edges-repeated-vertices-directive", "edges-repeated-certificate"])
 def test_malformed_input_exits_2(capsys, tmp_path, fmt, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -433,6 +439,41 @@ def test_json_writer_matches_json_dumps_on_reports():
 ])
 def test_json_writer_matches_json_dumps_on_plain_values(value):
     assert raagh.cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def _json_value(rnd, depth, made):
+    """A random JSON-ready value: mostly lists of same-keyed dicts and of
+    equal-length lists, as reports hold, with mixed kinds, shared objects,
+    keys holding '%', and now and then a float or a tuple."""
+    roll = rnd.random()
+    if depth <= 0 or roll < 0.3:
+        return rnd.choice((0, -7, 2**70, True, False, None, "", "a%sb", "\u00e9\n\"",
+                           1.5, rnd.randrange(100)))
+    if made and roll < 0.4:
+        return rnd.choice(made)
+    if roll < 0.6:
+        keys = rnd.sample(("vertices", "b2", "%d", "%%", "k\u2603", ""), rnd.randint(0, 4))
+        value = [{key: _json_value(rnd, depth - 1, made) for key in keys}
+                 for _ in range(rnd.randint(0, 5))]
+    elif roll < 0.8:
+        size = rnd.randint(0, 3)
+        value = [[_json_value(rnd, depth - 2, made) if rnd.random() < 0.2
+                  else rnd.randrange(50) for _ in range(size + (rnd.random() < 0.2))]
+                 for _ in range(rnd.randint(0, 5))]
+    elif roll < 0.95:
+        value = {rnd.choice(("a", "b%", "c", "d")): _json_value(rnd, depth - 1, made)
+                 for _ in range(rnd.randint(0, 4))}
+    else:
+        value = tuple(_json_value(rnd, depth - 1, made) for _ in range(2))
+    made.append(value)
+    return value
+
+
+def test_json_writer_matches_json_dumps_on_seeded_values():
+    rnd = random.Random(20261030)
+    for _ in range(400):
+        value = _json_value(rnd, 4, [])
+        assert raagh.cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def test_compute_json_output_is_json_dumps_indent_2(capsys, tmp_path):

@@ -15,7 +15,8 @@ from raagh.hbounds import decompose_h
 
 from oracles import (canonical_key_oracle, cliques_oracle,
                      connected_components, count_automorphisms,
-                     disjoint_union, graphs_up_to, group_order, random_gnp)
+                     disjoint_union, graphs_up_to, group_order,
+                     parse_edge_list_oracle, random_gnp)
 
 
 def join_graph():
@@ -510,6 +511,76 @@ def test_edge_list_skips_blank_lines():
         "0 1\n1 2\n", "edges")
 
 
+_ODD_TOKENS = ("-0", "+1", "1_0", "\u0663", "9" * 5000, "007", "1x")
+
+
+def _mutated_edge_list(rnd) -> str:
+    """An edge list with a few of: CRLF line ends, tabs and other spaces,
+    comments with leading spaces, odd tokens, self-loops, duplicates in
+    either order, out-of-range ids, a misplaced or uppercase directive, a
+    certificate, a line that is not two tokens.  Half have no vertices
+    directive, and their ids are spread out, so they are compacted."""
+    n = rnd.randint(2, 10)
+    directive = rnd.random() < 0.5
+    ids = list(range(n)) if directive else rnd.sample(range(3 * n), n)
+    lines = [(f"{ids[u]} {ids[v]}" if rnd.random() < 0.5 else f"{ids[v]} {ids[u]}")
+             for u, v in random_gnp(n, 0.5, rnd.randrange(1 << 30))]
+    for _ in range(rnd.randint(0, 3)):
+        kind = rnd.randrange(8)
+        at = rnd.randint(0, len(lines))
+        edge_lines = [i for i, line in enumerate(lines)
+                      if len(line.split()) == 2 and "#" not in line]
+        if kind == 0 and edge_lines:  # a duplicate, in either order
+            u, v = lines[rnd.choice(edge_lines)].split()
+            lines.insert(at, rnd.choice((f"{u} {v}", f"{v} {u}")))
+        elif kind == 1:
+            w = rnd.choice(ids)
+            lines.insert(at, f"{w} {w}")
+        elif kind == 2:  # out of range when declared
+            lines.insert(at, f"{rnd.choice(ids)} {n + rnd.randrange(3)}")
+        elif kind == 3:
+            lines.insert(at, f"{rnd.choice(_ODD_TOKENS)} {rnd.choice(ids)}")
+        elif kind == 4:
+            lines.insert(at, rnd.choice(("   # a comment", "\t#x", "#", "  ",
+                                         "\u00a0", "\t\t")))
+        elif kind == 5:  # one directive at most: the reference takes the last
+            lines.insert(at, rnd.choice(("1", "1 2 3") if directive
+                                        else ("1", "1 2 3", "# vertices: x")))
+        elif kind == 6 and not any("certificate" in line for line in lines):
+            lines.insert(at, '  # certificate: {"family": "complete", "n": 3}')
+        elif kind == 7 and edge_lines:
+            at = rnd.choice(edge_lines)
+            u, v = lines[at].split()
+            lines[at] = rnd.choice((f"\t{u}\t{v}", f"{u}\t {v}  ",
+                                    f"{u}\x0b{v}", f" {u} {v}\t"))
+    if directive:
+        head = rnd.choice(("# vertices: {}", "   # Vertices: {}", "#VERTICES:{}"))
+        lines.insert(rnd.randint(0, len(lines)), head.format(n))
+    return rnd.choice(("\n", "\r\n")).join(lines) + rnd.choice(("", "\n", "\r\n"))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_edge_list_parser_matches_the_reference_parser():
+    rnd = random.Random(20261029)
+    graphs = errors = 0
+    for _ in range(600):
+        text = _mutated_edge_list(rnd)
+        got = _parse_outcome(lambda t: parse_graph(t, "edges"), text)
+        assert got == _parse_outcome(parse_edge_list_oracle, text), text
+        if isinstance(got, str):
+            errors += 1
+        else:
+            graphs += 1
+            assert got == make_graph(got.n, got.edges, got.labels, got.certificate)
+    assert graphs > 150 and errors > 150
+
+
 @pytest.mark.parametrize("text,fmt,fragment", [
     ("0 0\n", "edges", "self-loop"),
     ("0 1\n1 0\n", "edges", "duplicate"),
@@ -527,6 +598,11 @@ def test_edge_list_skips_blank_lines():
     ("# vertices: +3\n", "edges", "vertices directive"),
     ("# vertices: \u0663\n", "edges", "vertices directive"),
     ("# vertices: -3\n", "edges", "vertices directive must be non-negative"),
+    ("# vertices: 3\n0 1\n  # VERTICES: 3\n", "edges",
+     "^line 3: repeated vertices directive$"),
+    ('# certificate: {"family": "complete", "n": 2}\n0 1\n'
+     '#certificate: {"family": "complete", "n": 2}\n', "edges",
+     "^line 3: repeated certificate comment$"),
     ("0,1\n1,1\n", "csv", "diagonal"),
     ("0,1\n0,0\n", "csv", "asymmetric"),
     ("0,1,0\n1,0\n0,0,0\n", "csv", "entries"),

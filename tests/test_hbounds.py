@@ -433,8 +433,9 @@ def test_each_piece_is_scanned_once(monkeypatch):
 
     calls.clear()
     rep = compute_h(assembly_graph())
-    assert len(calls) == sum(1 for p in rep.decomposition.pieces
-                             if p.report.b4) == 3
+    # of its three blocks with 4-cliques, the two K4s share one report
+    assert sum(1 for p in rep.decomposition.pieces if p.report.b4) == 3
+    assert [g.n for g in calls] == [7]
     assert rep.exact == ExactValue(62, DECOMPOSITION_AGGREGATE)
 
 
@@ -489,9 +490,9 @@ def test_one_clique_walk_serves_each_need(monkeypatch):
 
     monkeypatch.setattr(raagh.graphs, "_walk", counting)
     compute_h(assembly_graph())
-    # one census of the graph, then betti and the cup form of each of its
-    # three blocks; the witness is assembled from the census's 4-cliques
-    assert len(walks) == 7
+    # one census of the graph, then betti and the cup form of its one block
+    # that is not a K4; the witness is assembled from the census's 4-cliques
+    assert [g.n for g in walks] == [30, 7, 7]
     # a whole-graph piece walks twice: for betti(g), which compute_h hands
     # to the piece, and for the cup form; recognition walks nothing, and an
     # over-cap piece builds its cup form once
@@ -537,15 +538,97 @@ def test_only_blocks_are_cut_out_and_walked(monkeypatch):
             return _real(g, *args)
         monkeypatch.setattr(raagh.graphs, name, counting)
         monkeypatch.setattr(raagh.hbounds, name, counting)
+    cut = []
     for g in _isolated_vertex_graphs():
         for seen in calls.values():
             seen.clear()
         rep = compute_h(g)
-        blocks = sum(1 for p in rep.decomposition.pieces if p.graph.n > 1)
+        # K4 blocks and lone vertices take shared reports
+        blocks = sum(1 for p in rep.decomposition.pieces if p.graph.n > 4)
         assert len(calls["induced_subgraph"]) == blocks
         # one walk for g itself, then one per block
         assert [h.n for h in calls["_census"]][0] == g.n
         assert len(calls["_census"]) == blocks + 1
+        cut.append(blocks)
+    assert cut == [1, 0, 3, 1, 2, 0, 2, 2, 1, 2]
+
+
+def _k4_chain(labeled: bool):
+    """K4s wedged at a cut vertex, a free edge to a third K4, a pendant edge
+    and an isolated vertex; labeled, it is parsed without a vertices
+    directive from spread-out ids, with a separate edge in place of the
+    isolated vertex."""
+    edges = (list(combinations(range(4), 2)) + list(combinations(range(3, 7), 2))
+             + [(6, 7)] + list(combinations(range(7, 11), 2)) + [(10, 11)])
+    if not labeled:
+        return make_graph(13, edges)
+    g = parse_graph("".join(f"{3 * u + 5} {3 * v + 5}\n" for u, v in edges)
+                    + "98 99\n", "edges")
+    assert g.labels is not None
+    return g
+
+
+def test_k4_pieces_are_not_walked_scanned_or_recognized(monkeypatch):
+    calls = {}
+    for module, name in ((raagh.graphs, "_walk"), (raagh.hbounds, "compute_m2"),
+                         (raagh.hbounds, "recognize_family"),
+                         (raagh.hbounds, "_heuristic")):
+        seen = calls[name] = []
+
+        def counting(g, *args, _real=getattr(module, name), _seen=seen):
+            _seen.append(g)
+            return _real(g, *args)
+        monkeypatch.setattr(module, name, counting)
+    for labeled in (False, True):
+        g = _k4_chain(labeled)
+        for config, heuristic in ((SolverConfig(cap=28), False),
+                                  (SolverConfig(cap=28), True),
+                                  (SolverConfig(cap=0), False)):
+            for seen in calls.values():
+                seen.clear()
+            rep = compute_h(g, config, heuristic=heuristic)
+            assert [len(p.vertices) for p in rep.decomposition.pieces] == (
+                [4, 4, 4, 1, 1, 1] if labeled else [4, 4, 4, 1, 1])
+            # the one clique walk is g's own census
+            assert calls == {"_walk": [g], "compute_m2": [],
+                             "recognize_family": [], "_heuristic": []}
+            free = 3 if labeled else 2
+            assert rep.decomposition.r == free
+            assert rep.exact == ExactValue(3 * 6 + 2 * free, DECOMPOSITION_AGGREGATE)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("cap", [0, 28])
+@pytest.mark.parametrize("heuristic", [False, True])
+def test_k4_pieces_report_as_the_piece_report_does(heuristic, cap, strict, labeled):
+    g = _k4_chain(labeled)
+    config = SolverConfig(cap=cap)
+    in4 = {e for c in cliques_oracle(g, 4) for e in combinations(c, 2)}
+    covered = make_graph(g.n, in4, labels=g.labels)
+
+    def outcome(pieces):
+        try:
+            return pieces()
+        except CapExceeded as exc:
+            return str(exc)
+
+    got = outcome(lambda: [(p.vertices, p.graph, p.report)
+                           for p in decompose_h(g, config, heuristic, strict).pieces
+                           if len(p.vertices) == 4])
+    want = outcome(lambda: [
+        (vmap, sub, raagh.hbounds._piece_report(sub, betti(sub), config,
+                                                heuristic, strict))
+        for sub, vmap in (induced_subgraph(covered, vset)
+                          for vset in (range(4), range(3, 7), range(7, 11)))])
+    assert got == want
+    if cap == 0 and strict and not heuristic:
+        assert got == str(CapExceeded(1, 0))
+    else:
+        assert [report.m2_mode for _, _, report in got] == [
+            "heuristic" if heuristic or cap == 0 else "exhaustive"] * 3
+        # unlabeled K4 pieces share one report
+        assert (len({id(report) for _, _, report in got}) == 1) != labeled
 
 
 def test_decomposition_keeps_the_certificate_of_a_whole_graph_piece():

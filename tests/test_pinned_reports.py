@@ -1,10 +1,11 @@
 """The benchmark's pinned reports, reproduced byte for byte.
 
 perfbench/expected.json pins the sha256 of the `raagh compute --json`
-report of every benchmark input.  This runs variant 0 of every benchmark
-slot, plus the warm-up graph, through raagh.cli.main as the benchmark does,
-so a change to any report fails here and not only in the benchmark.  It
-reads perfbench/ and writes only under tmp_path.
+report of every benchmark input.  This runs every pinned input (each
+variant of each benchmark slot, plus the warm-up graph) through
+raagh.cli.main as the benchmark does, so a change to any report fails here
+and not only in the benchmark.  It reads perfbench/ and writes only under
+tmp_path.
 """
 
 import hashlib
@@ -38,14 +39,14 @@ def workloads():
     del sys.modules[name]
 
 
-def test_first_variant_of_every_slot_gives_its_pinned_report(
-        workloads, tmp_path, monkeypatch):
+def test_every_pinned_input_gives_its_pinned_report(workloads, tmp_path, monkeypatch):
     for key in [k for k in os.environ if k.startswith("RAAGH_")]:
         monkeypatch.delenv(key)
     corpus = workloads.load_corpus()
     pinned = workloads.load_expected()["graphs"]
-    inputs = [inp for inp in workloads.all_inputs(corpus) if inp.gid.endswith("/0")]
-    assert len(inputs) == 1 + sum(len(slots) for slots in workloads.SLOTS.values())
+    inputs = list(workloads.all_inputs(corpus))
+    assert len(inputs) == len(pinned) == 1 + sum(
+        slot.variants for slots in workloads.SLOTS.values() for slot in slots)
     source, out = tmp_path / "in.edges", tmp_path / "out.json"
     wrong = []
     for inp in inputs:
