@@ -62,9 +62,12 @@ class CupFormTemplate(_Record):
 
 
 def build_cup_form(g: Graph) -> CupFormTemplate:
-    """Template of the cup-product pairing on degree-2 classes of g."""
+    """Template of the cup-product pairing on degree-2 classes of g.  Its
+    4-cliques come from g's census when g holds one, else from a walk to
+    depth 4, which on a dense graph costs far less than a census."""
     edges = CliqueIndex(2, g.edges)  # the lex-sorted 2-cliques
-    cliques = enumerate_cliques(g, 4)
+    census = g.__dict__.get("_census")  # filled once Graph._census is read
+    cliques = CliqueIndex(4, census[1]) if census else enumerate_cliques(g, 4)
     pos = edges.position
     entries: dict = {}
     for q, (i, j, k, l) in enumerate(cliques.cliques):

@@ -196,6 +196,12 @@ class Graph(_Record):
         return _bron_kerbosch(self)
 
     @cached_property
+    def _census(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """graphs._census(self): one clique walk per graph, shared by betti
+        and every later need for its 4-cliques."""
+        return _census(self)
+
+    @cached_property
     def _canonical(self):
         """_canonical_search(self): one individualize-refine search per
         graph, shared by canonical_key and _automorphism_generators."""
@@ -292,9 +298,9 @@ def enumerate_cliques(g: Graph, k: int) -> CliqueIndex:
     return CliqueIndex(k, tuple(out))
 
 
-def _census(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _census(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(betti(g), the 4-cliques of g in lexicographic order) from one
-    clique walk that counts every size."""
+    clique walk that counts every size; Graph._census keeps it on g."""
     adj = g.adjacency
     unseen = (1 << g.n) - 1
     b0 = 0
@@ -310,13 +316,13 @@ def _census(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     counts = [b0] + [0] * (g.n + 1)
     quads: list[tuple[int, ...]] = []
     _walk(g, g.n + 1, counts, quads, 4)  # no clique has n + 1 vertices
-    return tuple(counts[:counts.index(0, 1)]), quads
+    return tuple(counts[:counts.index(0, 1)]), tuple(quads)
 
 
 def betti(g: Graph) -> tuple[int, ...]:
     """Cohomology ranks of the associated group: b_k = number of k-cliques
-    for k >= 1, and b_0 = number of connected components; see _census."""
-    return _census(g)[0]
+    for k >= 1, and b_0 = number of connected components; see Graph._census."""
+    return g._census[0]
 
 
 def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -1027,7 +1033,9 @@ def _parse_json(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph, fmt: str = "edges") -> str:
-    """Deterministic text form; parse(serialize(g), fmt) round-trips."""
+    """Deterministic text form; parse_graph(serialize_graph(g, fmt), fmt)
+    gives g back without its labels, which are not written (nor, in csv,
+    its certificate)."""
     if fmt == "edges":
         lines = [f"# vertices: {g.n}"]
         if g.certificate is not None:

@@ -14,8 +14,13 @@ here combines four ingredients:
                     splitting along cut vertices and components gives
                     h(G) = sum of piece values + 2 r; the 4-cliques from
                     G's one clique walk fix its free edges and witness bits,
-                    and the pieces that are a lone vertex or a K4 take a
-                    report built without a walk
+                    every other block piece is walked once, for its Betti
+                    numbers and its cup form alike, and the pieces that are
+                    a lone vertex or a K4 take a report built without a walk
+
+The cohomological bound is reported as 2 b2 - U, with U the proven upper
+bound each m2 result carries (an assembled one's is its pieces' sum): an
+uncertified m2 is only a lower bound on m2.
 
 An ExactValue tagged conjectural-minimal is *not* a theorem: it is the
 cohomological lower bound offered as the conjectured value when nothing in
@@ -30,12 +35,12 @@ from itertools import combinations, filterfalse
 from math import comb
 
 from .form import AlphaVector
-from .graphs import (FamilyCertificate, Graph, _census, _Record, betti,
+from .graphs import (FamilyCertificate, Graph, _Record, betti,
                      biconnected_blocks, canonical_key, generate_family,
                      induced_subgraph, make_graph, recognize_family,
                      verify_certificate)
 from .solver import (DEFAULT_CONFIG, CapExceeded, M2Result, SolverConfig,
-                     _heuristic, compute_m2)
+                     compute_m2, m2_heuristic)
 
 TRIVIAL_H4 = "trivial-h4"
 FREE_ABELIAN = "free-abelian"
@@ -247,19 +252,15 @@ def _resolve_certificate(g: Graph) -> FamilyCertificate | None:
 
 def _report(g: Graph, numbers: tuple[int, ...], res: M2Result, mode: str,
             exact: ExactValue | None,
-            decomposition: DecompositionReport | None = None,
-            upper: int | None = None) -> HReport:
-    """HReport from an m2 result and the exact value found for it, if any.
-    Without one, an exhaustive m2 offers the cohomological bound as the
-    conjectured value.
-
-    upper, by default res.m2, must be a proven upper bound on m2, which
-    res.m2 is only when certified: the cohomological bound is 2 b2 - upper,
-    so an uncertified m2 cannot overstate it."""
+            decomposition: DecompositionReport | None = None) -> HReport:
+    """HReport from g's Betti numbers, an m2 result and the exact value
+    found for it, if any.  Without one, an exhaustive m2 offers the
+    cohomological bound as the conjectured value.  The bound is
+    2 b2 - res.upper, so an uncertified m2 cannot overstate it."""
     b2 = _b(numbers, 2)
     if exact is None and res.exhaustive:
         exact = ExactValue(2 * b2 - res.m2, CONJECTURAL_MINIMAL)
-    lower_coh = 2 * b2 - (res.m2 if upper is None else upper)
+    lower_coh = 2 * b2 - res.upper
     if exact is not None and exact.theorem_grade:
         # a heuristic that under-finds m2 would otherwise overstate the bound
         lower_coh = min(lower_coh, exact.value)
@@ -267,21 +268,21 @@ def _report(g: Graph, numbers: tuple[int, ...], res: M2Result, mode: str,
                    decomposition)
 
 
-def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
-                  heuristic: bool, strict: bool) -> HReport:
-    """Report for a graph treated as one piece (no decomposition inside);
-    numbers is betti(g)."""
+def _piece_report(g: Graph, config: SolverConfig, heuristic: bool,
+                  strict: bool) -> HReport:
+    """Report for a graph treated as one piece (no decomposition inside),
+    whose one clique walk gives betti(g) and its cup form's 4-cliques."""
+    numbers = betti(g)
     b2, b4 = _b(numbers, 2), _b(numbers, 4)
     if b4 == 0:
-        res = M2Result(0, AlphaVector(0, 0), b2, True)
+        res = M2Result(0, AlphaVector(0, 0), b2, True, 0)
         return _report(g, numbers, res, "exhaustive",
                        ExactValue(2 * b2, TRIVIAL_H4))
 
     if heuristic or (b4 > config.cap and not strict):
-        (res, upper), mode = _heuristic(g), "heuristic"
+        res, mode = m2_heuristic(g), "heuristic"
     else:  # over the cap in strict mode, compute_m2 raises CapExceeded
         res, mode = compute_m2(g, config), "exhaustive"
-        upper = res.m2
 
     exact: ExactValue | None = None
     cert = _resolve_certificate(g)
@@ -294,13 +295,13 @@ def _piece_report(g: Graph, numbers: tuple[int, ...], config: SolverConfig,
             exact = None
     if exact is None:
         exact = certified_h(g)
-    return _report(g, numbers, res, mode, exact, upper=upper)
+    return _report(g, numbers, res, mode, exact)
 
 
 def _vertex_report(labels: tuple[str] | None) -> HReport:
     """compute_h of the one-vertex graph, without a clique walk: its betti
     numbers are (1, 1), so b4 = b2 = 0 and h = 0."""
-    res = M2Result(0, AlphaVector(0, 0), 0, True)
+    res = M2Result(0, AlphaVector(0, 0), 0, True, 0)
     return _report(Graph(1, (), labels), (1, 1), res, "exhaustive",
                    ExactValue(0, TRIVIAL_H4))
 
@@ -311,7 +312,7 @@ def _k4_report(labels: tuple[str, ...] | None, mode: str) -> HReport:
     (1, 4, 6, 4, 1), and its one 4-clique gives a form of rank 6, the
     parity ceiling, so the scan and the heuristic both certify m2 = 6 with
     witness 1, and h = h_free_abelian(4) = 6."""
-    res = M2Result(6, AlphaVector(1, 1), 0, True)
+    res = M2Result(6, AlphaVector(1, 1), 0, True, 6)
     return _report(Graph(4, _K4_EDGES, labels), (1, 4, 6, 4, 1),
                    res, mode, ExactValue(h_free_abelian(4), FREE_ABELIAN))
 
@@ -336,15 +337,7 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
     one block spans every vertex, that piece is g itself with the identity
     map, so a certificate attached to g is still honored.
     """
-    return _decompose(g, *_census(g), config, heuristic, strict)
-
-
-def _decompose(g: Graph, numbers: tuple[int, ...], quads: list, config: SolverConfig,
-               heuristic: bool, strict: bool) -> DecompositionReport:
-    """decompose_h from (numbers, quads) = _census(g): an edge is free
-    exactly when no 4-clique in quads holds it, and the piece that is g
-    itself reuses numbers."""
-    in4 = {e for clique in quads for e in combinations(clique, 2)}
+    in4 = {e for clique in g._census[1] for e in combinations(clique, 2)}
     free = tuple(filterfalse(in4.__contains__, g.edges))
     covered_g = Graph._normalized(g.n, tuple(filter(in4.__contains__, g.edges)),
                                   g.labels)
@@ -357,7 +350,7 @@ def _decompose(g: Graph, numbers: tuple[int, ...], quads: list, config: SolverCo
     pieces = []
     for vset in piece_vertex_sets:
         if not free and len(vset) == g.n:
-            report = _piece_report(g, numbers, config, heuristic, strict)
+            report = _piece_report(g, config, heuristic, strict)
         elif len(vset) == 1:  # a vertex isolated by the deletion
             report = (_VERTEX_REPORT if g.labels is None
                       else _vertex_report((g.labels[vset[0]],)))
@@ -368,8 +361,8 @@ def _decompose(g: Graph, numbers: tuple[int, ...], quads: list, config: SolverCo
             report = (_K4_REPORTS[mode] if g.labels is None
                       else _k4_report(tuple(g.labels[v] for v in vset), mode))
         else:
-            sub = induced_subgraph(covered_g, vset)[0]
-            report = _piece_report(sub, betti(sub), config, heuristic, strict)
+            report = _piece_report(induced_subgraph(covered_g, vset)[0],
+                                   config, heuristic, strict)
         # vset is sorted, so it maps each piece vertex to its vertex of g
         pieces.append(DecompositionPiece(vset, report.graph, report))
 
@@ -381,21 +374,23 @@ def _decompose(g: Graph, numbers: tuple[int, ...], quads: list, config: SolverCo
     return DecompositionReport(free, tuple(pieces), aggregate)
 
 
-def _assemble_m2(g: Graph, decomp: DecompositionReport, quads: list) -> M2Result:
-    """Parent m2 from piece results and quads, g's 4-cliques in order.
+def _assemble_m2(g: Graph, decomp: DecompositionReport) -> M2Result:
+    """Parent m2 from piece results and g's 4-cliques in order (its census).
 
     Edges outside 4-cliques contribute zero rows to every substituted form
-    and distinct pieces touch disjoint edge/clique sets, so ranks add.  A
-    4-clique lies in the one block holding its first edge, which per-vertex
-    piece masks find, as two blocks share at most one vertex.  Vertex maps
-    are increasing, so a block's k-th 4-clique is the k-th parent 4-clique
-    inside it and takes bit k of the block's witness.  The combined witness
-    is the canonically first maximizer whenever every piece's was.
+    and distinct pieces touch disjoint edge/clique sets, so ranks add, and
+    so do upper bounds.  A 4-clique lies in the one block holding its first
+    edge, which per-vertex piece masks find, as two blocks share at most one
+    vertex.  Vertex maps are increasing, so a block's k-th 4-clique is the
+    k-th parent 4-clique inside it and takes bit k of the block's witness.
+    The combined witness is the canonically first maximizer whenever every
+    piece's was.
     """
     held = [0] * g.n  # bit i of held[v]: piece i holds v
     for i, piece in enumerate(decomp.pieces):
         for v in piece.vertices:
             held[v] |= 1 << i
+    quads = g._census[1]
     seen = [0] * len(decomp.pieces)  # 4-cliques met so far in each piece
     witness = 0
     for q, (u, v, _, _) in enumerate(quads):
@@ -404,25 +399,20 @@ def _assemble_m2(g: Graph, decomp: DecompositionReport, quads: list) -> M2Result
         seen[i] += 1
     total = sum(p.report.m2.m2 for p in decomp.pieces)
     return M2Result(total, AlphaVector(witness, len(quads)), len(g.edges) - total,
-                    all(p.report.m2.exhaustive for p in decomp.pieces))
+                    all(p.report.m2.exhaustive for p in decomp.pieces),
+                    sum(p.report.m2.upper for p in decomp.pieces))
 
 
 def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
               heuristic: bool = False, strict: bool = False) -> HReport:
     """Full analysis of one graph: bounds, m2, exact value when certified,
     and the decomposition whenever it is nontrivial."""
-    numbers, quads = _census(g)
+    numbers = betti(g)
     if _b(numbers, 4) == 0:
-        return _piece_report(g, numbers, config, heuristic, strict)
+        return _piece_report(g, config, heuristic, strict)
 
-    decomp = _decompose(g, numbers, quads, config, heuristic, strict)
-    if not decomp.free_edges and len(decomp.pieces) == 1 \
-            and decomp.pieces[0].graph.n == g.n:
+    decomp = decompose_h(g, config, heuristic, strict)
+    if decomp.pieces[0].graph is g:  # the one piece, with no free edges
         return decomp.pieces[0].report
-
-    # piece i's bound is 2 b2_i - U_i; the free edges, in no 4-clique, add
-    # to b2 but not to m2
-    upper = sum(2 * p.report.b2 - p.report.lower_cohomological
-                for p in decomp.pieces)
-    return _report(g, numbers, _assemble_m2(g, decomp, quads), "assembled",
-                   decomp.aggregate_exact, decomp, upper)
+    return _report(g, numbers, _assemble_m2(g, decomp), "assembled",
+                   decomp.aggregate_exact, decomp)

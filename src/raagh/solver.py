@@ -136,9 +136,10 @@ cliques in one part, costs that budget is not cut into parts, so complete
 graphs and the 6- and 7-strings pay nothing for it.  On a relabeled
 clique-string 5x3 the walk stops after 8 of its 509 trials, at the glued
 m2 18, and a call takes about 1.6 ms instead of 4.6; 5x20 about 15 ms
-instead of 60 (medians, 2-core Xeon VM, Python 3.11.7).  hbounds takes
-the cohomological bound of an uncertified result at U, since 2 b2 - x
-bounds h from below for every x >= m2 and the result may lie below m2.
+instead of 60 (medians, 2-core Xeon VM, Python 3.11.7).  U goes out as
+the result's upper, and hbounds takes the cohomological bound at it, since
+2 b2 - x bounds h from below for every x >= m2 and an uncertified result
+may lie below m2.
 
 Every scan runs in this process, so the result, witness included, does
 not depend on SolverConfig.workers.
@@ -202,14 +203,16 @@ class M2Result(_Record):
     either every functional was inspected, or some functional reached the
     parity ceiling.  A heuristic result is exhaustive only in the second
     case, and then its witness need not be the canonically first one.
+    upper is a proven upper bound on the true m2, and equals m2 when the
+    result is exhaustive.
     """
 
-    _fields = ("m2", "witness", "radical_dim", "exhaustive")
+    _fields = ("m2", "witness", "radical_dim", "exhaustive", "upper")
 
     def __init__(self, m2: int, witness: AlphaVector, radical_dim: int,
-                 exhaustive: bool):
+                 exhaustive: bool, upper: int):
         self.__dict__.update(m2=m2, witness=witness, radical_dim=radical_dim,
-                             exhaustive=exhaustive)
+                             exhaustive=exhaustive, upper=upper)
 
 
 def parity_ceiling(b2: int) -> int:
@@ -706,7 +709,7 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
     if b4 > config.cap:
         raise CapExceeded(b4, config.cap)
     if b4 == 0:
-        return M2Result(0, AlphaVector(0, 0), b2, True)
+        return M2Result(0, AlphaVector(0, 0), b2, True, 0)
 
     plan = _plan(template.clique_rows)
     parts = _parts_worth_scanning(template.clique_rows)
@@ -725,7 +728,7 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
             outer for _cliques, outer in parts)
     checks = _orbit_checks(g, template, plan) if orbits else None
     rank, alpha, _nodes = _descend(plan, top, checks, terms)
-    return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True)
+    return M2Result(rank, AlphaVector(alpha, b4), b2 - rank, True, rank)
 
 
 # --------------------------------------------------------------------------
@@ -764,14 +767,9 @@ def m2_heuristic(g: Graph) -> M2Result:
     seed were ranked in seed order: the result is the maximum rank with the
     least seed reaching it, except that the first seed in seed order to
     reach the parity ceiling ends the search and is the witness.  The
-    result is a lower bound for m2; it is certified (exhaustive=True) only
-    at the ceiling or when there are no 4-cliques at all."""
-    return _heuristic(g)[0]
-
-
-def _heuristic(g: Graph) -> tuple[M2Result, int]:
-    """(m2_heuristic(g), a proven upper bound on m2): the result's m2 when
-    it is certified, else the U of _upper.
+    result's m2 is a lower bound for m2, certified (exhaustive=True) only
+    at the ceiling or when there are no 4-cliques at all; its upper is the
+    m2 when certified, else the U of _upper.
 
     seeds[0] is ranked directly and returned at once at the ceiling.  The
     other seeds, sorted, go through one trial walk of _scan from the
@@ -785,14 +783,14 @@ def _heuristic(g: Graph) -> tuple[M2Result, int]:
     template = build_cup_form(g)
     b2, b4 = template.dim, template.num_cliques
     if b4 == 0:
-        return M2Result(0, AlphaVector(0, 0), b2, True), 0
+        return M2Result(0, AlphaVector(0, 0), b2, True, 0)
     ceiling = parity_ceiling(b2)
     seeds = _heuristic_seeds(g, template)
     best_alpha = seeds[0]
     best_rank = rank_gf2(substitute(template, AlphaVector(best_alpha, b4)).rows)
     if best_rank >= ceiling:
         return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
-                        True), ceiling
+                        True, best_rank)
     plan = _plan(template.clique_rows)
     upper = _upper(g, template.clique_rows, plan, ceiling,
                    (len(seeds) - 1) * plan[0])
@@ -806,8 +804,8 @@ def _heuristic(g: Graph) -> tuple[M2Result, int]:
                 v for v in seeds[1:] if v == alpha or v > alpha
                 and _scan(plan, ceiling, ceiling - 1, trials=(v,))[0] >= ceiling)
     # a rank at the ceiling is at U too, as U lies between them
-    return (M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
-                     best_rank >= ceiling), upper)
+    return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
+                    best_rank >= ceiling, upper)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import json
 from itertools import combinations
 
 import raagh.solver
-from raagh import (AlphaVector, FamilyCertificate, Graph, M2Result, ParseError,
+from raagh import (AlphaVector, FamilyCertificate, Graph, ParseError,
                    build_cup_form, canonical_key, induced_subgraph, make_graph,
                    parity_ceiling, rank_gf2, substitute)
 from raagh.graphs import _check_vertex_count, _clip, _decimal
@@ -72,13 +72,15 @@ def term_rank_oracle(rows) -> int:
 
 
 def heuristic_oracle(g):
-    """m2_heuristic by ranking each seed with substitute + rank_gf2 in seed
-    order, stopping at the first to reach the parity ceiling.  The seeds
-    come from raagh.solver._heuristic_seeds, looked up at call time."""
+    """(m2, witness, radical_dim, exhaustive) of m2_heuristic, all of its
+    result but the upper bound, by ranking each seed with substitute +
+    rank_gf2 in seed order, stopping at the first to reach the parity
+    ceiling.  The seeds come from raagh.solver._heuristic_seeds, looked up
+    at call time."""
     template = build_cup_form(g)
     b2, b4 = template.dim, template.num_cliques
     if b4 == 0:
-        return M2Result(0, AlphaVector(0, 0), b2, True)
+        return 0, AlphaVector(0, 0), b2, True
     ceiling = parity_ceiling(b2)
     best_rank, best_alpha = -1, 0
     for value in raagh.solver._heuristic_seeds(g, template):
@@ -87,8 +89,8 @@ def heuristic_oracle(g):
             best_rank, best_alpha = r, value
             if r >= ceiling:
                 break
-    return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
-                    best_rank >= ceiling)
+    return (best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
+            best_rank >= ceiling)
 
 
 def matvec(mat, x: int) -> int:

@@ -92,12 +92,12 @@ def test_census_is_the_betti_numbers_and_the_4_cliques(seed):
     rnd = random.Random(seed)
     for n in range(4):
         g = make_graph(n, combinations(range(n), 2))
-        assert _census(g) == (betti(g), list(enumerate_cliques(g, 4).cliques))
+        assert _census(g) == (betti(g), enumerate_cliques(g, 4).cliques)
     for _ in range(40):
         n = rnd.randint(0, 10)
         g = make_graph(n, random_gnp(n, rnd.choice((0.3, 0.5, 0.7, 0.9)),
                                      rnd.randrange(2 ** 31)))
-        assert _census(g) == (betti(g), list(enumerate_cliques(g, 4).cliques))
+        assert _census(g) == (betti(g), enumerate_cliques(g, 4).cliques)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -471,9 +471,12 @@ def test_certificate_dict_round_trip():
 
 @pytest.mark.parametrize("fmt", ["edges", "csv", "json"])
 def test_round_trip_preserves_structure(fmt):
-    g = join_graph()
-    h = parse_graph(serialize_graph(g, fmt), fmt)
-    assert (h.n, h.edges) == (g.n, g.edges)
+    # labels are not written, so a labeled graph comes back without them
+    labeled = parse_graph("5 9\n9 12\n5 12\n", "edges")
+    assert labeled.labels == ("5", "9", "12")
+    for g in (join_graph(), labeled):
+        h = parse_graph(serialize_graph(g, fmt), fmt)
+        assert (h.n, h.edges, h.labels) == (g.n, g.edges, None)
 
 
 @pytest.mark.parametrize("fmt", ["edges", "json"])

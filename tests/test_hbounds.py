@@ -11,13 +11,13 @@ from raagh import (CERTIFIED_EXAMPLE, CONJECTURAL_MINIMAL,
                    DECOMPOSITION_AGGREGATE, FREE_ABELIAN, GRID_THEOREM,
                    HEX_THEOREM, STRING_THEOREM, THEOREM_GRADE, TRIVIAL_H4,
                    CapExceeded, ExactValue, FamilyCertificate, HReport,
-                   SolverConfig, betti, certified_h, compute_h, compute_m2,
-                   decompose_h, generate_family, h_family, h_free_abelian,
-                   make_graph, parse_graph)
+                   SolverConfig, betti, build_cup_form, certified_h, compute_h,
+                   compute_m2, decompose_h, generate_family, h_family,
+                   h_free_abelian, make_graph, parse_graph, serialize_graph)
 import raagh.graphs
 import raagh.hbounds
 import raagh.solver
-from raagh.cli import render_text_report
+from raagh.cli import main, render_text_report
 from raagh.graphs import induced_subgraph
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
@@ -490,19 +490,53 @@ def test_one_clique_walk_serves_each_need(monkeypatch):
 
     monkeypatch.setattr(raagh.graphs, "_walk", counting)
     compute_h(assembly_graph())
-    # one census of the graph, then betti and the cup form of its one block
-    # that is not a K4; the witness is assembled from the census's 4-cliques
-    assert [g.n for g in walks] == [30, 7, 7]
-    # a whole-graph piece walks twice: for betti(g), which compute_h hands
-    # to the piece, and for the cup form; recognition walks nothing, and an
-    # over-cap piece builds its cup form once
+    # one census of the graph, then one of its one block that is not a K4,
+    # which serves its cup form too; the witness is assembled from the
+    # census's 4-cliques
+    assert [g.n for g in walks] == [30, 7]
+    # a whole-graph piece walks once, for betti(g) and the cup form alike;
+    # recognition walks nothing, and neither does an over-cap piece's
+    # heuristic or a second compute_h of the same graph
     strings = [generate_family(FamilyCertificate.clique_string(s, k))
                for s, k in ((5, 3), (6, 2))]  # b4 = 15, and 30 over the cap
     strings.append(generate_family(FamilyCertificate.face_string(20)))
-    for g in [boxes_graph()] + [make_graph(h.n, h.edges) for h in strings]:
+    rnd = random.Random(3)
+    for h in [boxes_graph()] + strings:  # relabeled, certificates dropped
+        perm = list(range(h.n))
+        rnd.shuffle(perm)
+        g = make_graph(h.n, [(perm[u], perm[v]) for u, v in h.edges])
         walks.clear()
         compute_h(g)
-        assert len(walks) == 2
+        assert walks == [g]
+        compute_h(g, heuristic=True)
+        assert walks == [g]
+
+
+@pytest.mark.parametrize("form", ["build_cup_form", "raagh form"])
+def test_a_cup_form_alone_walks_to_depth_4(monkeypatch, tmp_path, form):
+    # a census counts every clique, which on a dense graph costs far more
+    # than the 4-cliques a cup form needs
+    walks, censuses = [], []
+    walk, census = raagh.graphs._walk, raagh.graphs._census
+
+    def counting_walk(g, k, *args):
+        walks.append((g.n, k))
+        return walk(g, k, *args)
+
+    def counting_census(g):
+        censuses.append(g)
+        return census(g)
+
+    monkeypatch.setattr(raagh.graphs, "_walk", counting_walk)
+    monkeypatch.setattr(raagh.graphs, "_census", counting_census)
+    k12 = make_graph(12, combinations(range(12), 2))
+    if form == "build_cup_form":
+        assert build_cup_form(k12).num_cliques == math.comb(12, 4)
+    else:
+        source, out = tmp_path / "k12.edges", tmp_path / "form.txt"
+        source.write_text(serialize_graph(k12, "edges"), encoding="utf-8")
+        assert main(["form", str(source), "--out", str(out)]) == 0
+    assert walks == [(12, 4)] and censuses == []
 
 
 def _isolated_vertex_graphs():
@@ -537,7 +571,8 @@ def test_only_blocks_are_cut_out_and_walked(monkeypatch):
             _seen.append(g)
             return _real(g, *args)
         monkeypatch.setattr(raagh.graphs, name, counting)
-        monkeypatch.setattr(raagh.hbounds, name, counting)
+        if name == "induced_subgraph":  # which hbounds imports by name
+            monkeypatch.setattr(raagh.hbounds, name, counting)
     cut = []
     for g in _isolated_vertex_graphs():
         for seen in calls.values():
@@ -572,7 +607,7 @@ def test_k4_pieces_are_not_walked_scanned_or_recognized(monkeypatch):
     calls = {}
     for module, name in ((raagh.graphs, "_walk"), (raagh.hbounds, "compute_m2"),
                          (raagh.hbounds, "recognize_family"),
-                         (raagh.hbounds, "_heuristic")):
+                         (raagh.hbounds, "m2_heuristic")):
         seen = calls[name] = []
 
         def counting(g, *args, _real=getattr(module, name), _seen=seen):
@@ -580,10 +615,10 @@ def test_k4_pieces_are_not_walked_scanned_or_recognized(monkeypatch):
             return _real(g, *args)
         monkeypatch.setattr(module, name, counting)
     for labeled in (False, True):
-        g = _k4_chain(labeled)
         for config, heuristic in ((SolverConfig(cap=28), False),
                                   (SolverConfig(cap=28), True),
                                   (SolverConfig(cap=0), False)):
+            g = _k4_chain(labeled)  # a new graph, whose census is not yet kept
             for seen in calls.values():
                 seen.clear()
             rep = compute_h(g, config, heuristic=heuristic)
@@ -591,7 +626,7 @@ def test_k4_pieces_are_not_walked_scanned_or_recognized(monkeypatch):
                 [4, 4, 4, 1, 1, 1] if labeled else [4, 4, 4, 1, 1])
             # the one clique walk is g's own census
             assert calls == {"_walk": [g], "compute_m2": [],
-                             "recognize_family": [], "_heuristic": []}
+                             "recognize_family": [], "m2_heuristic": []}
             free = 3 if labeled else 2
             assert rep.decomposition.r == free
             assert rep.exact == ExactValue(3 * 6 + 2 * free, DECOMPOSITION_AGGREGATE)
@@ -617,8 +652,7 @@ def test_k4_pieces_report_as_the_piece_report_does(heuristic, cap, strict, label
                            for p in decompose_h(g, config, heuristic, strict).pieces
                            if len(p.vertices) == 4])
     want = outcome(lambda: [
-        (vmap, sub, raagh.hbounds._piece_report(sub, betti(sub), config,
-                                                heuristic, strict))
+        (vmap, sub, raagh.hbounds._piece_report(sub, config, heuristic, strict))
         for sub, vmap in (induced_subgraph(covered, vset)
                           for vset in (range(4), range(3, 7), range(7, 11)))])
     assert got == want

@@ -21,8 +21,9 @@ PATH = Graph(3, ((0, 1), (1, 2)))
 PATH_REPR = "Graph(n=3, edges=((0, 1), (1, 2)), labels=None, certificate=None)"
 ONE = AlphaVector(1, 1)
 ONE_REPR = "AlphaVector(value=1, length=1)"
-M2 = M2Result(2, ONE, 0, True)
-M2_REPR = f"M2Result(m2=2, witness={ONE_REPR}, radical_dim=0, exhaustive=True)"
+M2 = M2Result(2, ONE, 0, True, 2)
+M2_REPR = (f"M2Result(m2=2, witness={ONE_REPR}, radical_dim=0, exhaustive=True, "
+           "upper=2)")
 REPORT = HReport(PATH, (1, 3, 2), M2, "exhaustive", 2, 2, 4, None)
 REPORT_REPR = (f"HReport(graph={PATH_REPR}, betti_numbers=(1, 3, 2), m2={M2_REPR}, "
                "m2_mode='exhaustive', lower_trivial=2, lower_cohomological=2, "
@@ -53,7 +54,7 @@ RECORDS = [
     (SymplecticDecomposition, (((1, 2),), (4,)), (((1, 2),), ()),
      "SymplecticDecomposition(pairs=((1, 2),), radical=(4,))"),
     (SolverConfig, (), (28, 2), "SolverConfig(cap=28, workers=1)"),
-    (M2Result, (2, ONE, 0, True), (2, ONE, 0, False), M2_REPR),
+    (M2Result, (2, ONE, 0, True, 2), (2, ONE, 0, True, 4), M2_REPR),
     (RadicalBasis, (ONE, (1,), ("z01",)), (ONE, (1,), ("z02",)),
      f"RadicalBasis(alpha={ONE_REPR}, vectors=(1,), rendered=('z01',))"),
     (ExactValue, (18, "certified-example"), (18, "conjectural-minimal"),

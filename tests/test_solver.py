@@ -10,10 +10,9 @@ from raagh import (AlphaVector, CapExceeded, FamilyCertificate, M2Result,
                    generate_family, m2_heuristic, make_graph, parity_ceiling,
                    radical_at, rank_gf2, substitute)
 from raagh.graphs import _twins, biconnected_blocks
-from raagh.solver import (_augment, _descend, _glued_m2, _heuristic,
-                          _heuristic_seeds, _orbit_checks, _parts,
-                          _parts_worth_scanning, _plan, _scan, _term_rank,
-                          _top)
+from raagh.solver import (_augment, _descend, _glued_m2, _heuristic_seeds,
+                          _orbit_checks, _parts, _parts_worth_scanning, _plan,
+                          _scan, _term_rank, _top)
 
 from oracles import (form_matrix_oracle, heuristic_oracle, integer_order_scan,
                      m2_oracle, random_gnp, rank_oracle, term_rank_oracle)
@@ -714,7 +713,7 @@ def test_m2_is_even_and_radical_complements_rank(idx):
 def test_graph_without_4_cliques_short_circuits():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     res = compute_m2(g)
-    assert res == M2Result(0, AlphaVector(0, 0), betti(g)[2], True)
+    assert res == M2Result(0, AlphaVector(0, 0), betti(g)[2], True, 0)
 
 
 def test_parity_ceiling_values():
@@ -819,16 +818,21 @@ def heuristic_battery(seed):
     return out
 
 
+def found(res):
+    """What heuristic_oracle reproduces of an m2 result: all but upper."""
+    return res.m2, res.witness, res.radical_dim, res.exhaustive
+
+
 def test_heuristic_matches_the_seed_order_oracle(monkeypatch):
     graphs = heuristic_battery(18)
     outcomes = set()
     glued = 0
     for idx, g in enumerate(graphs):
-        res, upper = _heuristic(g)
-        assert res == m2_heuristic(g) == heuristic_oracle(g), idx
+        res = m2_heuristic(g)
+        assert found(res) == heuristic_oracle(g), idx
         outcomes.add(res.exhaustive)
         # below the term rank, the walk stopped at the glued m2
-        glued += upper < _top(_plan(build_cup_form(g).clique_rows))
+        glued += res.upper < _top(_plan(build_cup_form(g).clique_rows))
     assert outcomes == {False, True}
     assert glued >= 8
     # the pools must fit in b4; (3, 1) and (7, 5, 6, 1) tie and reorder
@@ -838,19 +842,22 @@ def test_heuristic_matches_the_seed_order_oracle(monkeypatch):
                             lambda g, t, pool=pool: pool)
         for idx, g in enumerate(graphs[::3]):
             if build_cup_form(g).num_cliques >= 3:
-                assert m2_heuristic(g) == heuristic_oracle(g), (pool, idx)
+                assert found(m2_heuristic(g)) == heuristic_oracle(g), (pool, idx)
 
 
 def test_heuristic_upper_bound_holds_the_exhaustive_m2():
+    # on the scan battery too; an exhaustive result is its own bound
     checked = 0
-    for idx, g in enumerate(heuristic_battery(18)):
+    for idx, g in enumerate(heuristic_battery(18) + scan_battery(100, 6)):
         t = build_cup_form(g)
         if t.num_cliques <= 20:
-            res, upper = _heuristic(g)
-            assert res.m2 <= compute_m2(g).m2 <= upper, idx
-            assert upper <= parity_ceiling(t.dim) and upper % 2 == 0, idx
+            exact, res = compute_m2(g), m2_heuristic(g)
+            assert exact.upper == exact.m2, idx
+            assert res.m2 <= exact.m2 <= res.upper <= parity_ceiling(t.dim), idx
+            assert res.upper % 2 == 0, idx
+            assert res.upper == res.m2 or not res.exhaustive, idx
             checked += 1
-    assert checked >= 40
+    assert checked >= 140
 
 
 def test_heuristic_walk_stops_at_the_glued_m2(monkeypatch):
@@ -873,7 +880,7 @@ def test_heuristic_walk_stops_at_the_glued_m2(monkeypatch):
     [(trials, nodes)] = walks
     assert nodes < trials
     monkeypatch.undo()
-    assert res == heuristic_oracle(g)
+    assert found(res) == heuristic_oracle(g)
 
 
 @pytest.mark.parametrize("cert, first", [
@@ -890,7 +897,7 @@ def test_heuristic_witness_is_the_first_seed_at_the_ceiling(cert, first):
     assert res.witness.value == seeds[first]
     assert all(rank_gf2(substitute(t, AlphaVector(v, t.num_cliques)).rows)
                < res.m2 for v in seeds[:first])
-    assert res == heuristic_oracle(g)
+    assert found(res) == heuristic_oracle(g)
 
 
 def test_heuristic_is_deterministic():
