@@ -3,7 +3,9 @@
 Vertices are 0..n-1.  Edges are stored as a lexicographically sorted tuple of
 (u, v) pairs with u < v, which fixes the edge/clique numbering used by every
 other module: the k-cliques of a graph are always enumerated in lexicographic
-order of their (strictly increasing) vertex tuples.
+order of their (strictly increasing) vertex tuples.  One clique walk per
+graph, its census, gives the Betti numbers, the 4-cliques and the maximal
+cliques.
 
 The module also houses the graph family generators (edgeless, complete,
 clique edge-strings, face-strings, grids, hex thick triangles), recognition
@@ -191,15 +193,16 @@ class Graph(_Record):
         return tuple(masks)
 
     @cached_property
-    def _maximal_cliques(self) -> tuple[tuple[int, ...], ...]:
-        """maximal_cliques(self): one Bron-Kerbosch walk per graph."""
-        return _bron_kerbosch(self)
+    def _census(self):
+        """graphs._census(self): one clique walk per graph, shared by betti,
+        maximal_cliques and every later need for its 4-cliques."""
+        return _census(self)
 
     @cached_property
-    def _census(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """graphs._census(self): one clique walk per graph, shared by betti
-        and every later need for its 4-cliques."""
-        return _census(self)
+    def _maximal_cliques(self) -> tuple[tuple[int, ...], ...]:
+        """maximal_cliques(self): the census's masks as vertex tuples, or
+        the empty clique alone on the 0-vertex graph."""
+        return tuple(tuple(_mask_bits(m)) for m in self._census[2]) or ((),)
 
     @cached_property
     def _canonical(self):
@@ -256,7 +259,8 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
-def _walk(g: Graph, k: int, counts: list[int], out: list, size: int) -> None:
+def _walk(g: Graph, k: int, counts: list[int], out: list, size: int,
+          maximal: list | None = None) -> None:
     """Ordered DFS over the cliques of g with at most k vertices, from the
     empty clique: a clique grows by vertices above its last member that are
     adjacent to every member, so the cliques of each size arrive in
@@ -264,10 +268,16 @@ def _walk(g: Graph, k: int, counts: list[int], out: list, size: int) -> None:
     counts[d] gains the number of d-cliques, read off each parent's mask
     of allowed extensions; a child with one allowed extension has no
     grandchildren, so it is counted without a call unless its level is
-    collected."""
+    collected.
+
+    A clique also carries ``near``, the mask of the vertices adjacent to
+    every member: one with no allowed extension is maximal exactly when
+    its near is empty.  With k above every clique's size, ``maximal``
+    collects their vertex masks, in lexicographic order."""
     adj = g.adjacency
 
-    def extend(prefix: tuple[int, ...], allowed: int, depth: int):
+    def extend(prefix: tuple[int, ...], members: int, allowed: int,
+               near: int, depth: int):
         depth += 1
         counts[depth] += allowed.bit_count()
         if depth == size:
@@ -279,13 +289,19 @@ def _walk(g: Graph, k: int, counts: list[int], out: list, size: int) -> None:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            nxt = rest & adj[v]  # the members of allowed above v next to v
-            if nxt & (nxt - 1) or nxt and depth + 1 == size:
-                extend(prefix + (v,), nxt, depth)
-            elif nxt:
+            a = adj[v]
+            nxt = rest & a  # the members of allowed above v next to v
+            if not nxt:  # near & a is the near of prefix + (v,)
+                if maximal is not None and not near & a:
+                    maximal.append(members | low)
+            elif nxt & (nxt - 1) or depth + 1 == size:
+                extend(prefix + (v,), members | low, nxt, near & a, depth)
+            else:
                 counts[depth + 1] += 1
+                if maximal is not None and not near & a & adj[nxt.bit_length() - 1]:
+                    maximal.append(members | low | nxt)
 
-    extend((), (1 << g.n) - 1, 0)
+    extend((), 0, (1 << g.n) - 1, (1 << g.n) - 1, 0)
 
 
 def enumerate_cliques(g: Graph, k: int) -> CliqueIndex:
@@ -298,9 +314,11 @@ def enumerate_cliques(g: Graph, k: int) -> CliqueIndex:
     return CliqueIndex(k, tuple(out))
 
 
-def _census(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(betti(g), the 4-cliques of g in lexicographic order) from one
-    clique walk that counts every size; Graph._census keeps it on g."""
+def _census(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                              tuple[int, ...]]:
+    """(betti(g), the 4-cliques of g, the vertex masks of its maximal
+    cliques), each list in lexicographic order, from one clique walk that
+    counts every size; Graph._census keeps it on g."""
     adj = g.adjacency
     unseen = (1 << g.n) - 1
     b0 = 0
@@ -315,8 +333,9 @@ def _census(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         b0 += 1
     counts = [b0] + [0] * (g.n + 1)
     quads: list[tuple[int, ...]] = []
-    _walk(g, g.n + 1, counts, quads, 4)  # no clique has n + 1 vertices
-    return tuple(counts[:counts.index(0, 1)]), tuple(quads)
+    maximal: list[int] = []
+    _walk(g, g.n + 1, counts, quads, 4, maximal)  # no clique has n + 1 vertices
+    return tuple(counts[:counts.index(0, 1)]), tuple(quads), tuple(maximal)
 
 
 def betti(g: Graph) -> tuple[int, ...]:
@@ -326,34 +345,9 @@ def betti(g: Graph) -> tuple[int, ...]:
 
 
 def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Maximal cliques of g, sorted; walked once per graph and kept on it."""
+    """Maximal cliques of g, sorted, read off its census (Graph._census): a
+    graph without a census pays for a walk of all its cliques."""
     return g._maximal_cliques
-
-
-def _bron_kerbosch(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Maximal cliques via Bron-Kerbosch (ascending candidate order)."""
-    adj = g.adjacency
-    out: list[tuple[int, ...]] = []
-
-    def bk(r: list[int], p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(tuple(sorted(r)))
-            return
-        # pivot on the candidate with most neighbours in p to prune branches
-        pivot, best = -1, -1
-        for u in _mask_bits(p | x):
-            score = (p & adj[u]).bit_count()
-            if score > best:
-                pivot, best = u, score
-        for v in _mask_bits(p & ~adj[pivot]):
-            r.append(v)
-            bk(r, p & adj[v], x & adj[v])
-            r.pop()
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bk([], (1 << g.n) - 1, 0)
-    return tuple(sorted(out))
 
 
 # --------------------------------------------------------------------------
@@ -361,10 +355,14 @@ def _bron_kerbosch(g: Graph) -> tuple[tuple[int, ...], ...]:
 # --------------------------------------------------------------------------
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph plus the map new-index -> original vertex."""
+    """Induced subgraph plus the map new-index -> original vertex.  Its
+    edges are read off the adjacency masks of its own vertices, so a small
+    piece of a large graph costs no scan of the large graph's edges."""
     vmap = tuple(sorted(set(vertices)))
     back = {v: i for i, v in enumerate(vmap)}
-    edges = [(back[u], back[v]) for u, v in g.edges if u in back and v in back]
+    keep, adj = sum(1 << v for v in vmap), g.adjacency
+    edges = [(i, back[w]) for i, v in enumerate(vmap)
+             for w in _mask_bits(adj[v] & (keep >> v + 1 << v + 1))]
     labels = tuple(g.label(v) for v in vmap) if g.labels is not None else None
     # an increasing vertex map keeps the edges normalized and sorted
     return Graph._normalized(len(vmap), tuple(edges), labels), vmap

@@ -14,9 +14,9 @@ here combines four ingredients:
                     splitting along cut vertices and components gives
                     h(G) = sum of piece values + 2 r; the 4-cliques from
                     G's one clique walk fix its free edges and witness bits,
-                    every other block piece is walked once, for its Betti
-                    numbers and its cup form alike, and the pieces that are
-                    a lone vertex or a K4 take a report built without a walk
+                    every other block piece is walked once for all its
+                    clique needs, and the pieces that are a lone vertex
+                    or a K4 take a report built without a walk
 
 The cohomological bound is reported as 2 b2 - U, with U the proven upper
 bound each m2 result carries (an assembled one's is its pieces' sum): an
@@ -271,7 +271,8 @@ def _report(g: Graph, numbers: tuple[int, ...], res: M2Result, mode: str,
 def _piece_report(g: Graph, config: SolverConfig, heuristic: bool,
                   strict: bool) -> HReport:
     """Report for a graph treated as one piece (no decomposition inside),
-    whose one clique walk gives betti(g) and its cup form's 4-cliques."""
+    whose one clique walk gives betti(g), its cup form's 4-cliques and
+    the maximal cliques that its heuristic and recognition read."""
     numbers = betti(g)
     b2, b4 = _b(numbers, 2), _b(numbers, 4)
     if b4 == 0:

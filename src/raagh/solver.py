@@ -155,8 +155,8 @@ from math import comb
 from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
 from .graphs import (Graph, _automorphism_generators, _mask_bits, _Record,
-                     _twins, biconnected_blocks, induced_subgraph, make_graph,
-                     maximal_cliques)
+                     _twins, betti, biconnected_blocks, induced_subgraph,
+                     make_graph, maximal_cliques)
 
 _PART_SCAN_COST = 64
 _ORBIT_PRUNE_B4 = 12
@@ -659,27 +659,25 @@ def _top(plan) -> int:
 
 def _upper(g: Graph, clique_rows, plan, ceiling: int, budget: int) -> int:
     """A proven upper bound U on every rank of the block: its even term
-    rank when that is below the ceiling; otherwise the glued m2, which is
-    exact, when the block splits into parts whose scans cost fewer than
-    budget encodings (charged as _parts_worth_scanning charges them);
-    otherwise the ceiling.
+    rank, top, when that is below the ceiling; otherwise the glued m2,
+    which is exact, when the block splits into parts whose scans cost fewer
+    than budget encodings (charged as _parts_worth_scanning charges them);
+    otherwise top, which then equals the ceiling.
 
     The 4-cliques of one maximal clique lie in one part: any two are
     joined by a chain of them in which neighbours share three vertices, so
     three rows, and that puts them in one block of the graph of cliques
     and rows.  So some part holds at least C(omega, 4) cliques, omega the
-    clique number, and a block whose largest clique alone costs the budget
-    is not cut into parts.
+    clique number, the last index of betti(g), and a block whose largest
+    clique alone costs the budget is not cut into parts.
     """
     top = _top(plan)
-    if top < ceiling:
-        return top
-    omega = max(len(clique) for clique in maximal_cliques(g))
-    if _PART_SCAN_COST + (1 << comb(omega, 4)) < budget:
+    if top == ceiling and (
+            _PART_SCAN_COST + (1 << comb(len(betti(g)) - 1, 4)) < budget):
         parts = _parts_worth_scanning(clique_rows, budget)
         if parts is not None and len(parts) > 1:
             return _glued_m2(clique_rows, parts)
-    return ceiling
+    return top
 
 
 def _descend(plan, top: int, checks=None, terms=None) -> tuple[int, int, int]:

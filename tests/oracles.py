@@ -7,7 +7,11 @@ its own bitmask flood fill and never builds disjoint unions, its symplectic
 reduction forms Mv from the rows of M, its scan is a branch and bound that
 integer_order_scan checks, its heuristic walks its seeds in sorted order
 where heuristic_oracle ranks each one in seed order, its term rank grows
-a matching where term_rank_oracle minimizes a cover,
+a matching where term_rank_oracle minimizes a cover, its maximal cliques
+are read off its clique walk where maximal_cliques_oracle tests every
+clique of cliques_oracle for an extending vertex, its induced subgraphs
+read the adjacency masks of their own vertices where
+induced_subgraph_oracle scans every edge of the graph,
 canonical_key_oracle is canonical_key without any pruning, and
 count_automorphisms backtracks over vertex maps where the package searches
 the individualize-refine tree, and parse_edge_list_oracle strips, tests and
@@ -33,7 +37,8 @@ from raagh.verification import (cliques_oracle, form_matrix_oracle, m2_oracle,
 __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
            "count_automorphisms", "disjoint_union", "form_matrix_oracle",
            "graphs_up_to", "group_order", "heuristic_oracle",
-           "integer_order_scan", "m2_oracle", "matvec", "pair",
+           "induced_subgraph_oracle", "integer_order_scan", "m2_oracle",
+           "matvec", "maximal_cliques_oracle", "pair",
            "parse_edge_list_oracle", "random_gnp",
            "rank_oracle", "rows_to_lists", "term_rank_oracle"]
 
@@ -112,6 +117,26 @@ def random_gnp(n: int, p: float, seed: int):
 
     rnd = random.Random(seed)
     return [e for e in combinations(range(n), 2) if rnd.random() < p]
+
+
+def maximal_cliques_oracle(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Maximal cliques in lexicographic order: the cliques of every size
+    from cliques_oracle that no other vertex is adjacent to all of.  The
+    0-vertex graph has one, the empty clique."""
+    return tuple(sorted(
+        c for k in range(g.n + 1) for c in cliques_oracle(g, k)
+        if not any(all(g.has_edge(u, v) for v in c)
+                   for u in range(g.n) if u not in c)))
+
+
+def induced_subgraph_oracle(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """induced_subgraph by a scan of every edge of g, keeping those with
+    both ends among the vertices, into a checked Graph."""
+    vmap = tuple(sorted(set(vertices)))
+    back = {v: i for i, v in enumerate(vmap)}
+    edges = [(back[u], back[v]) for u, v in g.edges if u in back and v in back]
+    labels = tuple(g.label(v) for v in vmap) if g.labels is not None else None
+    return Graph(len(vmap), tuple(edges), labels), vmap
 
 
 def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:

@@ -5,7 +5,8 @@ public functions, so a step run through a private helper drops out of it;
 the first test installs that tracer in this process and checks that every
 step of compute_h shows.  The second checks the cohomological bound of
 every report and piece of every pinned input against the upper bound its
-m2 result carries.  Both read perfbench/ and write only under tmp_path.
+m2 result carries.  The third counts the clique walks of every pinned
+input.  All read perfbench/ and write only under tmp_path.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 import raagh.cli
+import raagh.graphs
 from raagh import SolverConfig, compute_h, parse_graph
 
 from test_pinned_reports import PERFBENCH, workloads  # noqa: F401 (a fixture)
@@ -87,3 +89,32 @@ def test_every_pinned_cohomological_bound_is_taken_at_the_proven_upper(workloads
             assert report.m2.m2 <= report.m2.upper, inp.gid
             checked += 1
     assert checked == 13678
+
+
+def test_every_pinned_input_walks_each_graph_once(workloads, tmp_path,
+                                                  monkeypatch):
+    # one clique walk per graph serves its Betti numbers, 4-cliques,
+    # clique number and maximal cliques; the counts do not depend on the
+    # host, so any new walk shows here
+    walks = []
+    walk = raagh.graphs._walk
+
+    def counting(g, *args):
+        walks.append(g)
+        return walk(g, *args)
+
+    monkeypatch.setattr(raagh.graphs, "_walk", counting)
+    source, out = tmp_path / "in.edges", tmp_path / "out.json"
+    per_workload: dict = {}
+    for inp in workloads.all_inputs(workloads.load_corpus()):
+        source.write_text(inp.text, encoding="utf-8")
+        assert raagh.cli.main(["compute", str(source), "--json", "--out",
+                               str(out), "--cap", str(workloads.CAP),
+                               *inp.flags]) == 0
+        name = inp.gid.split("/")[0]
+        per_workload[name] = per_workload.get(name, 0) + len(walks)
+        # the list keeps every walked graph alive, so ids are not reused
+        assert len({id(g) for g in walks}) == len(walks), inp.gid
+        walks.clear()
+    assert per_workload == {"warmup": 1, "scan": 17, "sparse": 522,
+                            "catalog": 55}

@@ -16,6 +16,7 @@ from raagh.hbounds import decompose_h
 from oracles import (canonical_key_oracle, cliques_oracle,
                      connected_components, count_automorphisms,
                      disjoint_union, graphs_up_to, group_order,
+                     induced_subgraph_oracle, maximal_cliques_oracle,
                      parse_edge_list_oracle, random_gnp)
 
 
@@ -87,17 +88,28 @@ def test_betti_counts_every_clique_size_like_the_oracle(seed):
         assert cliques_oracle(g, len(numbers)) == []
 
 
+def _assert_census(g):
+    """The census is the Betti numbers, the 4-cliques and the vertex masks
+    of the maximal cliques; maximal_cliques reads them as tuples."""
+    maximal = maximal_cliques_oracle(g)
+    masks = tuple(sum(1 << v for v in c) for c in maximal if c)
+    assert _census(g) == (betti(g), enumerate_cliques(g, 4).cliques, masks)
+    assert maximal_cliques(g) == maximal
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_census_is_the_betti_numbers_and_the_4_cliques(seed):
     rnd = random.Random(seed)
     for n in range(4):
-        g = make_graph(n, combinations(range(n), 2))
-        assert _census(g) == (betti(g), enumerate_cliques(g, 4).cliques)
+        _assert_census(make_graph(n, combinations(range(n), 2)))
+    isolated = 0
     for _ in range(40):
         n = rnd.randint(0, 10)
         g = make_graph(n, random_gnp(n, rnd.choice((0.3, 0.5, 0.7, 0.9)),
                                      rnd.randrange(2 ** 31)))
-        assert _census(g) == (betti(g), enumerate_cliques(g, 4).cliques)
+        _assert_census(g)
+        isolated += g.adjacency.count(0)
+    assert isolated  # each is a maximal clique of its own
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -117,6 +129,8 @@ def test_maximal_cliques_sorted_and_maximal():
     mc = maximal_cliques(g)
     assert mc == ((0, 1, 2, 3, 4), (3, 4, 5, 6, 7))
     assert all(c == tuple(sorted(c)) for c in mc)
+    empty = make_graph(0, [])
+    assert maximal_cliques(empty) == maximal_cliques_oracle(empty) == ((),)
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +211,9 @@ def test_recognize_clique_strings_up_to_relabeling(s, k):
     cert = FamilyCertificate.clique_string(s, k)
     g = generate_family(cert)
     assert recognize_family(g) == cert
-    assert recognize_family(_shuffled(g, s * 31 + k)) == cert
+    h = _shuffled(g, s * 31 + k)
+    assert recognize_family(h) == cert
+    assert maximal_cliques(h) == maximal_cliques_oracle(h)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8, 12])
@@ -205,7 +221,9 @@ def test_recognize_face_strings_up_to_relabeling(k):
     cert = FamilyCertificate.face_string(k)
     g = generate_family(cert)
     assert recognize_family(g) == cert
-    assert recognize_family(_shuffled(g, k)) == cert
+    h = _shuffled(g, k)
+    assert recognize_family(h) == cert
+    assert maximal_cliques(h) == maximal_cliques_oracle(h)
 
 
 def test_recognizer_leaves_small_ambiguous_graphs_alone():
@@ -668,6 +686,21 @@ def test_components_and_induced_subgraphs():
     assert sub.edges == ((0, 1),) and vmap == (3, 4)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_induced_subgraph_matches_the_edge_scan(seed):
+    rnd = random.Random(seed)
+    for _ in range(40):
+        n = rnd.randint(0, 40)
+        labels = [f"v{rnd.randrange(1000)}" for _ in range(n)]
+        g = make_graph(n, random_gnp(n, rnd.choice((0.1, 0.3, 0.7)),
+                                     rnd.randrange(2 ** 31)),
+                       labels=labels if rnd.random() < 0.5 else None)
+        # unsorted, with repeats, and sometimes empty
+        vertices = [rnd.randrange(n) for _ in range(rnd.randint(0, 2 * n))]
+        assert induced_subgraph(g, vertices) == induced_subgraph_oracle(
+            g, vertices)
+
+
 def test_biconnected_blocks():
     path = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert sorted(biconnected_blocks(path)) == [(0, 1), (1, 2), (2, 3)]
@@ -768,14 +801,17 @@ def test_found_automorphisms_prune_the_canonical_search(monkeypatch, g):
 
 
 def test_census_of_graphs_on_at_most_7_vertices():
-    # OEIS A000088; every generator set spans the whole of Aut
+    # OEIS A000088; every generator set spans the whole of Aut, and the
+    # maximal cliques of all 1,253 graphs are the oracle's
     levels = graphs_up_to(7)
     assert [len(graphs) for graphs in levels] == [1, 1, 2, 4, 11, 34, 156,
                                                   1044]
-    for g in levels[7]:
-        gens = _automorphism_generators(g)
-        _assert_automorphisms(g, gens)
-        assert group_order(gens, 7) == count_automorphisms(g), g
+    for g in (g for graphs in levels for g in graphs):
+        assert maximal_cliques(g) == maximal_cliques_oracle(g), g
+        if g.n == 7:
+            gens = _automorphism_generators(g)
+            _assert_automorphisms(g, gens)
+            assert group_order(gens, 7) == count_automorphisms(g), g
 
 
 def test_relabeled_one_row_grid_certificate_verifies():

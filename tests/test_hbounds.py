@@ -726,9 +726,17 @@ def test_compute_h_searches_the_input_once(monkeypatch):
         FamilyCertificate.clique_string(7, 2)).edges]),
 ], ids=["K7", "clique-string-7x2"])
 def test_one_maximal_clique_walk_per_graph(monkeypatch, g):
-    # the heuristic's seeds and its clique-number gate, and the chain test
-    # that recognizes a clique-string, share one walk
-    calls = _counted(monkeypatch, "_bron_kerbosch")
+    # the Betti numbers, the cup form, the heuristic's seeds and its
+    # clique-number gate, and the chain test that recognizes a
+    # clique-string, share one walk
+    calls = []
+    walk = raagh.graphs._walk
+
+    def counting(h, *args):
+        calls.append(h)
+        return walk(h, *args)
+
+    monkeypatch.setattr(raagh.graphs, "_walk", counting)
     rep = compute_h(g, heuristic=True)
     assert rep.m2_mode == "heuristic" and rep.exact is not None
     assert len(calls) == 1 and calls[0] is g
