@@ -11,6 +11,11 @@ Subcommands:
 Exit codes: 0 success, 1 failed verification, 2 bad input (unreadable or
 malformed), 3 exhaustive scan refused in --strict mode.  Output is byte
 deterministic unless --timings is given.
+
+`compute --json` text comes from render_json_report, which fills literal
+templates, laid out as json.dumps(doc, indent=2) lays out the schema-1
+document, straight from the HReport; decomposition pieces that share a
+report are written from one template per (report, vertex count).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import os
 import sys
 import time
 from itertools import chain
-from operator import itemgetter
 
 from . import graphs
 from .form import AlphaVector, build_cup_form, dump_matrix, dump_template, substitute
@@ -44,186 +48,128 @@ def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _exact_dict(exact: ExactValue | None):
-    if exact is None:
-        return None
-    return {"value": exact.value, "provenance": exact.provenance,
-            "theorem_grade": exact.theorem_grade}
-
-
-def _decomposition_dict(decomp: DecompositionReport | None):
-    if decomp is None:
-        return None
-    shared: dict = {}  # by report: its pieces' dict, "vertices" aside
-    pieces = []
-    for piece in decomp.pieces:
-        rep = piece.report
-        fields = shared.get(id(rep))
-        if fields is None:
-            fields = shared[id(rep)] = {
-                "vertices": None,
-                "b2": rep.b2,
-                "b4": rep.b4,
-                "m2": rep.m2.m2,
-                "exhaustive": rep.m2.exhaustive,
-                "exact": _exact_dict(rep.exact),
-            }
-        pieces.append({**fields, "vertices": list(piece.vertices)})
-    return {
-        "free_edges": list(map(list, decomp.free_edges)),
-        "pieces": pieces,
-        "aggregate_exact": _exact_dict(decomp.aggregate_exact),
-    }
-
-
-def report_document(g: Graph, report: HReport, config: SolverConfig,
-                    requested_mode: str, elapsed: float | None = None) -> dict:
-    """JSON-ready report with a fixed key order (see report.schema.json).
-    Decomposition pieces with one report share its "exact" dict."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "input": {
-            "vertices": g.n,
-            "edges": len(g.edges),
-            "sha256": _graph_digest(g),
-        },
-        "invariants": {
-            "betti": list(report.betti_numbers),
-            "b1": report.betti_numbers[1] if len(report.betti_numbers) > 1 else 0,
-            "b2": report.b2,
-            "b4": report.b4,
-        },
-        "m2": {
-            "value": report.m2.m2,
-            "witness": report.m2.witness.to_bitstring(),
-            "radical_dim": report.m2.radical_dim,
-            "exhaustive": report.m2.exhaustive,
-            "mode": report.m2_mode,
-        },
-        "bounds": {
-            "lower_trivial": report.lower_trivial,
-            "lower_cohomological": report.lower_cohomological,
-            "upper": report.upper,
-        },
-        "exact": _exact_dict(report.exact),
-        "decomposition": _decomposition_dict(report.decomposition),
-        "solver": {
-            "cap": config.cap,
-            "workers": config.workers,
-            "mode": requested_mode,
-        },
-    }
-    if elapsed is not None:
-        doc["timings"] = {"total_seconds": round(elapsed, 3)}
-    return doc
-
-
 _quote = json.encoder.encode_basestring_ascii
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
+# Each template lays its section out as json.dumps(doc, indent=2) does.
+_REPORT = """{
+  "schema_version": %d,
+  "input": {
+    "vertices": %d,
+    "edges": %d,
+    "sha256": %s
+  },
+  "invariants": {
+    "betti": %s,
+    "b1": %d,
+    "b2": %d,
+    "b4": %d
+  },
+  "m2": {
+    "value": %d,
+    "witness": %s,
+    "radical_dim": %d,
+    "exhaustive": %s,
+    "mode": %s
+  },
+  "bounds": {
+    "lower_trivial": %d,
+    "lower_cohomological": %d,
+    "upper": %d
+  },
+  "exact": %s,
+  "decomposition": %s,
+  "solver": {
+    "cap": %d,
+    "workers": %d,
+    "mode": %s
+  }%s
+}"""
+_TIMINGS = """,
+  "timings": {
+    "total_seconds": %s
+  }"""
+_DECOMPOSITION = """{
+    "free_edges": %s,
+    "pieces": %s,
+    "aggregate_exact": %s
+  }"""
+_PIECE = """{
+        "vertices": %s,
+        "b2": %d,
+        "b4": %d,
+        "m2": %d,
+        "exhaustive": %s,
+        "exact": %s
+      }"""
 
-def _write_json(value, out: list, indent: str) -> None:
-    """Append the text of value to out; indent is a newline and the spaces
-    of value's level.  A lone dict is written key by key, which costs less
-    than _texts does for one value; a list goes to _texts.  A non-str dict
-    key raises TypeError."""
-    kind = type(value)
-    if kind is int:
-        out.append(int.__repr__(value))
-    elif kind is str:
-        out.append(_quote(value))
-    elif kind is bool or value is None:
-        out.append(_CONSTANTS[value])
-    elif kind is dict and value:
-        inner, sep = indent + "  ", "{"
-        for key, item in value.items():
-            out.append(sep + inner + _quote(key) + ": ")
-            _write_json(item, out, inner)
-            sep = ","
-        out.append(indent + "}")
-    elif kind is list:
-        out.append(_texts([value], indent)[0])
-    else:  # json.dumps escapes every newline inside a string
-        out.append(json.dumps(value, indent=2).replace("\n", indent))
 
-
-def _texts(values: list, indent: str) -> list[str]:
-    """The text of each of values, all at the level whose newline and
-    spaces are indent, written a kind at a time: ints, strs and constants
-    with one map each; lists of one length from all their items and one
-    %-template (which formats ints itself); dicts with the same keys from
-    one call per key and one %-template, and a dict met again (the same
-    object) from its first text.  So the pieces and free edges of a
-    report cost a few calls per field, not a few per piece or edge.  A
-    non-str dict key raises TypeError."""
-    kinds = set(map(type, values))
-    if len(kinds) > 1:
-        return _grouped(values, type, indent)
-    kind = kinds.pop()
-    if kind is int:
-        return list(map(int.__repr__, values))
-    if kind is str:
-        return list(map(_quote, values))
-    if kind is bool or kind is type(None):
-        return list(map(_CONSTANTS.__getitem__, values))
+def _items(texts: list[str], indent: str) -> str:
+    """A list of the texts of its items at the level whose newline and
+    spaces are indent; a text may be a %d slot."""
+    if not texts:
+        return "[]"
     inner = indent + "  "
-    if kind is list:
-        lengths = set(map(len, values))
-        if len(lengths) > 1:
-            return _grouped(values, len, indent)
-        size = lengths.pop()
-        if not size:
-            return ["[]"] * len(values)
-        items = list(chain.from_iterable(values))
-        if set(map(type, items)) == {int}:  # a bool is never an int here
-            slot = "%d"
-        else:
-            items, slot = _texts(items, inner), "%s"
-        template = "[" + inner + ("," + inner).join([slot] * size) + indent + "]"
-        return list(map(template.__mod__, zip(*[iter(items)] * size)))
-    if kind is dict:
-        ids = list(map(id, values))
-        unique = dict(zip(ids, values))
-        if len(unique) < len(values):
-            texts = dict(zip(unique, _texts(list(unique.values()), indent)))
-            return list(map(texts.__getitem__, ids))
-        shapes = set(map(tuple, values))  # the keys of each, in order
-        if len(shapes) > 1:
-            return _grouped(values, tuple, indent)
-        keys = shapes.pop()
-        if not keys:
-            return ["{}"] * len(values)
-        template = "{" + inner + ("," + inner).join(
-            _quote(key).replace("%", "%%") + ": %s" for key in keys) + indent + "}"
-        columns = [_texts(list(map(itemgetter(key), values)), inner) for key in keys]
-        return list(map(template.__mod__, zip(*columns)))
-    # json.dumps escapes every newline inside a string
-    return [json.dumps(value, indent=2).replace("\n", indent) for value in values]
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
 
 
-def _grouped(values: list, kind, indent: str) -> list[str]:
-    """_texts of values that differ in kind(value): one call per kind."""
-    groups: dict = {}
-    for i, value in enumerate(values):
-        groups.setdefault(kind(value), []).append(i)
-    out = [""] * len(values)
-    for where in groups.values():
-        for i, text in zip(where, _texts([values[i] for i in where], indent)):
-            out[i] = text
-    return out
+_FREE_EDGE = _items(["%d", "%d"], "\n      ")
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2), whose indent runs CPython's pure-Python
-    encoder, written directly for dicts, lists, str, int, bool and None.
-    Anything else, the float of --timings included, goes through
-    json.dumps itself, and so does a value with a non-str dict key."""
-    out: list[str] = []
-    try:
-        _write_json(value, out, "\n")
-    except TypeError:
-        return json.dumps(value, indent=2)
-    return "".join(out)
+def _exact_text(exact: ExactValue | None, indent: str) -> str:
+    if exact is None:
+        return "null"
+    inner = indent + "  "
+    return '{%s"value": %d,%s"provenance": %s,%s"theorem_grade": %s%s}' % (
+        inner, exact.value, inner, _quote(exact.provenance), inner,
+        _CONSTANTS[exact.theorem_grade], indent)
+
+
+def _decomposition_text(decomp: DecompositionReport | None) -> str:
+    """The pieces that share a report, every lone vertex and unlabeled K4
+    among them, are written from one template per (report, vertex count):
+    the first such piece builds it, and each is then one % of its
+    vertices."""
+    if decomp is None:
+        return "null"
+    templates: dict = {}
+    pieces = []
+    for piece in decomp.pieces:
+        rep, vertices = piece.report, piece.vertices
+        key = (id(rep), len(vertices))
+        template = templates.get(key)
+        if template is None:
+            # the piece's fields are written in; only its vertices stay slots
+            exact = _exact_text(rep.exact, "\n        ").replace("%", "%%")
+            template = templates[key] = _PIECE % (
+                _items(["%d"] * len(vertices), "\n        "), rep.b2, rep.b4,
+                rep.m2.m2, _CONSTANTS[rep.m2.exhaustive], exact)
+        pieces.append(template % vertices)
+    return _DECOMPOSITION % (
+        _items([_FREE_EDGE] * decomp.r, "\n    ")
+        % tuple(chain.from_iterable(decomp.free_edges)),
+        _items(pieces, "\n    "),
+        _exact_text(decomp.aggregate_exact, "\n    "))
+
+
+def render_json_report(g: Graph, report: HReport, config: SolverConfig,
+                       requested_mode: str, elapsed: float | None = None) -> str:
+    """The --json report (see report.schema.json): the text of
+    json.dumps(doc, indent=2) for the schema-1 document of report, written
+    from templates.  elapsed, when given, adds timings.total_seconds."""
+    numbers = report.betti_numbers
+    m2 = report.m2
+    timings = "" if elapsed is None else _TIMINGS % repr(round(elapsed, 3))
+    return _REPORT % (
+        SCHEMA_VERSION, g.n, len(g.edges), _quote(_graph_digest(g)),
+        _items(["%d"] * len(numbers), "\n    ") % numbers,
+        numbers[1] if len(numbers) > 1 else 0, report.b2, report.b4,
+        m2.m2, _quote(m2.witness.to_bitstring()), m2.radical_dim,
+        _CONSTANTS[m2.exhaustive], _quote(report.m2_mode),
+        report.lower_trivial, report.lower_cohomological, report.upper,
+        _exact_text(report.exact, "\n  "),
+        _decomposition_text(report.decomposition),
+        config.cap, config.workers, _quote(requested_mode), timings)
 
 
 def render_text_report(report: HReport) -> str:
@@ -320,9 +266,8 @@ def cmd_compute(args) -> int:
     report = compute_h(g, config, heuristic=args.heuristic, strict=args.strict)
     elapsed = time.perf_counter() - start
     if args.json:
-        doc = report_document(g, report, config, requested,
-                              elapsed if args.timings else None)
-        text = _json_text(doc) + "\n"
+        text = render_json_report(g, report, config, requested,
+                                  elapsed if args.timings else None) + "\n"
     else:
         text = render_text_report(report)
         if args.timings:

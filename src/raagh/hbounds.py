@@ -367,10 +367,11 @@ def decompose_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,
         # vset is sorted, so it maps each piece vertex to its vertex of g
         pieces.append(DecompositionPiece(vset, report.graph, report))
 
+    # a lone vertex has h = 0, trivial-h4 (theorem grade): only blocks count
+    blocks = [p.report for p in pieces if len(p.vertices) > 1]
     aggregate = None
-    if all(p.report.exact is not None and p.report.exact.theorem_grade
-           for p in pieces):
-        total = sum(p.report.exact.value for p in pieces) + 2 * len(free)
+    if all(rep.exact is not None and rep.exact.theorem_grade for rep in blocks):
+        total = sum(rep.exact.value for rep in blocks) + 2 * len(free)
         aggregate = ExactValue(total, DECOMPOSITION_AGGREGATE)
     return DecompositionReport(free, tuple(pieces), aggregate)
 
@@ -385,23 +386,25 @@ def _assemble_m2(g: Graph, decomp: DecompositionReport) -> M2Result:
     vertex.  Vertex maps are increasing, so a block's k-th 4-clique is the
     k-th parent 4-clique inside it and takes bit k of the block's witness.
     The combined witness is the canonically first maximizer whenever every
-    piece's was.
+    piece's was.  A lone vertex holds no 4-clique and adds 0 to m2 and to
+    U, exhaustively, so only the blocks are indexed.
     """
-    held = [0] * g.n  # bit i of held[v]: piece i holds v
-    for i, piece in enumerate(decomp.pieces):
+    blocks = [p for p in decomp.pieces if len(p.vertices) > 1]
+    held = [0] * g.n  # bit i of held[v]: block i holds v
+    for i, piece in enumerate(blocks):
         for v in piece.vertices:
             held[v] |= 1 << i
     quads = g._census[1]
-    seen = [0] * len(decomp.pieces)  # 4-cliques met so far in each piece
+    seen = [0] * len(blocks)  # 4-cliques met so far in each block
     witness = 0
     for q, (u, v, _, _) in enumerate(quads):
         i = (held[u] & held[v]).bit_length() - 1
-        witness |= decomp.pieces[i].report.m2.witness.bit(seen[i]) << q
+        witness |= blocks[i].report.m2.witness.bit(seen[i]) << q
         seen[i] += 1
-    total = sum(p.report.m2.m2 for p in decomp.pieces)
+    total = sum(p.report.m2.m2 for p in blocks)
     return M2Result(total, AlphaVector(witness, len(quads)), len(g.edges) - total,
-                    all(p.report.m2.exhaustive for p in decomp.pieces),
-                    sum(p.report.m2.upper for p in decomp.pieces))
+                    all(p.report.m2.exhaustive for p in blocks),
+                    sum(p.report.m2.upper for p in blocks))
 
 
 def compute_h(g: Graph, config: SolverConfig = DEFAULT_CONFIG,

@@ -778,6 +778,7 @@ def m2_heuristic(g: Graph) -> M2Result:
     ceiling, its hit is the least ceiling seed, so the first one in seed
     order is found by testing, in seed order, only the seeds above it up
     to it."""
+    g._census  # one walk for the cup form's 4-cliques and the maximal cliques
     template = build_cup_form(g)
     b2, b4 = template.dim, template.num_cliques
     if b4 == 0:

@@ -16,14 +16,19 @@ canonical_key_oracle is canonical_key without any pruning, and
 count_automorphisms backtracks over vertex maps where the package searches
 the individualize-refine tree, and parse_edge_list_oracle strips, tests and
 splits each line and builds a checked Graph where the package splits each
-line once and builds its Graph unchecked.  graphs_up_to lists every graph
-up to isomorphism by canonical_key.  Expected values in the tests were
-frozen from these.
+line once and builds its Graph unchecked, and report_document_oracle
+builds the --json document as dicts for json.dumps(doc, indent=2) where
+the package writes its text from templates.  graphs_up_to lists every
+graph up to isomorphism by canonical_key, and sparse_blocks_edges draws
+large sparse graphs of many small blocks.  Expected values in the tests
+were frozen from these.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from itertools import combinations
 
 import raagh.solver
@@ -39,8 +44,9 @@ __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
            "graphs_up_to", "group_order", "heuristic_oracle",
            "induced_subgraph_oracle", "integer_order_scan", "m2_oracle",
            "matvec", "maximal_cliques_oracle", "pair",
-           "parse_edge_list_oracle", "random_gnp",
-           "rank_oracle", "rows_to_lists", "term_rank_oracle"]
+           "parse_edge_list_oracle", "random_gnp", "rank_oracle",
+           "report_document_oracle", "rows_to_lists", "sparse_blocks_edges",
+           "term_rank_oracle"]
 
 
 def rows_to_lists(rows, ncols: int) -> list[list[int]]:
@@ -113,8 +119,6 @@ def pair(mat, x: int, y: int) -> int:
 
 def random_gnp(n: int, p: float, seed: int):
     """Deterministic G(n, p) edge list (not a Graph, to stay independent)."""
-    import random
-
     rnd = random.Random(seed)
     return [e for e in combinations(range(n), 2) if rnd.random() < p]
 
@@ -331,3 +335,77 @@ def parse_edge_list_oracle(text: str) -> Graph:
     if declared_n is None and any(ids[k] != k for k in ids):
         labels = tuple(map(str, ids))
     return Graph(n, tuple(sorted(seen)), labels, certificate)
+
+
+def sparse_blocks_edges(n: int, seed: int) -> list[tuple[int, int]]:
+    """A large sparse edge list of many small blocks (not a Graph): a tree
+    edge from each vertex to one of the 8 before it, a K4 on 4 random
+    vertices of each 12-vertex window, every 6 vertices, then random edges
+    of span under 20, up to 3n edges."""
+    rnd = random.Random(seed)
+    edges = {(rnd.randrange(max(0, v - 8), v), v) for v in range(1, n)}
+    for start in range(0, n - 11, 6):
+        edges.update(combinations(sorted(rnd.sample(range(start, start + 12), 4)), 2))
+    # every edge so far spans under 20 too, so this many can be reached
+    target = min(3 * n, sum(min(19, n - 1 - u) for u in range(n)))
+    while len(edges) < target:
+        u = rnd.randrange(n)
+        v = u + rnd.randrange(1, 20)
+        if v < n:
+            edges.add((u, v))
+    return sorted(edges)
+
+
+def _exact_dict(exact):
+    if exact is None:
+        return None
+    return {"value": exact.value, "provenance": exact.provenance,
+            "theorem_grade": exact.theorem_grade}
+
+
+def report_document_oracle(g: Graph, report, config, requested_mode: str,
+                           elapsed: float | None = None) -> dict:
+    """The --json report as a dict in schema-1 key order, one dict per
+    decomposition piece, for json.dumps(doc, indent=2)."""
+    digest = hashlib.sha256(
+        (f"{g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges)).encode()).hexdigest()
+    decomp = report.decomposition
+    doc = {
+        "schema_version": 1,
+        "input": {"vertices": g.n, "edges": len(g.edges), "sha256": digest},
+        "invariants": {
+            "betti": list(report.betti_numbers),
+            "b1": report.betti_numbers[1] if len(report.betti_numbers) > 1 else 0,
+            "b2": report.b2,
+            "b4": report.b4,
+        },
+        "m2": {
+            "value": report.m2.m2,
+            "witness": report.m2.witness.to_bitstring(),
+            "radical_dim": report.m2.radical_dim,
+            "exhaustive": report.m2.exhaustive,
+            "mode": report.m2_mode,
+        },
+        "bounds": {
+            "lower_trivial": report.lower_trivial,
+            "lower_cohomological": report.lower_cohomological,
+            "upper": report.upper,
+        },
+        "exact": _exact_dict(report.exact),
+        "decomposition": None if decomp is None else {
+            "free_edges": [list(e) for e in decomp.free_edges],
+            "pieces": [{"vertices": list(p.vertices),
+                        "b2": p.report.b2,
+                        "b4": p.report.b4,
+                        "m2": p.report.m2.m2,
+                        "exhaustive": p.report.m2.exhaustive,
+                        "exact": _exact_dict(p.report.exact)}
+                       for p in decomp.pieces],
+            "aggregate_exact": _exact_dict(decomp.aggregate_exact),
+        },
+        "solver": {"cap": config.cap, "workers": config.workers,
+                   "mode": requested_mode},
+    }
+    if elapsed is not None:
+        doc["timings"] = {"total_seconds": round(elapsed, 3)}
+    return doc

@@ -15,7 +15,7 @@ from raagh.cli import main
 from raagh.form import AlphaVector
 from raagh.solver import DEFAULT_CONFIG
 
-from oracles import random_gnp
+from oracles import random_gnp, report_document_oracle, sparse_blocks_edges
 
 
 def run(capsys, *argv):
@@ -397,10 +397,10 @@ def test_heuristic_flag_switches_mode(capsys, join_file):
 # the JSON writer
 # --------------------------------------------------------------------------
 
-def _writer_documents():
-    """report_document output for sparse random graphs with isolated
-    vertices and free edges, catalog members under --heuristic and labeled
-    inputs, each with and without a timings float."""
+def _writer_cases():
+    """(graph, report, requested mode) for sparse random graphs with
+    isolated vertices and free edges, catalog members under --heuristic
+    and labeled inputs."""
     cases = []
     rnd = random.Random(20261018)
     while len(cases) < 12:
@@ -418,62 +418,71 @@ def _writer_documents():
     for text in ("5 9\n9 12\n12 5\n", "7 3\n3 8\n8 7\n7 1\n1 3\n1 8\n8 40\n"):
         g = parse_graph(text, "edges")
         cases.append((g, compute_h(g), "exhaustive"))
-    return [raagh.cli.report_document(g, rep, DEFAULT_CONFIG, mode, elapsed)
-            for g, rep, mode in cases for elapsed in (None, 0.0123456)]
+    return cases
+
+
+def _assert_writer_matches_oracle(g, rep, mode, elapsed, config=DEFAULT_CONFIG):
+    text = raagh.cli.render_json_report(g, rep, config, mode, elapsed)
+    doc = report_document_oracle(g, rep, config, mode, elapsed)
+    assert text == json.dumps(doc, indent=2)
+    return doc
 
 
 def test_json_writer_matches_json_dumps_on_reports():
-    docs = _writer_documents()
+    docs = [_assert_writer_matches_oracle(g, rep, mode, elapsed)
+            for g, rep, mode in _writer_cases() for elapsed in (None, 0.0123456)]
     assert any(p["b2"] == 0 for d in docs if d["decomposition"]
                for p in d["decomposition"]["pieces"])
     assert any("timings" in d for d in docs)
-    for doc in docs:
-        assert raagh.cli._json_text(doc) == json.dumps(doc, indent=2)
 
 
-@pytest.mark.parametrize("value", [
-    {}, [], {"a": {}, "b": []}, [[], {}, [[]]], None, True, False, 0, -17,
-    2**80, "h\u00e9llo \u2603 \"quoted\"\n", {"x": [None, True, {"y": -1}]},
-    {"f": 0.5, "g": [float("inf")]}, (1, [2]), {"t": (3, 4)}, {1: [2]},
-    {"a": {None: 1, True: [2, {}]}},
-])
-def test_json_writer_matches_json_dumps_on_plain_values(value):
-    assert raagh.cli._json_text(value) == json.dumps(value, indent=2)
+def _edge_case_graphs(rnd):
+    """(name, graph) for the writer's edge cases, drawn from rnd."""
+    mixed = [e for start in (0, 3) for e in combinations(range(start, start + 4), 2)]
+    mixed += [(u + 8, v + 8) for u, v in combinations(range(5), 2)]  # a K5 block
+    mixed += [(6, 8), (12, 13)] + [(13 + i, 14 + i) for i in range(rnd.randint(1, 4))]
+    order = rnd.sample(range(100, 1000), 30)  # compacted to 0..n-1 with labels
+    labeled = "".join(f"{order[u]} {order[v]}\n" for u, v in
+                      mixed + [(rnd.randrange(20), 20 + i) for i in range(rnd.randint(1, 5))])
+    n = rnd.randint(8, 14)
+    triangles = [(u, v) for u, v in combinations(range(n), 2)
+                 if v - u in (1, 2) and rnd.random() < 0.9]
+    return [("0 vertices", make_graph(0, [])),
+            ("1 vertex", make_graph(1, [])),
+            ("no 4-cliques", make_graph(n, triangles)),
+            ("labeled", parse_graph(labeled, "edges")),
+            ("mixed K4 and K5 blocks", make_graph(20, mixed))]
 
 
-def _json_value(rnd, depth, made):
-    """A random JSON-ready value: mostly lists of same-keyed dicts and of
-    equal-length lists, as reports hold, with mixed kinds, shared objects,
-    keys holding '%', and now and then a float or a tuple."""
-    roll = rnd.random()
-    if depth <= 0 or roll < 0.3:
-        return rnd.choice((0, -7, 2**70, True, False, None, "", "a%sb", "\u00e9\n\"",
-                           1.5, rnd.randrange(100)))
-    if made and roll < 0.4:
-        return rnd.choice(made)
-    if roll < 0.6:
-        keys = rnd.sample(("vertices", "b2", "%d", "%%", "k\u2603", ""), rnd.randint(0, 4))
-        value = [{key: _json_value(rnd, depth - 1, made) for key in keys}
-                 for _ in range(rnd.randint(0, 5))]
-    elif roll < 0.8:
-        size = rnd.randint(0, 3)
-        value = [[_json_value(rnd, depth - 2, made) if rnd.random() < 0.2
-                  else rnd.randrange(50) for _ in range(size + (rnd.random() < 0.2))]
-                 for _ in range(rnd.randint(0, 5))]
-    elif roll < 0.95:
-        value = {rnd.choice(("a", "b%", "c", "d")): _json_value(rnd, depth - 1, made)
-                 for _ in range(rnd.randint(0, 4))}
-    else:
-        value = tuple(_json_value(rnd, depth - 1, made) for _ in range(2))
-    made.append(value)
-    return value
+def test_json_writer_edge_cases_match_the_oracle_and_the_schema():
+    schema = json.loads(resources.files("raagh").joinpath(
+        "report.schema.json").read_text(encoding="utf-8"))
+    cases = dict(_edge_case_graphs(random.Random(20261020)))
+    assert compute_h(cases["no 4-cliques"]).decomposition is None
+    assert cases["labeled"].labels is not None
+    sizes = {len(p.vertices) for p in
+             compute_h(cases["mixed K4 and K5 blocks"]).decomposition.pieces}
+    assert {1, 4, 5} <= sizes
+    for g in cases.values():
+        for heuristic in (False, True):
+            rep = compute_h(g, heuristic=heuristic)
+            mode = "heuristic" if heuristic else "exhaustive"
+            for elapsed in (None, 0.0, 0.0123456, 1234.5678):
+                jsonschema.validate(
+                    _assert_writer_matches_oracle(g, rep, mode, elapsed), schema)
 
 
-def test_json_writer_matches_json_dumps_on_seeded_values():
-    rnd = random.Random(20261030)
-    for _ in range(400):
-        value = _json_value(rnd, 4, [])
-        assert raagh.cli._json_text(value) == json.dumps(value, indent=2)
+def test_compute_json_on_a_large_sparse_graph_matches_the_oracle(capsys, tmp_path):
+    path = tmp_path / "sparse.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in sparse_blocks_edges(2000, 7)))
+    code, out, _ = run(capsys, "compute", str(path), "--json")
+    assert code == 0
+    g = parse_graph(path.read_text(), "edges")
+    rep = compute_h(g)
+    pieces = rep.decomposition.pieces
+    assert len(pieces) > 100 and any(len(p.vertices) == 1 for p in pieces)
+    doc = report_document_oracle(g, rep, DEFAULT_CONFIG, "exhaustive")
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_compute_json_output_is_json_dumps_indent_2(capsys, tmp_path):

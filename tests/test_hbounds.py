@@ -21,7 +21,7 @@ from raagh.cli import main, render_text_report
 from raagh.graphs import induced_subgraph
 from raagh.hbounds import CLIQUE_STRING_5, CLIQUE_STRING_6, CLIQUE_STRING_7
 
-from oracles import cliques_oracle, disjoint_union, random_gnp
+from oracles import cliques_oracle, disjoint_union, heuristic_oracle, random_gnp
 
 
 def join_graph():
@@ -537,6 +537,26 @@ def test_a_cup_form_alone_walks_to_depth_4(monkeypatch, tmp_path, form):
         source.write_text(serialize_graph(k12, "edges"), encoding="utf-8")
         assert main(["form", str(source), "--out", str(out)]) == 0
     assert walks == [(12, 4)] and censuses == []
+
+
+def test_a_direct_heuristic_walks_a_fresh_graph_once(monkeypatch):
+    # the census gives the cup form's 4-cliques and the seeds' maximal
+    # cliques alike
+    walks = []
+    walk = raagh.graphs._walk
+
+    def counting_walk(g, k, *args):
+        walks.append((g.n, k))
+        return walk(g, k, *args)
+
+    def k12_minus_an_edge():
+        return make_graph(12, [e for e in combinations(range(12), 2) if e != (0, 1)])
+
+    monkeypatch.setattr(raagh.graphs, "_walk", counting_walk)
+    res = raagh.solver.m2_heuristic(k12_minus_an_edge())
+    assert len(walks) == 1
+    assert (res.m2, res.witness, res.radical_dim, res.exhaustive) == \
+        heuristic_oracle(k12_minus_an_edge())
 
 
 def _isolated_vertex_graphs():
