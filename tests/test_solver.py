@@ -494,7 +494,7 @@ def twin_swaps(g):
 def test_orbit_pruning_matches_integer_order_on_symmetric_graphs(monkeypatch):
     # no generators, twin swaps only, and the full search: the generators
     # change which subtrees are skipped, never (m2, witness)
-    pruned = 0
+    pruned, counts = 0, []
     for idx, g in enumerate(symmetric_battery(12)):
         t = build_cup_form(g)
         plan = _plan(t.clique_rows)
@@ -511,9 +511,14 @@ def test_orbit_pruning_matches_integer_order_on_symmetric_graphs(monkeypatch):
             assert nodes <= plain_nodes, idx
             assert _scan(plan, m2, m2 - 2, checks)[:2] == (m2, witness), idx
         pruned += nodes < plain_nodes
+        counts.append(nodes)
         res = compute_m2(g)
         assert (res.m2, res.witness.value) == (m2, witness), idx
     assert pruned >= 10
+    # the nodes of the full search's scans; equal counts mean the same
+    # subtrees were skipped
+    assert counts == [17, 138, 570, 570, 570, 93, 36, 14, 7, 55, 412, 79, 7,
+                      16, 29]
 
 
 def test_orbit_pruning_cuts_the_k8_minus_matching_scan():
@@ -524,7 +529,45 @@ def test_orbit_pruning_cuts_the_k8_minus_matching_scan():
     ceiling = parity_ceiling(t.dim)
     assert _scan(plan, ceiling)[2] == 16530
     rank, alpha, nodes = _scan(plan, ceiling, checks=_orbit_checks(g, t, plan))
-    assert (rank, alpha) == (22, 1650) and nodes <= 1000
+    assert (rank, alpha) == (22, 1650) and nodes == 570
+
+
+def ring_of_k5s():
+    """Four K5s in a ring, the i-th on the edges (2i, 2i+1) and (2i+2,
+    2i+3) mod 8 that it shares with its neighbours and its own vertex
+    8 + i: one part, b4 = 20, T = 36, m2 = 24."""
+    return make_graph(12, {e for i in range(4) for e in combinations(
+        (2 * i, 2 * i + 1, (2 * i + 2) % 8, (2 * i + 3) % 8, 8 + i), 2)})
+
+
+# the nodes of compute_m2's descent, each pass from its own incumbent; they
+# do not depend on the host, and equal counts mean the same skips
+DESCENT_NODES = {
+    "k8-minus-matching": (k8_minus_matching, 446),
+    "hex-side-4": (lambda: generate_family(FamilyCertificate.hex_triangle(4)),
+                   1410),
+    "clique-string-5x5": (
+        lambda: generate_family(FamilyCertificate.clique_string(5, 5)), 7638),
+    "ring-of-4-k5s": (ring_of_k5s, 82348),
+    "k7-minus-an-edge": (lambda: make_graph(7, [
+        e for e in combinations(range(7), 2) if e != (0, 1)]), 191169),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_NODES))
+def test_the_descent_visits_a_pinned_number_of_nodes(monkeypatch, name):
+    build, expected = DESCENT_NODES[name]
+    counts = []
+    descend = raagh.solver._descend
+
+    def counted(*args, **kwargs):
+        result = descend(*args, **kwargs)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(raagh.solver, "_descend", counted)
+    compute_m2(build())
+    assert counts == [expected]
 
 
 def test_parts_sharing_no_row_skip_the_generator_search(monkeypatch):
