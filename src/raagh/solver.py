@@ -156,7 +156,7 @@ from .form import (AlphaVector, CupFormTemplate, build_cup_form, kernel_basis,
                    rank_gf2, render_vector, substitute)
 from .graphs import (Graph, _automorphism_generators, _mask_bits, _Record,
                      _twins, betti, biconnected_blocks, induced_subgraph,
-                     make_graph, maximal_cliques)
+                     maximal_cliques)
 
 _PART_SCAN_COST = 64
 _ORBIT_PRUNE_B4 = 12
@@ -370,7 +370,9 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
     copy of its parent's and re-augments.
     """
     nrows, flips, cuts, levels, entry = plan
-    tests = checks or ((),) * len(cuts)
+    if checks:
+        live = [0] * len(cuts)  # per cut, the generators still equal there
+        live[0] = -1
     tested = 0
     if terms is not None:
         adj = _support(plan)
@@ -413,9 +415,23 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
                 break
             mark[i] = r
             i += 1
-            if tests[i] and _maps_below(tests[i], value):
-                skip = (1 << levels[i]) - 1
-                break
+            if checks:
+                alive, below = live[i - 1], 0
+                for j, pairs in checks[i]:
+                    if alive >> j & 1:
+                        for p, source in pairs:
+                            if (value >> p ^ value >> source) & 1:
+                                # the first difference: the image is
+                                # smaller when value has the 1
+                                below = value >> p & 1
+                                alive ^= 1 << j
+                                break
+                        if below:
+                            break
+                if below:
+                    skip = (1 << levels[i]) - 1
+                    break
+                live[i] = alive
             if i < tested:
                 need = slack + nrows + 1
                 adj, mate, owner, size = supports[i - 1]
@@ -461,18 +477,21 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
             changed ^= low
 
 
-def _orbit_checks(g: Graph, template: CupFormTemplate, plan) -> tuple:
-    """Per cut of the plan, the tests by which _scan skips a subtree that
-    holds no least element of an orbit of Aut(g).
+def _orbit_checks(g: Graph, template: CupFormTemplate, plan) -> tuple | None:
+    """Per cut of the plan, the orbit tests by which _scan skips a subtree
+    that holds no least element of an orbit of Aut(g); None when no
+    generator moves a 4-clique.
 
     Each generator of _automorphism_generators maps 4-cliques to 4-cliques,
     clique q to perm[q], and so an encoding x to image(x) with bit perm[q]
-    set for each bit q of x.  At the cut of level q (bits >= q fixed), a
-    generator is tested with the least k >= q such that every bit >= k of
-    image(x) comes from a bit >= q of x, provided it moves some bit >= k:
-    then image(x) >> k is the same for every x in the subtree, and when it
-    is below x >> k, every x there has a smaller image.  A test lists the
-    (bit p, source bit perm^-1(p)) pairs with p >= k that differ, highest
+    set for each bit q of x.  Its pairs are the (bit p, source bit
+    perm^-1(p)) that differ, highest p first.  At the cut of level q (bits
+    >= q fixed) it reads its pairs with p >= k, for the least k >= q such
+    that every bit >= k of image(x) comes from a bit >= q of x: then
+    image(x) >> k is the same for every x in the subtree, and when it is
+    below x >> k, every x there has a smaller image.  k falls with the
+    level, so the pairs read at a cut extend those read at the cut above,
+    and cut i lists, as (generator index, pairs), only the pairs it reads
     first.
     """
     cliques = template.cliques
@@ -482,40 +501,38 @@ def _orbit_checks(g: Graph, template: CupFormTemplate, plan) -> tuple:
     # form, and leaving them out keeps the search to at most 4 * b4 vertices
     h = g if len(verts) == g.n else induced_subgraph(g, verts)[0]
     index = {v: i for i, v in enumerate(verts)}
-    inverses = []
+    b4 = len(cliques)
+    inverses = {}
     for sigma in _automorphism_generators(h):
-        inv = [0] * len(cliques)
+        inv = [0] * b4
         for q, c in enumerate(cliques.cliques):
             image = tuple(sorted(verts[sigma[index[v]]] for v in c))
             inv[cliques.position[image]] = q
-        inverses.append(inv)
+        inverses[tuple(inv)] = None
+    gens = []  # (pairs, least, above) per generator that moves a clique
+    for inv in inverses:
+        # least[k] = min(inv[k:]) and above[k] = pairs with p >= k, so at
+        # level q the generator reads above[max(q, first k with least[k] >= q)]
+        least, above = [b4] * (b4 + 1), [0] * (b4 + 1)
+        for p in reversed(range(b4)):
+            least[p] = min(least[p + 1], inv[p])
+            above[p] = above[p + 1] + (inv[p] != p)
+        if above[0]:
+            pairs = tuple((p, inv[p]) for p in reversed(range(b4)) if inv[p] != p)
+            gens.append((pairs, least, above))
+    if not gens:
+        return None
+    read = [0] * len(gens)
     checks = []
     for level in plan[3]:
-        tests = []
-        for inv in inverses:
-            k = len(inv)
-            while k > level and inv[k - 1] >= level:
-                k -= 1
-            pairs = tuple((p, inv[p]) for p in reversed(range(k, len(inv)))
-                          if inv[p] != p)
-            if pairs:
-                tests.append(pairs)
-        checks.append(tuple(dict.fromkeys(tests)))
+        fresh = []
+        for j, (pairs, least, above) in enumerate(gens):
+            count = above[max(level, bisect_left(least, level))]
+            if count > read[j]:
+                fresh.append((j, pairs[read[j]:count]))
+                read[j] = count
+        checks.append(tuple(fresh))
     return tuple(checks)
-
-
-def _maps_below(tests, value: int) -> bool:
-    """Whether a test of _orbit_checks shows an image of value's subtree
-    below it: at the highest listed bit where value and its image differ,
-    value has the 1."""
-    for pairs in tests:
-        for p, source in pairs:
-            bit = value >> p & 1
-            if value >> source & 1 != bit:
-                if bit:
-                    return True
-                break
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -536,12 +553,13 @@ def _parts(clique_rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     one part.
     """
     b4 = len(clique_rows)
-    incidence = [(q, b4 + r) for q, contribs in enumerate(clique_rows)
-                 for r, _bit in contribs]
+    # distinct pairs u < v, so the graph needs no normalizing
+    incidence = tuple(sorted((q, b4 + r) for q, contribs in enumerate(clique_rows)
+                             for r, _bit in contribs))
     n = 1 + max(v for _q, v in incidence)
     merged: list[tuple[int, int]] = []  # (clique mask, row mask) per part
     seen = separating = 0
-    for block in biconnected_blocks(make_graph(n, incidence)):
+    for block in biconnected_blocks(Graph._normalized(n, incidence)):
         cliques = rows = 0
         for v in block:
             if v < b4:
@@ -576,10 +594,11 @@ def _part_rank(clique_rows, cliques, deleted: int) -> int:
     return _descend(plan, _top(plan))[0]
 
 
-def _parts_worth_scanning(clique_rows,
+def _parts_worth_scanning(template: CupFormTemplate,
                           budget: int | None = None) -> list | None:
-    """The parts of the block when scanning them costs fewer than budget
-    encodings, by default the whole block's 2^b4, else None.
+    """The parts of the template's block when it splits into two or more
+    and scanning them costs fewer than budget encodings, by default the
+    whole block's 2^b4, else None.
 
     Each part is scanned once per delete pattern of its outer rows, and
     each of those scans is charged _PART_SCAN_COST encodings on top of its
@@ -589,14 +608,34 @@ def _parts_worth_scanning(clique_rows,
     two parts scanned twice each, so a budget too small for that to pay is
     not examined; it forgoes only splits into groups meeting in vertices,
     which at that size save next to nothing.
+
+    Two 4-cliques that share a triangle share its three rows, so they lie
+    in one block of the graph of cliques and rows, and so in one part.
+    When shared triangles join all of them (as on K8 minus a perfect
+    matching, face-strings and hex triangles) the block is one part, and
+    the parts are not built.
     """
+    b4 = template.num_cliques
     if budget is None:
-        budget = 1 << len(clique_rows)
+        budget = 1 << b4
     if budget <= 4 * (_PART_SCAN_COST + 2):
         return None
-    parts = _parts(clique_rows)
-    if sum((_PART_SCAN_COST + (1 << len(cliques))) << len(outer)
-           for cliques, outer in parts) >= budget:
+    # union-find over the cliques, each triangle keyed to its first clique;
+    # clique q is the root of its class while its triangles are read
+    root, classes, first = list(range(b4)), b4, {}
+    for q, (a, b, c, d) in enumerate(template.cliques.cliques):
+        for triangle in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
+            u = first.setdefault(triangle, q)
+            while root[u] != u:
+                u = root[u]
+            if u != q:
+                root[u] = q
+                classes -= 1
+    if classes == 1:
+        return None
+    parts = _parts(template.clique_rows)
+    if len(parts) == 1 or sum((_PART_SCAN_COST + (1 << len(cliques))) << len(outer)
+                              for cliques, outer in parts) >= budget:
         return None
     return parts
 
@@ -657,7 +696,8 @@ def _top(plan) -> int:
     return parity_ceiling(_term_rank(_support(plan)))
 
 
-def _upper(g: Graph, clique_rows, plan, ceiling: int, budget: int) -> int:
+def _upper(g: Graph, template: CupFormTemplate, plan, ceiling: int,
+           budget: int) -> int:
     """A proven upper bound U on every rank of the block: its even term
     rank, top, when that is below the ceiling; otherwise the glued m2,
     which is exact, when the block splits into parts whose scans cost fewer
@@ -674,9 +714,9 @@ def _upper(g: Graph, clique_rows, plan, ceiling: int, budget: int) -> int:
     top = _top(plan)
     if top == ceiling and (
             _PART_SCAN_COST + (1 << comb(len(betti(g)) - 1, 4)) < budget):
-        parts = _parts_worth_scanning(clique_rows, budget)
-        if parts is not None and len(parts) > 1:
-            return _glued_m2(clique_rows, parts)
+        parts = _parts_worth_scanning(template, budget)
+        if parts is not None:
+            return _glued_m2(template.clique_rows, parts)
     return top
 
 
@@ -710,7 +750,7 @@ def compute_m2(g: Graph, config: SolverConfig = DEFAULT_CONFIG) -> M2Result:
         return M2Result(0, AlphaVector(0, 0), b2, True, 0)
 
     plan = _plan(template.clique_rows)
-    parts = _parts_worth_scanning(template.clique_rows)
+    parts = _parts_worth_scanning(template)
     terms = None
     if parts is None:
         top = _top(plan)
@@ -791,7 +831,7 @@ def m2_heuristic(g: Graph) -> M2Result:
         return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
                         True, best_rank)
     plan = _plan(template.clique_rows)
-    upper = _upper(g, template.clique_rows, plan, ceiling,
+    upper = _upper(g, template, plan, ceiling,
                    (len(seeds) - 1) * plan[0])
     if len(seeds) > 1:
         rank, alpha, _nodes = _scan(plan, upper, best_rank - 1,

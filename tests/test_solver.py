@@ -218,7 +218,7 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
         if idx % 4 == 0:
             res = compute_m2(g, two_workers)
             assert (res.m2, res.witness, res.exhaustive) == expected, idx
-        cut += _parts_worth_scanning(t.clique_rows) is not None
+        cut += _parts_worth_scanning(t) is not None
         # the gluing itself, whether or not compute_m2 would take it here
         parts = _parts(t.clique_rows)
         if len(parts) == 1:
@@ -353,13 +353,80 @@ def test_only_blocks_whose_parts_scan_cheaper_are_cut():
                       (FamilyCertificate.clique_string(5, 2), True),
                       (FamilyCertificate.clique_string(5, 3), True)):
         t = build_cup_form(generate_family(cert))
-        assert (_parts_worth_scanning(t.clique_rows) is not None) == cut, cert
+        assert (_parts_worth_scanning(t) is not None) == cut, cert
+
+
+def test_blocks_that_shared_triangles_join_skip_the_parts(monkeypatch):
+    # K8 minus a matching, face-string-16 and hex side 3 are one part, and
+    # shared triangles join all their 4-cliques; clique-string 5x3 is not
+    # joined that way and keeps its three parts
+    rnd = random.Random(44)
+    graphs = [k8_minus_matching(),
+              generate_family(FamilyCertificate.face_string(16)),
+              generate_family(FamilyCertificate.hex_triangle(3))]
+    graphs += [relabeled(g, rnd) for g in graphs]
+    results = [compute_m2(g) for g in graphs]
+
+    def refuse(clique_rows):
+        raise AssertionError("parts built for a block that is one part")
+
+    with monkeypatch.context() as m:
+        m.setattr(raagh.solver, "_parts", refuse)
+        assert [compute_m2(g) for g in graphs] == results
+    t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
+    assert len(_parts_worth_scanning(t)) == 3
+
+
+def test_parts_worth_scanning_keeps_the_rule_of_its_parts(monkeypatch):
+    # None exactly where the parts are one or cost the budget, at the
+    # default budget and at budgets like _upper's; some blocks never
+    # build their parts, and the parts graph is built as make_graph would
+    # build it
+    cost = raagh.solver._PART_SCAN_COST
+    built = []
+    parts_of, blocks_of = raagh.solver._parts, raagh.solver.biconnected_blocks
+
+    def counted(clique_rows):
+        built.append(clique_rows)
+        return parts_of(clique_rows)
+
+    def checked(g):
+        assert g.edges == make_graph(g.n, g.edges).edges
+        return blocks_of(g)
+
+    monkeypatch.setattr(raagh.solver, "_parts", counted)
+    monkeypatch.setattr(raagh.solver, "biconnected_blocks", checked)
+    graphs = (scan_battery(60, 40) + glued_battery(24, 41) + ring_battery(12, 42)
+              + symmetric_battery(43))
+    exits = 0
+    for idx, g in enumerate(graphs):
+        t = build_cup_form(g)
+        parts = parts_of(t.clique_rows)
+        for budget in (None, 1000, 511 * _plan(t.clique_rows)[0]):
+            limit = 1 << t.num_cliques if budget is None else budget
+            spent = sum((cost + (1 << len(c))) << len(o) for c, o in parts)
+            examined = limit > 4 * (cost + 2)
+            worth = examined and len(parts) > 1 and spent < limit
+            before = len(built)
+            assert _parts_worth_scanning(t, budget) == (
+                parts if worth else None), (idx, budget)
+            exits += examined and len(built) == before
+    assert exits >= 100 and len(built) >= 50
+
+
+def test_orbit_checks_are_none_when_no_generator_moves_a_clique():
+    # a K4's automorphisms fix its one 4-clique; a K5's move its five
+    for n, moved in ((4, False), (5, True)):
+        g = make_graph(n, combinations(range(n), 2))
+        t = build_cup_form(g)
+        checks = _orbit_checks(g, t, _plan(t.clique_rows))
+        assert (checks is not None) == moved, n
 
 
 def test_clique_string_5x3_witness_scan_is_a_few_dozen_nodes():
     t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
     plan = _plan(t.clique_rows)
-    assert _glued_m2(t.clique_rows, _parts_worth_scanning(t.clique_rows)) == 18
+    assert _glued_m2(t.clique_rows, _parts_worth_scanning(t)) == 18
     rank, _alpha, nodes = _scan(plan, 18, 16)
     assert rank == 18 and nodes == 40
     assert _scan(plan, parity_ceiling(t.dim))[2] > 29000
@@ -576,7 +643,7 @@ def test_parts_sharing_no_row_skip_the_generator_search(monkeypatch):
     g = make_graph(112, [e for i in range(0, 112, 4)
                          for e in combinations(range(i, i + 4), 2)])
     assert all(not outer for _cliques, outer in
-               _parts_worth_scanning(build_cup_form(g).clique_rows))
+               _parts_worth_scanning(build_cup_form(g)))
 
     def refuse(h):
         raise AssertionError("generator search on parts that share no row")
