@@ -42,12 +42,14 @@ rows, the separating rows are the rows that are cut nodes, and the
 joined through shared cliques.  Blocks and cut nodes form a tree, so
 parts and separating ("outer") rows form a forest; parts that share two
 separating rows, each separating only because of a third part hung on
-it, lie in one block and so are one part.  Each part is scanned once per delete pattern of its
-outer rows, and the part maxima combine by that max-plus rule up each
-tree.  Groups sharing no edge at all (cliques meeting in single vertices)
-just add.  compute_m2 takes this path only when the parts' scans,
-2^(cliques + outer rows) encodings each plus a fixed cost per scan, add
-up to fewer than the block's 2^b4.
+it, lie in one block and so are one part.  Each part is scanned once per
+delete pattern of its outer rows, and the part maxima combine by that
+max-plus rule up each tree.  Groups sharing no edge at all (cliques
+meeting in single vertices) just add.  compute_m2 takes this path only
+when the parts' scans, 2^(cliques + outer rows) encodings each plus a
+fixed cost per scan, add up to fewer than the block's 2^b4.  4-cliques
+that share a triangle share three rows, so when shared triangles join
+them all the block is one part, and the parts graph is not built.
 
 Descending targets.  compute_m2 scans from an upper bound top on every
 rank, one pass per target t = top, top - 2, ...: a pass is a scan with
@@ -90,7 +92,10 @@ witness.  Both scans can take per-cut tests (_orbit_checks) from the
 generators of Aut(G) that _automorphism_generators reads off the
 individualize-refine search behind canonical_key, and skip a subtree
 when a generator maps every encoding in it lower, read off the bits the
-subtree fixes (isomorphism pruning, Margot 2002).  A skipped encoding x
+subtree fixes (isomorphism pruning, Margot 2002).  The tests are carried
+down the cuts like the pivot log: a generator whose image is larger is
+dropped for the subtree, and one still equal reads only the pairs the
+next cut adds, so no pair is read twice along a path.  A skipped encoding x
 has a lower image of the same rank that is either visited, bound-skipped
 (so no higher than the incumbent), or skipped the same way, so the
 incumbent at every point is what the plain scan has there: the result
@@ -350,9 +355,13 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
     nodes counts the encodings at which the reduction resumed.
 
     checks, when given, holds per cut the orbit tests of _orbit_checks:
-    on stepping down to cut i, before its rows are reduced, the subtree of
-    levels[i] is skipped when a test shows that an automorphism maps every
-    encoding in it to a smaller one.
+    on stepping down to cut i, before its rows are reduced, each generator
+    in live[i - 1], still equal above, reads the pairs the cut adds.  At
+    the first that differs the image is smaller throughout the subtree of
+    levels[i], which is skipped, when the encoding has the 1 there, and
+    larger otherwise, and the generator leaves live[i].  A step leaves the
+    bits the cuts up to its entry read unchanged, so their masks stay
+    valid, as the pivots do.
 
     trials, when given, is a sorted, non-empty sequence of encodings, and
     the walk visits only those: it starts at trials[0] and steps to the
@@ -370,9 +379,7 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
     copy of its parent's and re-augments.
     """
     nrows, flips, cuts, levels, entry = plan
-    if checks:
-        live = [0] * len(cuts)  # per cut, the generators still equal there
-        live[0] = -1
+    live = [-1] * len(cuts)     # per cut, a mask of the generators still equal
     tested = 0
     if terms is not None:
         adj = _support(plan)
@@ -490,9 +497,8 @@ def _orbit_checks(g: Graph, template: CupFormTemplate, plan) -> tuple | None:
     that every bit >= k of image(x) comes from a bit >= q of x: then
     image(x) >> k is the same for every x in the subtree, and when it is
     below x >> k, every x there has a smaller image.  k falls with the
-    level, so the pairs read at a cut extend those read at the cut above,
-    and cut i lists, as (generator index, pairs), only the pairs it reads
-    first.
+    level, so cut i lists, as (generator index, pairs), only the pairs
+    that the cut above did not read.
     """
     cliques = template.cliques
     verts = sorted({v for c in cliques.cliques for v in c})
@@ -502,37 +508,26 @@ def _orbit_checks(g: Graph, template: CupFormTemplate, plan) -> tuple | None:
     h = g if len(verts) == g.n else induced_subgraph(g, verts)[0]
     index = {v: i for i, v in enumerate(verts)}
     b4 = len(cliques)
-    inverses = {}
-    for sigma in _automorphism_generators(h):
+    checks: list[list] = [[] for _level in plan[3]]
+    for j, sigma in enumerate(_automorphism_generators(h)):
         inv = [0] * b4
         for q, c in enumerate(cliques.cliques):
             image = tuple(sorted(verts[sigma[index[v]]] for v in c))
             inv[cliques.position[image]] = q
-        inverses[tuple(inv)] = None
-    gens = []  # (pairs, least, above) per generator that moves a clique
-    for inv in inverses:
-        # least[k] = min(inv[k:]) and above[k] = pairs with p >= k, so at
-        # level q the generator reads above[max(q, first k with least[k] >= q)]
+        # least[k] = min(inv[k:]) and above[k] counts the pairs with p >= k:
+        # level q reads above[k] for the least k >= q with least[k] >= q
         least, above = [b4] * (b4 + 1), [0] * (b4 + 1)
         for p in reversed(range(b4)):
             least[p] = min(least[p + 1], inv[p])
             above[p] = above[p + 1] + (inv[p] != p)
-        if above[0]:
-            pairs = tuple((p, inv[p]) for p in reversed(range(b4)) if inv[p] != p)
-            gens.append((pairs, least, above))
-    if not gens:
-        return None
-    read = [0] * len(gens)
-    checks = []
-    for level in plan[3]:
-        fresh = []
-        for j, (pairs, least, above) in enumerate(gens):
+        pairs = tuple((p, inv[p]) for p in reversed(range(b4)) if inv[p] != p)
+        read = 0
+        for fresh, level in zip(checks, plan[3]):
             count = above[max(level, bisect_left(least, level))]
-            if count > read[j]:
-                fresh.append((j, pairs[read[j]:count]))
-                read[j] = count
-        checks.append(tuple(fresh))
-    return tuple(checks)
+            if count > read:
+                fresh.append((j, pairs[read:count]))
+                read = count
+    return tuple(map(tuple, checks)) if any(checks) else None
 
 
 # --------------------------------------------------------------------------
@@ -609,19 +604,15 @@ def _parts_worth_scanning(template: CupFormTemplate,
     not examined; it forgoes only splits into groups meeting in vertices,
     which at that size save next to nothing.
 
-    Two 4-cliques that share a triangle share its three rows, so they lie
-    in one block of the graph of cliques and rows, and so in one part.
-    When shared triangles join all of them (as on K8 minus a perfect
-    matching, face-strings and hex triangles) the block is one part, and
-    the parts are not built.
+    Shared triangles joining all 4-cliques (K8 minus a perfect matching,
+    face-strings, hex triangles) make one part, which is not built.
     """
     b4 = template.num_cliques
     if budget is None:
         budget = 1 << b4
     if budget <= 4 * (_PART_SCAN_COST + 2):
         return None
-    # union-find over the cliques, each triangle keyed to its first clique;
-    # clique q is the root of its class while its triangles are read
+    # union-find over cliques sharing a triangle; q is a root while read
     root, classes, first = list(range(b4)), b4, {}
     for q, (a, b, c, d) in enumerate(template.cliques.cliques):
         for triangle in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
@@ -831,8 +822,7 @@ def m2_heuristic(g: Graph) -> M2Result:
         return M2Result(best_rank, AlphaVector(best_alpha, b4), b2 - best_rank,
                         True, best_rank)
     plan = _plan(template.clique_rows)
-    upper = _upper(g, template, plan, ceiling,
-                   (len(seeds) - 1) * plan[0])
+    upper = _upper(g, template, plan, ceiling, (len(seeds) - 1) * plan[0])
     if len(seeds) > 1:
         rank, alpha, _nodes = _scan(plan, upper, best_rank - 1,
                                     trials=sorted(seeds[1:]))
