@@ -379,7 +379,7 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
     copy of its parent's and re-augments.
     """
     nrows, flips, cuts, levels, entry = plan
-    live = [-1] * len(cuts)     # per cut, a mask of the generators still equal
+    live = [-1] * len(cuts)     # per cut, a mask of generators still equal
     tested = 0
     if terms is not None:
         adj = _support(plan)
@@ -612,7 +612,7 @@ def _parts_worth_scanning(template: CupFormTemplate,
         budget = 1 << b4
     if budget <= 4 * (_PART_SCAN_COST + 2):
         return None
-    # union-find over cliques sharing a triangle; q is a root while read
+    # union-find of cliques sharing a triangle; q stays a root in its turn
     root, classes, first = list(range(b4)), b4, {}
     for q, (a, b, c, d) in enumerate(template.cliques.cliques):
         for triangle in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
