@@ -587,7 +587,7 @@ def _target_cell(colors: tuple[int, ...]) -> list[int] | None:
     return None
 
 
-def _canonical_search(g: Graph):
+def _canonical_search(g: Graph, stop=None):
     """(least leaf edge tuple, generators of Aut(g)) from one search of the
     individualize-refine tree (McKay 1981; McKay & Piperno 2014).
 
@@ -600,7 +600,9 @@ def _canonical_search(g: Graph):
     vertex's with the same leaf keys.  For the same reason a new generator
     sends the search back to the first-path node its leaf's path leaves
     from.  Each first-path node thus reaches the orbit of its child under
-    the automorphisms fixing its path, so the generators span Aut(g)."""
+    the automorphisms fixing its path, so the generators span Aut(g), and
+    every leaf key of the whole tree is met.  stop, a test of leaf keys,
+    ends the search at the first leaf it passes, whose key is returned."""
     n = g.n
     twin = _twins(g)
     gens, last = [], {}
@@ -621,6 +623,9 @@ def _canonical_search(g: Graph):
         if target is None:
             key = tuple(sorted(tuple(sorted((colors[u], colors[v])))
                                for u, v in g.edges))
+            if stop is not None and stop(key):
+                best = key
+                return -1   # below every depth: unwinds the whole search
             if first is None:
                 first = key, path, sorted(range(n), key=colors.__getitem__)
                 best = key
@@ -666,9 +671,13 @@ def _automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
+    """True iff a and b are isomorphic, keying neither: isomorphic graphs
+    have the same leaf keys, and the search of a meets all of its own (see
+    _canonical_search), so it looks for the key of b's first leaf only."""
     if a.n != b.n or len(a.edges) != len(b.edges):
         return False
-    return canonical_key(a) == canonical_key(b)
+    key = _canonical_search(b, lambda _key: True)[0]
+    return _canonical_search(a, key.__eq__)[0] == key
 
 
 def recognize_family(g: Graph) -> FamilyCertificate | None:
@@ -791,7 +800,8 @@ def verify_certificate(g: Graph, cert: FamilyCertificate) -> bool:
     Run before trusting a certificate that arrived with parsed input.
 
     The vertex counts are compared before the model is built, so a forged
-    certificate with huge parameters costs nothing."""
+    certificate with huge parameters costs nothing.  Grids and hex
+    triangles go to is_isomorphic, which keys neither graph."""
     if _family_vertex_count(cert) != g.n:
         return False
     fam = cert.family

@@ -42,14 +42,20 @@ rows, the separating rows are the rows that are cut nodes, and the
 joined through shared cliques.  Blocks and cut nodes form a tree, so
 parts and separating ("outer") rows form a forest; parts that share two
 separating rows, each separating only because of a third part hung on
-it, lie in one block and so are one part.  Each part is scanned once per
+it, lie in one block and so are one part.  4-cliques that share a
+triangle share three rows, so a class of them joined by shared triangles
+stays connected without any one row and lies in one block, and cliques
+of two classes share at most one row: _parts reads the blocks off the
+small graph of classes and the rows of two or more classes, and builds
+none when one class holds every clique.  Each part is ranked once per
 delete pattern of its outer rows, and the part maxima combine by that
-max-plus rule up each tree.  Groups sharing no edge at all (cliques
-meeting in single vertices) just add.  compute_m2 takes this path only
-when the parts' scans, 2^(cliques + outer rows) encodings each plus a
-fixed cost per scan, add up to fewer than the block's 2^b4.  4-cliques
-that share a triangle share three rows, so when shared triangles join
-them all the block is one part, and the parts graph is not built.
+max-plus rule up each tree.  Deleting a row never raises the rank, so the
+maximum with nothing deleted bounds every other pattern, which then takes
+a pass or two; equal _plans are the same matrix up to renaming, so each
+is ranked once per _glued_m2 call.  Groups sharing no edge at all
+(cliques meeting in single vertices) just add.  compute_m2 takes this
+path only when the parts' scans, 2^(cliques + outer rows) encodings each
+plus a fixed cost per scan, add up to fewer than the block's 2^b4.
 
 Descending targets.  compute_m2 scans from an upper bound top on every
 rank, one pass per target t = top, top - 2, ...: a pass is a scan with
@@ -80,9 +86,9 @@ ceiling, as on K8 minus a matching (24 rows, term rank 24), the top cuts
 rarely lose enough support to prune and the matchings cost more than they
 save.  Like the bound, the test skips only subtrees that hold no higher
 rank, so the result is the plain scan's.
-_part_rank descends from a part's own top on parts of at least
-_PART_DESCENT_CLIQUES cliques (the K6s of clique-string 6xk); smaller
-parts, like the K5s of 5xk, scan faster from no incumbent.
+With nothing deleted, _part_rank descends from a part's own top on parts
+of at least _PART_DESCENT_CLIQUES cliques (the K6s of clique-string 6xk);
+smaller parts, like the K5s of 5xk, scan faster from no incumbent.
 
 Orbit pruning.  An automorphism of the graph permutes the 4-cliques and
 the rows alike, so it maps each encoding to one of the same rank.  The
@@ -140,7 +146,7 @@ seed-order rule.  A block whose largest clique alone, with its C(omega, 4)
 cliques in one part, costs that budget is not cut into parts, so complete
 graphs and the 6- and 7-strings pay nothing for it.  On a relabeled
 clique-string 5x3 the walk stops after 8 of its 509 trials, at the glued
-m2 18, and a call takes about 1.6 ms instead of 4.6; 5x20 about 15 ms
+m2 18, and a call takes about 0.8 ms instead of 4.6; 5x20 about 5 ms
 instead of 60 (medians, 2-core Xeon VM, Python 3.11.7).  U goes out as
 the result's upper, and hbounds takes the cohomological bound at it, since
 2 b2 - x bounds h from below for every x >= m2 and an uncertified result
@@ -352,7 +358,8 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
     flips the cliques that changed; the pivots of the rows before start[t]
     (t the highest changed clique) stay valid, so it undoes the pivot
     insertions logged since that cut and re-reduces only the suffix.
-    nodes counts the encodings at which the reduction resumed.
+    Pivots are kept in a list by leading bit; a rank does not depend on the
+    elimination order.  nodes counts the encodings at which it resumed.
 
     checks, when given, holds per cut the orbit tests of _orbit_checks:
     on stepping down to cut i, before its rows are reduced, each generator
@@ -389,10 +396,10 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
         supports += [None] * (len(cuts) - 1)
         tested = sum(level >= terms for level in levels)
     rows = [0] * nrows
-    pivots: dict[int, int] = {}
+    pivots = [0] * (nrows + 1)  # the pivot row of each leading bit length
     log: list[int] = []         # pivot keys in insertion order
     mark = [0] * len(cuts)      # len(log) when cut i was reached
-    get, append = pivots.get, log.append
+    append = log.append
     best_rank, best_alpha, nodes = best, None, 0
     end = 1 << len(flips)
     # the bound at a cut does not beat best_rank iff r - cut <= slack
@@ -409,7 +416,7 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
         nodes += 1
         r = mark[i]
         for key in log[r:]:
-            del pivots[key]
+            pivots[key] = 0
         del log[r:]
         while True:
             cut = cuts[i]
@@ -457,14 +464,13 @@ def _scan(plan, ceiling: int, best: int = -1, checks=None,
                 if size < need:
                     skip = (1 << levels[i]) - 1
                     break
-            for p in range(cut, cuts[i]):
-                row = rows[p]
+            for row in rows[cut:cuts[i]]:
                 while row:
-                    low = row & -row
-                    pivot = get(low)
-                    if pivot is None:
-                        pivots[low] = row
-                        append(low)
+                    lead = row.bit_length()
+                    pivot = pivots[lead]
+                    if not pivot:
+                        pivots[lead] = row
+                        append(lead)
                         r += 1
                         break
                     row ^= pivot
@@ -534,59 +540,81 @@ def _orbit_checks(g: Graph, template: CupFormTemplate, plan) -> tuple | None:
 # gluing at separating edges
 # --------------------------------------------------------------------------
 
-def _parts(clique_rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _parts(template: CupFormTemplate) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The cliques cut at every separating row: (cliques, outer rows) per
-    part, in order of least clique.
+    part, in order of least clique (see the module docstring).
 
-    The rows and cliques are the nodes of a bipartite graph, each clique
-    joined to its six rows.  A row separates when it is a cut node of that
-    graph, that is, when it lies in two or more of its blocks.  A part is
-    the cliques of the blocks joined through shared clique nodes, and its
-    outer rows are the separating rows of those blocks.  Blocks and cut
-    nodes form a tree, so parts and separating rows form a forest; parts
-    that would close a cycle through their rows lie in one block, and so in
-    one part.
+    The blocks come from the graph of the classes of cliques that shared
+    triangles join and the rows of two or more classes, merged through
+    shared classes; a class that shares no row is a part of its own.
     """
-    b4 = len(clique_rows)
+    b4 = template.num_cliques
+    # union-find of cliques sharing a triangle; q stays a root in its turn,
+    # so a root lies above its members
+    root, first = list(range(b4)), {}
+    for q, (a, b, c, d) in enumerate(template.cliques.cliques):
+        for triangle in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
+            u = first.setdefault(triangle, q)
+            while root[u] != u:
+                u = root[u]
+            if u != q:
+                root[u] = q
+    members = [0] * b4          # clique mask per class, at its root
+    for q in reversed(range(b4)):
+        root[q] = root[root[q]]
+        members[root[q]] |= 1 << q
+    if members[-1] == (1 << b4) - 1:
+        return [(tuple(range(b4)), ())]
+    on_row: dict[int, int] = {}  # row -> mask of the classes on it
+    for q, contribs in enumerate(template.clique_rows):
+        for r, _bit in contribs:
+            on_row[r] = on_row.get(r, 0) | 1 << root[q]
+    shared = [r for r, classes in sorted(on_row.items()) if classes & classes - 1]
     # distinct pairs u < v, so the graph needs no normalizing
-    incidence = tuple(sorted((q, b4 + r) for q, contribs in enumerate(clique_rows)
-                             for r, _bit in contribs))
-    n = 1 + max(v for _q, v in incidence)
-    merged: list[tuple[int, int]] = []  # (clique mask, row mask) per part
+    incidence = tuple(sorted((c, b4 + j) for j, r in enumerate(shared)
+                             for c in _mask_bits(on_row[r])))
+    # (class mask, row mask) per part, from each class alone
+    merged = [(1 << c, 0) for c in range(b4) if members[c]]
     seen = separating = 0
-    for block in biconnected_blocks(Graph._normalized(n, incidence)):
-        cliques = rows = 0
-        for v in block:
-            if v < b4:
-                cliques |= 1 << v
-            else:
-                rows |= 1 << (v - b4)
+    for block in biconnected_blocks(Graph._normalized(b4 + len(shared), incidence)):
+        classes = sum(1 << v for v in block if v < b4)
+        rows = sum(1 << (v - b4) for v in block if v >= b4)
         separating |= seen & rows
         seen |= rows
-        for other in [m for m in merged if m[0] & cliques]:
+        for other in [m for m in merged if m[0] & classes]:
             merged.remove(other)
-            cliques |= other[0]
+            classes |= other[0]
             rows |= other[1]
-        merged.append((cliques, rows))
-    return sorted((tuple(_mask_bits(cliques)), tuple(_mask_bits(rows & separating)))
-                  for cliques, rows in merged)
+        merged.append((classes, rows))
+    return sorted((tuple(_mask_bits(sum(members[c] for c in _mask_bits(classes)))),
+                   tuple(shared[j] for j in _mask_bits(rows & separating)))
+                  for classes, rows in merged)
 
 
-def _part_rank(clique_rows, cliques, deleted: int) -> int:
-    """Maximum rank over the functionals on the given cliques, with the
-    rows and columns in the deleted mask removed: the branch-and-bound
-    scan, capped at the part's own parity ceiling.  Cliques left with no
-    entry are dropped."""
-    kept = []
-    for q in cliques:
-        contribs = tuple((r, bit) for r, bit in clique_rows[q]
-                         if not (deleted >> r & 1 or bit & deleted))
-        if contribs:
-            kept.append(contribs)
-    plan = _plan(kept)
-    if len(kept) < _PART_DESCENT_CLIQUES:
-        return _scan(plan, parity_ceiling(plan[0]))[0]
-    return _descend(plan, _top(plan))[0]
+def _part_plan(clique_rows, cliques, deleted: int) -> tuple:
+    """The _plan of the cliques without the rows and columns in deleted;
+    cliques left with no entry are dropped."""
+    left = (tuple((r, bit) for r, bit in clique_rows[q]
+                  if not (deleted >> r & 1 or bit & deleted)) for q in cliques)
+    return _plan([contribs for contribs in left if contribs])
+
+
+def _part_rank(plan, kept: int | None = None) -> int:
+    """Maximum rank over the encodings of a part's plan.  With nothing
+    deleted (kept None), the scan capped at the parity ceiling, or on parts
+    of at least _PART_DESCENT_CLIQUES cliques the descent from their top.
+    Otherwise kept is that maximum, and deleting a row and its column never
+    raises the rank of an alternating matrix, so t = min(kept, that bound)
+    bounds every rank: one pass at t from the incumbent t - 2 hits exactly
+    when the maximum is t, and on a miss the plain scan capped at t - 2
+    finds it."""
+    big = len(plan[1]) >= _PART_DESCENT_CLIQUES
+    top = _top(plan) if big else parity_ceiling(plan[0])
+    if kept is None:
+        return _descend(plan, top)[0] if big else _scan(plan, top)[0]
+    t = min(kept, top)
+    rank, alpha, _nodes = _scan(plan, t, t - 2)
+    return rank if alpha is not None else _scan(plan, t - 2)[0]
 
 
 def _parts_worth_scanning(template: CupFormTemplate,
@@ -605,26 +633,14 @@ def _parts_worth_scanning(template: CupFormTemplate,
     which at that size save next to nothing.
 
     Shared triangles joining all 4-cliques (K8 minus a perfect matching,
-    face-strings, hex triangles) make one part, which is not built.
+    face-strings, hex triangles) make one part, and no graph of classes is
+    built (see _parts).
     """
-    b4 = template.num_cliques
     if budget is None:
-        budget = 1 << b4
+        budget = 1 << template.num_cliques
     if budget <= 4 * (_PART_SCAN_COST + 2):
         return None
-    # union-find of cliques sharing a triangle; q stays a root in its turn
-    root, classes, first = list(range(b4)), b4, {}
-    for q, (a, b, c, d) in enumerate(template.cliques.cliques):
-        for triangle in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
-            u = first.setdefault(triangle, q)
-            while root[u] != u:
-                u = root[u]
-            if u != q:
-                root[u] = q
-                classes -= 1
-    if classes == 1:
-        return None
-    parts = _parts(template.clique_rows)
+    parts = _parts(template)
     if len(parts) == 1 or sum((_PART_SCAN_COST + (1 << len(cliques))) << len(outer)
                               for cliques, outer in parts) >= budget:
         return None
@@ -634,15 +650,19 @@ def _parts_worth_scanning(template: CupFormTemplate,
 def _glued_m2(clique_rows, parts) -> int:
     """m2 from scans of the parts.
 
-    Each part is scanned once per delete pattern of its outer rows; up each
-    tree of parts and rows, taken breadth first, the sides meeting at a row
-    e combine as max_j (m2 of side j + sum over the other sides of their m2
-    with e deleted), and trees add.
+    Each part is ranked once per delete pattern of its outer rows, nothing
+    deleted first (see _part_rank).  _plan numbers rows and columns by first
+    appearance, so equal plans are the same matrix up to renaming, and each
+    plan is ranked once per call.  Up each tree of parts and rows, taken
+    breadth first, the sides meeting at a row e combine as max_j (m2 of
+    side j + sum over the other sides of their m2 with e deleted), and
+    trees add.
     """
     on_row: dict[int, list[int]] = {}
     for p, (_cliques, outer) in enumerate(parts):
         for r in outer:
             on_row.setdefault(r, []).append(p)
+    ranks: dict[tuple, int] = {}   # plan -> its maximum, for this call only
     # best rank of each part's subtree with its row up kept / deleted
     below: list = [None] * len(parts)
     total = 0
@@ -667,11 +687,17 @@ def _glued_m2(clique_rows, parts) -> int:
                     gains.append((i, (lost, lost + swap)))
             shift = outer.index(up) if up is not None else len(outer)
             best = [-1, -1]
+            kept = None
             for pattern in range(1 << len(outer)):
                 deleted = 0
                 for i, r in enumerate(outer):
                     deleted |= (pattern >> i & 1) << r
-                rank = _part_rank(clique_rows, cliques, deleted)
+                plan = _part_plan(clique_rows, cliques, deleted)
+                rank = ranks.get(plan)
+                if rank is None:
+                    rank = ranks[plan] = _part_rank(plan, kept)
+                if kept is None:
+                    kept = rank
                 rank += sum(gain[pattern >> i & 1] for i, gain in gains)
                 d = pattern >> shift & 1
                 best[d] = max(best[d], rank)

@@ -18,7 +18,9 @@ the individualize-refine tree, and parse_edge_list_oracle strips, tests and
 splits each line and builds a checked Graph where the package splits each
 line once and builds its Graph unchecked, and report_document_oracle
 builds the --json document as dicts for json.dumps(doc, indent=2) where
-the package writes its text from templates.  graphs_up_to lists every
+the package writes its text from templates, and parts_oracle takes the
+blocks of the whole graph of 4-cliques and rows where the package takes
+them from the classes of cliques that shared triangles join.  graphs_up_to lists every
 graph up to isomorphism by canonical_key, and sparse_blocks_edges draws
 large sparse graphs of many small blocks.  Expected values in the tests
 were frozen from these.
@@ -35,7 +37,8 @@ import raagh.solver
 from raagh import (AlphaVector, FamilyCertificate, Graph, ParseError,
                    build_cup_form, canonical_key, induced_subgraph, make_graph,
                    parity_ceiling, rank_gf2, substitute)
-from raagh.graphs import _check_vertex_count, _clip, _decimal
+from raagh.graphs import (_check_vertex_count, _clip, _decimal, _mask_bits,
+                          biconnected_blocks)
 from raagh.verification import (cliques_oracle, form_matrix_oracle, m2_oracle,
                                 rank_oracle)
 
@@ -44,7 +47,7 @@ __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
            "graphs_up_to", "group_order", "heuristic_oracle",
            "induced_subgraph_oracle", "integer_order_scan", "m2_oracle",
            "matvec", "maximal_cliques_oracle", "pair",
-           "parse_edge_list_oracle", "random_gnp", "rank_oracle",
+           "parse_edge_list_oracle", "parts_oracle", "random_gnp", "rank_oracle",
            "report_document_oracle", "rows_to_lists", "sparse_blocks_edges",
            "term_rank_oracle"]
 
@@ -218,6 +221,32 @@ def canonical_key_oracle(g: Graph):
 
     search(refine((0,) * n))
     return (n, best)
+
+
+def parts_oracle(clique_rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The parts of raagh.solver._parts, (cliques, outer rows) in order of
+    least clique, from the bipartite graph of 4-cliques and rows, each
+    clique joined to its six rows: a row separates when it lies in two or
+    more blocks, and a part is the cliques of the blocks joined through
+    shared clique nodes, with the separating rows of those blocks."""
+    b4 = len(clique_rows)
+    incidence = {(q, b4 + r) for q, contribs in enumerate(clique_rows)
+                 for r, _bit in contribs}
+    graph = make_graph(1 + max(v for _q, v in incidence), incidence)
+    merged = []   # (clique mask, row mask) per part
+    seen = separating = 0
+    for block in biconnected_blocks(graph):
+        cliques = sum(1 << v for v in block if v < b4)
+        rows = sum(1 << (v - b4) for v in block if v >= b4)
+        separating |= seen & rows
+        seen |= rows
+        for other in [m for m in merged if m[0] & cliques]:
+            merged.remove(other)
+            cliques |= other[0]
+            rows |= other[1]
+        merged.append((cliques, rows))
+    return sorted((tuple(_mask_bits(cliques)), tuple(_mask_bits(rows & separating)))
+                  for cliques, rows in merged)
 
 
 def group_order(gens, n: int) -> int:

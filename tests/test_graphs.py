@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 
 import raagh.graphs
-from raagh import (FamilyCertificate, ParseError, betti, canonical_key,
-                   enumerate_cliques, generate_family, is_isomorphic,
-                   make_graph, maximal_cliques, parse_graph, recognize_family,
-                   serialize_graph, to_dot, verify_certificate)
+from raagh import (FamilyCertificate, Graph, ParseError, betti,
+                   canonical_key, enumerate_cliques, generate_family,
+                   is_isomorphic, make_graph, maximal_cliques, parse_graph,
+                   recognize_family, serialize_graph, to_dot,
+                   verify_certificate)
 from raagh.graphs import (_automorphism_generators, _census,
                           biconnected_blocks, induced_subgraph)
 from raagh.hbounds import decompose_h
@@ -826,6 +827,85 @@ def test_relabeled_one_row_grid_certificate_verifies():
 ], ids=["clique-string-7x2", "K10"])
 def test_is_isomorphic_on_graphs_made_of_twins(g):
     assert is_isomorphic(g, _shuffled(g, 11))
+
+
+def _edge_swapped(g, rnd):
+    """g with edges ab and cd, on four distinct vertices, replaced by ac
+    and bd where neither is an edge: the same counts and degree sequence.
+    None when the drawn pairs admit no such swap."""
+    edges = set(g.edges)
+    for _ in range(20):
+        (a, b), (c, d) = rnd.sample(sorted(edges), 2)
+        if rnd.random() < 0.5:
+            c, d = d, c
+        ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        if len({a, b, c, d}) == 4 and ac not in edges and bd not in edges:
+            return make_graph(g.n, (edges - {(a, b), tuple(sorted((c, d)))})
+                              | {ac, bd})
+    return None
+
+
+ISOMORPHISM_FAMILIES = (
+    FamilyCertificate.grid([(x, 0) for x in range(8)]),
+    FamilyCertificate.grid([(x, y) for x in range(3) for y in range(2)]),
+    FamilyCertificate.grid([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]),
+    FamilyCertificate.hex_triangle(2),
+    FamilyCertificate.hex_triangle(3),
+    FamilyCertificate.clique_string(5, 3),
+    FamilyCertificate.face_string(6),
+)
+
+
+def test_is_isomorphic_agrees_with_canonical_keys():
+    # relabeled family members; degree-preserving swaps of them and of
+    # random graphs, relabeled, with the same counts and degree sequence;
+    # and every pair of classes with equal counts on at most 6 vertices,
+    # one of them relabeled
+    rnd = random.Random(47)
+    pairs = []
+    for cert in ISOMORPHISM_FAMILIES:
+        g = generate_family(cert)
+        pairs.append((_shuffled(g, rnd.getrandbits(32)), g))
+        pairs.append((g, _shuffled(g, rnd.getrandbits(32))))
+    bases = [generate_family(cert) for cert in ISOMORPHISM_FAMILIES]
+    bases += [make_graph(n, random_gnp(n, 0.5, seed))
+              for seed, n in enumerate(range(6, 12))]
+    for g in bases:
+        for _ in range(4):
+            h = _edge_swapped(g, rnd)
+            if h is not None:
+                pairs.append((_shuffled(h, rnd.getrandbits(32)), g))
+    for graphs in graphs_up_to(6):
+        for a, b in combinations(graphs, 2):
+            if len(a.edges) == len(b.edges):
+                pairs.append((a, _shuffled(b, rnd.getrandbits(32))))
+    apart = 0
+    for a, b in pairs:
+        same = canonical_key(a) == canonical_key(b)
+        assert is_isomorphic(a, b) == is_isomorphic(b, a) == same, (a, b)
+        apart += not same
+    assert apart >= 1000 and len(pairs) - apart >= 14
+
+
+def test_certificates_verify_without_keying_either_graph(monkeypatch):
+    # the search of the input stops at the model's first leaf key, so the
+    # full search behind canonical_key never runs; the bent grid has the
+    # counts of the straight one and is rejected the same way
+    straight = FamilyCertificate.grid([(x, 0) for x in range(8)])
+    bent = generate_family(FamilyCertificate.grid(
+        [(x, 0) for x in range(7)] + [(6, 1)]))
+    graphs = [(_shuffled(generate_family(cert), 48), cert)
+              for cert in (straight, FamilyCertificate.hex_triangle(3))]
+
+    def refuse(self):
+        raise AssertionError("canonical search of a whole graph")
+
+    monkeypatch.setattr(Graph, "_canonical", property(refuse))
+    for g, cert in graphs:
+        assert verify_certificate(g, cert)
+    assert (bent.n, len(bent.edges)) == (generate_family(straight).n,
+                                         len(generate_family(straight).edges))
+    assert not verify_certificate(_shuffled(bent, 49), straight)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from raagh.solver import (_augment, _descend, _glued_m2, _heuristic_seeds,
                           _scan, _term_rank, _top)
 
 from oracles import (form_matrix_oracle, heuristic_oracle, integer_order_scan,
-                     m2_oracle, random_gnp, rank_oracle, term_rank_oracle)
+                     m2_oracle, parts_oracle, random_gnp, rank_oracle,
+                     term_rank_oracle)
 
 
 def small_random_graphs(count, seed0, max_b4=10):
@@ -220,7 +221,7 @@ def test_gluing_matches_integer_order_on_a_seeded_battery():
             assert (res.m2, res.witness, res.exhaustive) == expected, idx
         cut += _parts_worth_scanning(t) is not None
         # the gluing itself, whether or not compute_m2 would take it here
-        parts = _parts(t.clique_rows)
+        parts = _parts(t)
         if len(parts) == 1:
             continue
         glued = _glued_m2(t.clique_rows, parts)
@@ -268,7 +269,8 @@ CYCLE_GRAPHS = {
 def test_parts_on_a_cycle_merge_into_one_part(name):
     g = CYCLE_GRAPHS[name]()
     t = build_cup_form(g)
-    parts = _parts(t.clique_rows)
+    parts = _parts(t)
+    assert parts == parts_oracle(t.clique_rows)
     # the pieces hung on the two rows, and one part holding both rows
     rows = sorted({outer for _cliques, outer in parts if len(outer) == 2})
     assert len(rows) == 1 and len(parts) == 3
@@ -315,7 +317,7 @@ def test_rings_with_hung_pieces_match_integer_order():
     for idx, g in enumerate(ring_battery(24, 10)):
         t = build_cup_form(g)
         m2, witness = integer_order_scan(g)
-        parts = _parts(t.clique_rows)
+        parts = _parts(t)
         cycles += any(len(outer) >= 2 for _cliques, outer in parts)
         assert _glued_m2(t.clique_rows, parts) == m2, idx
         res = compute_m2(g)
@@ -331,14 +333,14 @@ def test_parts_of_clique_strings_and_stars():
     # K5s on a path of shared edges: one part per K5, the inner ones with
     # two outer rows
     t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
-    assert [(len(c), len(o)) for c, o in _parts(t.clique_rows)] == [
+    assert [(len(c), len(o)) for c, o in _parts(t)] == [
         (5, 1), (5, 2), (5, 1)]
     # three K4s on the edge 01 share one outer row; a K4 touching the
     # others in one vertex only is a part with no outer row
     g = k4s_graph((0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7), (7, 8, 9, 10))
     t = build_cup_form(g)
     row01 = t.edges.position[(0, 1)]
-    parts = _parts(t.clique_rows)
+    parts = _parts(t)
     assert parts == [((0,), (row01,)), ((1,), (row01,)), ((2,), (row01,)),
                      ((3,), ())]
     # m2 = 6 + 4 + 4 (two sides lose the shared row) + 6
@@ -358,8 +360,9 @@ def test_only_blocks_whose_parts_scan_cheaper_are_cut():
 
 def test_blocks_that_shared_triangles_join_skip_the_parts(monkeypatch):
     # K8 minus a matching, face-string-16 and hex side 3 are one part, and
-    # shared triangles join all their 4-cliques; clique-string 5x3 is not
-    # joined that way and keeps its three parts
+    # shared triangles join all their 4-cliques, so no graph of classes is
+    # built; clique-string 5x3 is not joined that way and keeps its three
+    # parts
     rnd = random.Random(44)
     graphs = [k8_minus_matching(),
               generate_family(FamilyCertificate.face_string(16)),
@@ -367,11 +370,11 @@ def test_blocks_that_shared_triangles_join_skip_the_parts(monkeypatch):
     graphs += [relabeled(g, rnd) for g in graphs]
     results = [compute_m2(g) for g in graphs]
 
-    def refuse(clique_rows):
-        raise AssertionError("parts built for a block that is one part")
+    def refuse(g):
+        raise AssertionError("parts graph built for a block that is one part")
 
     with monkeypatch.context() as m:
-        m.setattr(raagh.solver, "_parts", refuse)
+        m.setattr(raagh.solver, "biconnected_blocks", refuse)
         assert [compute_m2(g) for g in graphs] == results
     t = build_cup_form(generate_family(FamilyCertificate.clique_string(5, 3)))
     assert len(_parts_worth_scanning(t)) == 3
@@ -380,28 +383,23 @@ def test_blocks_that_shared_triangles_join_skip_the_parts(monkeypatch):
 def test_parts_worth_scanning_keeps_the_rule_of_its_parts(monkeypatch):
     # None exactly where the parts are one or cost the budget, at the
     # default budget and at budgets like _upper's; some blocks never
-    # build their parts, and the parts graph is built as make_graph would
-    # build it
+    # build their parts graph, and it is built as make_graph would build it
     cost = raagh.solver._PART_SCAN_COST
     built = []
-    parts_of, blocks_of = raagh.solver._parts, raagh.solver.biconnected_blocks
-
-    def counted(clique_rows):
-        built.append(clique_rows)
-        return parts_of(clique_rows)
+    blocks_of = raagh.solver.biconnected_blocks
 
     def checked(g):
         assert g.edges == make_graph(g.n, g.edges).edges
+        built.append(g)
         return blocks_of(g)
 
-    monkeypatch.setattr(raagh.solver, "_parts", counted)
     monkeypatch.setattr(raagh.solver, "biconnected_blocks", checked)
     graphs = (scan_battery(60, 40) + glued_battery(24, 41) + ring_battery(12, 42)
               + symmetric_battery(43))
     exits = 0
     for idx, g in enumerate(graphs):
         t = build_cup_form(g)
-        parts = parts_of(t.clique_rows)
+        parts = parts_oracle(t.clique_rows)
         for budget in (None, 1000, 511 * _plan(t.clique_rows)[0]):
             limit = 1 << t.num_cliques if budget is None else budget
             spent = sum((cost + (1 << len(c))) << len(o) for c, o in parts)
@@ -412,6 +410,55 @@ def test_parts_worth_scanning_keeps_the_rule_of_its_parts(monkeypatch):
                 parts if worth else None), (idx, budget)
             exits += examined and len(built) == before
     assert exits >= 100 and len(built) >= 50
+
+
+def test_parts_from_triangle_classes_match_the_oracle():
+    # the parts of the small graph of classes and shared rows against the
+    # blocks of the whole graph of cliques and rows, on every battery and a
+    # relabeled copy of each graph
+    rnd = random.Random(45)
+    graphs = (glued_battery(48, 8) + scan_battery(120, 6) + ring_battery(24, 5)
+              + symmetric_battery(46))
+    graphs += [relabeled(g, rnd) for g in graphs]
+    split = 0
+    for idx, g in enumerate(graphs):
+        t = build_cup_form(g)
+        parts = _parts(t)
+        assert parts == parts_oracle(t.clique_rows), idx
+        split += len(parts) > 1
+    assert split >= 100
+
+
+# (m2, part-scan nodes, _scan calls) of one _glued_m2 call on unrelabeled
+# clique-strings; they do not depend on the host
+PART_SCAN_NODES = {
+    (5, 3): (18, 57, 4),
+    (5, 5): (30, 57, 4),
+    (5, 10): (60, 57, 4),
+    (6, 3): (42, 972, 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PART_SCAN_NODES),
+                         ids=lambda shape: "%dx%d" % shape)
+def test_glued_m2_ranks_each_part_shape_once(monkeypatch, shape):
+    """Ranking every delete pattern of every part from scratch took 251
+    nodes in 8 scans on 5x3, 497 (16) on 5x5, 1,112 (36) on 5x10 and
+    2,291 (8) on 6x3; each plan is now ranked once, and a deleted pattern
+    from the part's kept maximum."""
+    m2, expected_nodes, expected_scans = PART_SCAN_NODES[shape]
+    t = build_cup_form(generate_family(FamilyCertificate.clique_string(*shape)))
+    parts = _parts(t)
+    scan, counts = raagh.solver._scan, []
+
+    def counted(*args, **kwargs):
+        result = scan(*args, **kwargs)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(raagh.solver, "_scan", counted)
+    assert _glued_m2(t.clique_rows, parts) == m2
+    assert (sum(counts), len(counts)) == (expected_nodes, expected_scans)
 
 
 def test_orbit_checks_are_none_when_no_generator_moves_a_clique():
@@ -741,7 +788,7 @@ def test_descending_scan_matches_integer_order(monkeypatch):
         for checks in (None, _orbit_checks(g, t, plan)):
             for terms in (None, 0):
                 assert _descend(plan, top, checks, terms)[:2] == (m2, witness), idx
-        parts = _parts(t.clique_rows)
+        parts = _parts(t)
         if len(parts) > 1:
             assert _glued_m2(t.clique_rows, parts) == m2, idx
         res = compute_m2(g)
