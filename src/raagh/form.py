@@ -158,54 +158,48 @@ def substitute(template: CupFormTemplate, alpha: AlphaVector) -> Gf2Matrix:
     return Gf2Matrix(n, n, tuple(rows))
 
 
-def rank_gf2(rows) -> int:
-    """Rank of a GF(2) matrix given as an iterable of row bitmasks."""
+def _echelon(rows) -> dict[int, int]:
+    """The one GF(2) elimination: each row, given as a bitmask, is reduced
+    against the pivot rows found so far, keyed by their lowest set bit, and
+    a nonzero remainder becomes a pivot row.  Returns {lowest bit: row}."""
     basis: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
             low = row & -row
             pivot = basis.get(low)
             if pivot is None:
                 basis[low] = row
-                rank += 1
                 break
             row ^= pivot
-    return rank
+    return basis
+
+
+def rank_gf2(rows) -> int:
+    """Rank of a GF(2) matrix given as an iterable of row bitmasks: the
+    number of pivot rows of ``_echelon``."""
+    return len(_echelon(rows))
 
 
 def kernel_basis(mat: Gf2Matrix) -> tuple[int, ...]:
     """Basis of the right kernel {x : Mx = 0}, as column bitmasks.
 
-    Row-reduces to RREF and reads one kernel vector off each free column,
-    in increasing column order, so the result is deterministic.
+    Clears each pivot's column from the other pivot rows of ``_echelon``,
+    highest pivot first, which gives the unique reduced row echelon form,
+    and reads one kernel vector off each free column, in increasing column
+    order, so the result is deterministic.
     """
-    rows = [r for r in mat.rows]
-    pivots: list[tuple[int, int]] = []  # (column, index into reduced rows)
-    reduced: list[int] = []
-    for row in rows:
-        for col, rr in pivots:
-            if row >> col & 1:
-                row ^= reduced[rr]
-        if row:
-            col = (row & -row).bit_length() - 1
-            # back-substitute into earlier rows to reach reduced form
-            for idx, rr in enumerate(reduced):
-                if rr >> col & 1:
-                    reduced[idx] = rr ^ row
-            pivots.append((col, len(reduced)))
-            reduced.append(row)
-    pivot_cols = {col for col, _ in pivots}
-    pivots.sort()
+    basis = _echelon(mat.rows)
+    lows = sorted(basis, reverse=True)
+    for i, low in enumerate(lows):
+        row = basis[low]
+        for other in lows[i + 1:]:  # only lower pivot rows can hold bit low
+            if basis[other] & low:
+                basis[other] ^= row
     out = []
     for free in range(mat.ncols):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for col, rr in pivots:
-            if reduced[rr] >> free & 1:
-                vec |= 1 << col
-        out.append(vec)
+        bit = 1 << free
+        if bit not in basis:
+            out.append(bit | sum(low for low in lows if basis[low] & bit))
     return tuple(out)
 
 

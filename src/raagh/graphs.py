@@ -439,39 +439,28 @@ def generate_family(cert: FamilyCertificate) -> Graph:
       t+1-i vertices), vertices sorted by (row, index); all unit edges plus
       one long diagonal across every interior unit edge.
 
-    A certificate for more than MAX_VERTICES vertices, or a complete graph
-    with more than MAX_EDGES edges, is refused before anything is built.
+    A certificate that ``_family_counts`` refuses (a parameter missing or
+    out of range, or the graph over MAX_VERTICES or MAX_EDGES) raises
+    ValueError before anything is built.
     """
     fam = cert.family
-    n = _family_vertex_count(cert)
-    _require(n is None or n <= MAX_VERTICES,
-             f"{fam}: {n} vertices is over the limit of {MAX_VERTICES}")
+    n = _family_counts(cert)[0]
     if fam == "edgeless":
-        _require(cert.n is not None and cert.n >= 0, "edgeless: n must be >= 0")
-        return Graph(cert.n, (), certificate=cert)
+        return Graph(n, (), certificate=cert)
     if fam == "complete":
-        _require(cert.n is not None and cert.n >= 0, "complete: n must be >= 0")
-        m = n * (n - 1) // 2
-        _require(m <= MAX_EDGES, f"complete: {m} edges is over the limit of {MAX_EDGES}")
         return Graph(n, tuple(combinations(range(n), 2)), certificate=cert)
     if fam == "clique-string":
         s, k = cert.clique_size, cert.count
-        _require(s is not None and s in (4, 5, 6, 7), "clique-string: size must be in 4..7")
-        _require(k is not None and k >= 1, "clique-string: count must be >= 1")
         # i's last clique ends at the greatest vertex i is adjacent to
         edges = [(i, j) for i in range(n)
                  for j in range(i + 1, (s - 2) * min(i // (s - 2), k - 1) + s)]
         return Graph(n, tuple(edges), certificate=cert)
     if fam == "face-string":
-        k = cert.count
-        _require(k is not None and k >= 1, "face-string: count must be >= 1")
         edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
         return Graph(n, tuple(edges), certificate=cert)
     if fam == "grid":
         return _generate_grid(cert)
-    if fam == "hex-triangle":
-        return _generate_hex_triangle(cert)
-    raise ValueError(f"unknown family {fam!r}")
+    return _generate_hex_triangle(cert)
 
 
 def _require(cond, message):
@@ -481,19 +470,6 @@ def _require(cond, message):
 
 def _generate_grid(cert: FamilyCertificate) -> Graph:
     cells = cert.cells
-    _require(cells, "grid: cell set must be non-empty")
-    cellset = set(cells)
-    # require side-connectivity so the generated graph is one 2-connected piece
-    seen = {cells[0]}
-    frontier = [cells[0]]
-    while frontier:
-        x, y = frontier.pop()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in cellset and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    _require(seen == cellset, "grid: cells must be connected through shared sides")
-
     corners = sorted({(x + dx, y + dy) for x, y in cells for dx in (0, 1) for dy in (0, 1)})
     index = {c: i for i, c in enumerate(corners)}
     edges = set()
@@ -505,7 +481,6 @@ def _generate_grid(cert: FamilyCertificate) -> Graph:
 
 def _generate_hex_triangle(cert: FamilyCertificate) -> Graph:
     t = cert.side
-    _require(t is not None and t >= 1, "hex-triangle: side must be >= 1")
     verts = [(i, j) for i in range(t + 1) for j in range(t + 1 - i)]
     index = {v: p for p, v in enumerate(sorted(verts))}
     edges = set()
@@ -700,13 +675,12 @@ def recognize_family(g: Graph) -> FamilyCertificate | None:
 
     for s in (4, 5, 6, 7):
         k, rest = divmod(g.n - 2, s - 2)
-        if rest == 0 and k >= 2 and m == s * (s - 1) // 2 * k - (k - 1):
+        if rest == 0 and k >= 2:
             cert = FamilyCertificate.clique_string(s, k)
             if verify_certificate(g, cert):
                 return cert
-    k = g.n - 3
-    if k >= 3 and m == 3 * k + 3:
-        cert = FamilyCertificate.face_string(k)
+    if g.n >= 6:
+        cert = FamilyCertificate.face_string(g.n - 3)
         if verify_certificate(g, cert):
             return cert
     return None
@@ -774,45 +748,73 @@ def _is_chain_of(g: Graph, model: Graph, overlap: int) -> bool:
     return tuple(edges) == model.edges
 
 
-def _family_vertex_count(cert: FamilyCertificate) -> int | None:
-    """Vertex count of the graph cert describes, worked out without
-    building it; None when a parameter it needs is missing."""
+def _family_counts(cert: FamilyCertificate) -> tuple[int, int]:
+    """(vertices, edges) of the graph cert describes, worked out without
+    building it.  Raises ValueError when cert describes no graph: a
+    parameter is missing or out of range, the grid cells are not connected
+    through shared sides, or the graph is over MAX_VERTICES or MAX_EDGES.
+
+    Every cell of a grid carries its four sides and both diagonals, and two
+    cells meeting in a side share it; a hex triangle of side t has 3t(t+1)/2
+    unit edges, 3t(t-1)/2 of them interior, each with one long diagonal."""
     fam = cert.family
-    try:
-        if fam in ("edgeless", "complete"):
-            return cert.n
-        if fam == "clique-string":
-            return (cert.clique_size - 2) * cert.count + 2
-        if fam == "face-string":
-            return cert.count + 3
-        if fam == "hex-triangle":
-            return (cert.side + 1) * (cert.side + 2) // 2
-        if fam == "grid":
-            return len({(x + dx, y + dy) for x, y in cert.cells
-                        for dx in (0, 1) for dy in (0, 1)})
-    except TypeError:
-        pass
-    return None
+    if fam in ("edgeless", "complete"):
+        n = cert.n
+        _require(n is not None and n >= 0, f"{fam}: n must be >= 0")
+        m = 0 if fam == "edgeless" else n * (n - 1) // 2
+    elif fam == "clique-string":
+        s, k = cert.clique_size, cert.count
+        _require(s is not None and s in (4, 5, 6, 7), "clique-string: size must be in 4..7")
+        _require(k is not None and k >= 1, "clique-string: count must be >= 1")
+        n, m = (s - 2) * k + 2, s * (s - 1) // 2 * k - (k - 1)
+    elif fam == "face-string":
+        k = cert.count
+        _require(k is not None and k >= 1, "face-string: count must be >= 1")
+        n, m = k + 3, 3 * k + 3
+    elif fam == "hex-triangle":
+        t = cert.side
+        _require(t is not None and t >= 1, "hex-triangle: side must be >= 1")
+        n, m = (t + 1) * (t + 2) // 2, 3 * t * t
+    elif fam == "grid":
+        _require(cert.cells, "grid: cell set must be non-empty")
+        cells = set(cert.cells)
+        # side-connected, so the generated graph is one 2-connected piece
+        start = cert.cells[0]
+        seen, frontier = {start}, [start]
+        while frontier:
+            x, y = frontier.pop()
+            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if nb in cells and nb not in seen:
+                    seen.add(nb)
+                    frontier.append(nb)
+        _require(seen == cells, "grid: cells must be connected through shared sides")
+        n = len({(x + dx, y + dy) for x, y in cells for dx in (0, 1) for dy in (0, 1)})
+        m = 6 * len(cells) - sum(((x + 1, y) in cells) + ((x, y + 1) in cells)
+                                 for x, y in cells)
+    else:
+        raise ValueError(f"unknown family {fam!r}")
+    _require(n <= MAX_VERTICES, f"{fam}: {n} vertices is over the limit of {MAX_VERTICES}")
+    _require(m <= MAX_EDGES, f"{fam}: {m} edges is over the limit of {MAX_EDGES}")
+    return n, m
 
 
 def verify_certificate(g: Graph, cert: FamilyCertificate) -> bool:
     """Check that g really is the graph cert describes, up to isomorphism.
     Run before trusting a certificate that arrived with parsed input.
 
-    The vertex counts are compared before the model is built, so a forged
-    certificate with huge parameters costs nothing.  Grids and hex
-    triangles go to is_isomorphic, which keys neither graph."""
-    if _family_vertex_count(cert) != g.n:
-        return False
-    fam = cert.family
-    if fam in ("edgeless", "complete"):  # the counts pin these
-        return len(g.edges) == (0 if fam == "edgeless" else g.n * (g.n - 1) // 2)
+    The vertex and edge counts are compared before any model is built, so
+    a forged certificate with huge parameters costs nothing, and they alone
+    settle edgeless and complete graphs.  Grids and hex triangles go to
+    is_isomorphic, which keys neither graph."""
     try:
-        model = generate_family(cert)
+        if _family_counts(cert) != (g.n, len(g.edges)):
+            return False
     except (ValueError, TypeError):
         return False
-    if len(g.edges) != len(model.edges):
-        return False
+    fam = cert.family
+    if fam in ("edgeless", "complete"):
+        return True
+    model = generate_family(cert)
     if fam in ("clique-string", "face-string"):
         return _is_chain_of(g, model, 2 if fam == "clique-string" else 3)
     if g.n > _RECOGNIZE_MAX_N:

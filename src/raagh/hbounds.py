@@ -35,7 +35,7 @@ from itertools import combinations, filterfalse
 from math import comb
 
 from .form import AlphaVector
-from .graphs import (FamilyCertificate, Graph, _Record, betti,
+from .graphs import (FamilyCertificate, Graph, _Record, _family_counts, betti,
                      biconnected_blocks, canonical_key, generate_family,
                      induced_subgraph, make_graph, recognize_family,
                      verify_certificate)
@@ -164,10 +164,10 @@ def h_family(cert: FamilyCertificate, config: SolverConfig = DEFAULT_CONFIG,
     """Proven h value for a catalog family member.
 
     Strings and complete graphs come from closed formulas.  For grids and
-    hex triangles the theorem pins h to the cohomological bound 2 b2 - m2
-    of the regenerated model graph.  A given m2 must be certified for a
+    hex triangles the theorem pins h to the cohomological bound 2 b2 - m2,
+    with b2 the member's edge count.  A given m2 must be certified for a
     graph isomorphic to the member and is reused; only without one is the
-    model scanned exhaustively, which may raise CapExceeded.
+    model built and scanned exhaustively, which may raise CapExceeded.
     """
     fam = cert.family
     if fam == "edgeless":
@@ -191,11 +191,11 @@ def h_family(cert: FamilyCertificate, config: SolverConfig = DEFAULT_CONFIG,
             return ExactValue(h_free_abelian(4), FREE_ABELIAN)
         return ExactValue(3 * k + 6 if k % 2 == 0 else 3 * k + 5, STRING_THEOREM)
     if fam in ("grid", "hex-triangle"):
-        g = generate_family(cert)
+        edges = _family_counts(cert)[1]  # ValueError if cert names no graph
         if m2 is None:
-            m2 = compute_m2(g, config).m2
+            m2 = compute_m2(generate_family(cert), config).m2
         provenance = GRID_THEOREM if fam == "grid" else HEX_THEOREM
-        return ExactValue(2 * len(g.edges) - m2, provenance)
+        return ExactValue(2 * edges - m2, provenance)
     raise ValueError(f"unknown family {fam!r}")
 
 

@@ -338,7 +338,11 @@ def check_random_battery() -> str:
         mat = substitute(template, res.witness)
         rank = rank_gf2(mat.rows)
         _expect(rank == res.m2, "witness does not realize m2")
-        _expect(rank + len(kernel_basis(mat)) == b2, "rank-nullity failed")
+        kernel = kernel_basis(mat)
+        _expect(rank + len(kernel) == b2, "rank-nullity failed")
+        _expect(not any((row & v).bit_count() & 1
+                        for v in kernel for row in mat.rows),
+                "a kernel vector is not annihilated")
         iso = max_isotropic(mat)
         _expect(len(iso) == b2 - res.m2 // 2, "max isotropic size wrong")
         checked += 1
@@ -355,7 +359,7 @@ def check_random_battery() -> str:
                     "naive scan disagrees")
             oracle += 1
     _expect(checked >= 200 and determinism >= 12 and oracle >= 8)
-    return (f"{checked} graphs: even m2, rank+nullity, isotropic size; "
+    return (f"{checked} graphs: even m2, rank+nullity, kernel, isotropic size; "
             f"worker determinism x{determinism}; naive oracle x{oracle}")
 
 

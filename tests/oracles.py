@@ -20,7 +20,9 @@ line once and builds its Graph unchecked, and report_document_oracle
 builds the --json document as dicts for json.dumps(doc, indent=2) where
 the package writes its text from templates, and parts_oracle takes the
 blocks of the whole graph of 4-cliques and rows where the package takes
-them from the classes of cliques that shared triangles join.  graphs_up_to lists every
+them from the classes of cliques that shared triangles join, and
+kernel_oracle reduces a list-of-lists matrix column by column where the
+package reads the kernel off its one bitmask echelon.  graphs_up_to lists every
 graph up to isomorphism by canonical_key, and sparse_blocks_edges draws
 large sparse graphs of many small blocks.  Expected values in the tests
 were frozen from these.
@@ -45,7 +47,8 @@ from raagh.verification import (cliques_oracle, form_matrix_oracle, m2_oracle,
 __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
            "count_automorphisms", "disjoint_union", "form_matrix_oracle",
            "graphs_up_to", "group_order", "heuristic_oracle",
-           "induced_subgraph_oracle", "integer_order_scan", "m2_oracle",
+           "induced_subgraph_oracle", "integer_order_scan", "kernel_oracle",
+           "m2_oracle",
            "matvec", "maximal_cliques_oracle", "pair",
            "parse_edge_list_oracle", "parts_oracle", "random_gnp", "rank_oracle",
            "report_document_oracle", "rows_to_lists", "sparse_blocks_edges",
@@ -54,6 +57,34 @@ __all__ = ["canonical_key_oracle", "cliques_oracle", "connected_components",
 
 def rows_to_lists(rows, ncols: int) -> list[list[int]]:
     return [[row >> c & 1 for c in range(ncols)] for row in rows]
+
+
+def kernel_oracle(mat: list[list[int]], ncols: int) -> list[list[int]]:
+    """Right kernel of a list-of-lists GF(2) matrix with ncols columns:
+    textbook reduction to reduced row echelon form, then one vector per
+    free column, in increasing order, with a 1 at the free column and at
+    each pivot column whose reduced row holds it."""
+    mat = [row[:] for row in mat]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = [a ^ b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    out = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [0] * ncols
+            vec[free] = 1
+            for r, c in enumerate(pivots):
+                vec[c] = mat[r][free]
+            out.append(vec)
+    return out
 
 
 def integer_order_scan(g):

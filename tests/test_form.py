@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagh import (AlphaVector, FamilyCertificate, betti, build_cup_form,
-                   dump_matrix, dump_template, generate_family, kernel_basis,
-                   make_graph, max_isotropic, rank_gf2, render_vector,
-                   substitute, symplectic_reduce)
+                   compute_m2, dump_matrix, dump_template, generate_family,
+                   kernel_basis, make_graph, max_isotropic, rank_gf2,
+                   render_vector, substitute, symplectic_reduce)
 from raagh.form import Gf2Matrix
+from raagh.verification import random_graph_battery
 
-from oracles import (form_matrix_oracle, matvec, pair, random_gnp,
-                     rank_oracle, rows_to_lists)
+from oracles import (form_matrix_oracle, kernel_oracle, matvec, pair,
+                     random_gnp, rank_oracle, rows_to_lists)
 
 
 def join_graph():
@@ -124,16 +125,30 @@ def test_rank_of_substituted_form_is_even(gseed, n, abits):
 
 def test_kernel_vectors_annihilate_and_count():
     rnd = random.Random(7)
+    mats = []
     for _ in range(20):
         nrows, ncols = rnd.randint(1, 9), rnd.randint(1, 9)
-        m = Gf2Matrix(nrows, ncols, tuple(rnd.getrandbits(ncols)
-                                          for _ in range(nrows)))
+        mats.append(Gf2Matrix(nrows, ncols, tuple(rnd.getrandbits(ncols)
+                                                  for _ in range(nrows))))
+    row, other = rnd.getrandbits(7), rnd.getrandbits(7)
+    mats += [Gf2Matrix(0, 5, ()),                       # no rows
+             Gf2Matrix(3, 0, (0, 0, 0)),                # no columns
+             Gf2Matrix(4, 6, (0, 0, 0, 0)),             # the zero matrix
+             Gf2Matrix(6, 6, tuple(1 << i | rnd.getrandbits(6) << i + 1 & 63
+                                   for i in range(6))),  # full rank
+             Gf2Matrix(5, 7, (row, row, other, row ^ other, row))]  # repeats
+    for g in random_graph_battery(40):
+        mats.append(substitute(build_cup_form(g), compute_m2(g).witness))
+    for m in mats:
+        lists = rows_to_lists(m.rows, m.ncols)
         basis = kernel_basis(m)
-        assert len(basis) == ncols - rank_gf2(m.rows)
+        assert len(basis) == m.ncols - rank_gf2(m.rows) \
+            == m.ncols - rank_oracle(lists)
         for v in basis:
             assert matvec(m, v) == 0
         # basis vectors are independent
         assert rank_gf2(basis) == len(basis)
+        assert rows_to_lists(basis, m.ncols) == kernel_oracle(lists, m.ncols)
 
 
 def test_join_graph_kernel_at_full_alpha():

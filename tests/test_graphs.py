@@ -447,6 +447,33 @@ def test_certificates_of_another_size_are_rejected_before_the_model_is_built(
                                   FamilyCertificate.edgeless(4))
 
 
+def _polyomino(rnd, size):
+    """Side-connected cells grown from a random cell by adding a random
+    side neighbour of a random cell, until there are size of them."""
+    cells = [(rnd.randint(-3, 3), rnd.randint(-3, 3))]
+    while len(cells) < size:
+        x, y = rnd.choice(cells)
+        dx, dy = rnd.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        if (x + dx, y + dy) not in cells:
+            cells.append((x + dx, y + dy))
+    return cells
+
+
+def test_family_counts_match_the_generated_graphs():
+    rnd = random.Random(38)
+    certs = [FamilyCertificate.edgeless(n) for n in range(6)]
+    certs += [FamilyCertificate.complete(n) for n in range(9)]
+    certs += [FamilyCertificate.clique_string(s, k)
+              for s in (4, 5, 6, 7) for k in range(1, 6)]
+    certs += [FamilyCertificate.face_string(k) for k in range(1, 9)]
+    certs += [FamilyCertificate.hex_triangle(t) for t in range(1, 13)]
+    certs += [FamilyCertificate.grid(_polyomino(rnd, rnd.randint(1, 12)))
+              for _ in range(300)]
+    for cert in certs:
+        g = generate_family(cert)
+        assert raagh.graphs._family_counts(cert) == (g.n, len(g.edges)), cert
+
+
 def test_complete_graph_over_the_edge_limit_is_refused_before_it_is_built(
         monkeypatch):
     def refuse(*args, **kwargs):

@@ -114,6 +114,52 @@ def test_h_family_solves_grids_and_hex_triangles():
     assert hex2 == ExactValue(18, HEX_THEOREM)
 
 
+def test_h_family_with_a_given_m2_builds_no_model_and_refuses_bad_certificates(
+        monkeypatch):
+    def refuse(cert):
+        raise AssertionError(f"built the model of {cert}")
+
+    for cert in (FamilyCertificate.hex_triangle(2),
+                 FamilyCertificate.grid([(0, 0), (1, 0), (1, 1)])):
+        want, m2 = h_family(cert), compute_m2(generate_family(cert)).m2
+        with monkeypatch.context() as patch:
+            patch.setattr(raagh.hbounds, "generate_family", refuse)
+            patch.setattr(raagh.graphs, "generate_family", refuse)
+            assert h_family(cert, m2=m2) == want
+    for cert in (FamilyCertificate.hex_triangle(0),
+                 FamilyCertificate("hex-triangle"),
+                 FamilyCertificate.hex_triangle(200),
+                 FamilyCertificate.grid([]),
+                 FamilyCertificate.grid([(0, 0), (2, 0)])):
+        for m2 in (None, 0):
+            with pytest.raises(ValueError):
+                h_family(cert, m2=m2)
+
+
+def test_certified_hex_builds_its_model_once_and_a_forged_one_never(
+        monkeypatch):
+    cert = FamilyCertificate.hex_triangle(3)
+    hex3 = generate_family(cert)
+    perm = list(range(hex3.n))
+    random.Random(38).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in hex3.edges]
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return generate_family(cert)
+
+    monkeypatch.setattr(raagh.graphs, "generate_family", counted)
+    monkeypatch.setattr(raagh.hbounds, "generate_family", counted)
+    rep = compute_h(make_graph(hex3.n, edges, certificate=cert))
+    assert rep.exact == ExactValue(36, HEX_THEOREM) and len(calls) == 1
+    # ten vertices as the certificate says, but one edge short: 26 edges
+    # is no count that recognition tries either, so nothing is built
+    calls.clear()
+    rep = compute_h(make_graph(hex3.n, edges[1:], certificate=cert))
+    assert rep.exact.provenance != HEX_THEOREM and calls == []
+
+
 def test_grid_value_is_not_a_parity_round_of_b2():
     # the L tromino separates the two: b2 = 16 but h = 18
     g = generate_family(FamilyCertificate.grid([(0, 0), (1, 0), (1, 1)]))
