@@ -16,14 +16,17 @@ deterministic unless --timings is given.
 templates, laid out as json.dumps(doc, indent=2) lays out the schema-1
 document, straight from the HReport; decomposition pieces that share a
 report are written from one template per (report, vertex count).
+
+Each `raagh compute` is a process of its own, so its start-up is kept
+small: a command builds only its own argparse parser, the report's digest
+takes CPython's own sha256 instead of loading OpenSSL through hashlib, and
+json is imported only by the graph formats that read or write it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
 import time
@@ -36,6 +39,14 @@ from .graphs import (FORMATS, FamilyCertificate, Graph, ParseError, _clip,
 from .hbounds import DecompositionReport, ExactValue, HReport, compute_h
 from .solver import DEFAULT_CONFIG, CapExceeded, SolverConfig
 
+try:  # CPython's own sha256, which hashlib falls back to: no OpenSSL to load
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 SCHEMA_VERSION = 1
 
 
@@ -44,11 +55,17 @@ SCHEMA_VERSION = 1
 # --------------------------------------------------------------------------
 
 def _graph_digest(g: Graph) -> str:
-    payload = f"{g.n};" + ",".join(map("%d-%d".__mod__, g.edges))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    payload = ("%d;" + ",".join(("%d-%d",) * len(g.edges))) % (
+        g.n, *chain.from_iterable(g.edges))
+    return sha256(payload.encode()).hexdigest()
 
 
-_quote = json.encoder.encode_basestring_ascii
+def _quote(text: str) -> str:
+    """A JSON string of text, which is a hex digest, a 0/1 bitstring or a
+    lowercase name, so needs no escapes."""
+    return '"%s"' % text
+
+
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
 # Each template lays its section out as json.dumps(doc, indent=2) does.
@@ -372,25 +389,19 @@ def cmd_verify_paper(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
-        prog="raagh",
-        description="h bounds and cup-form invariants for graph groups")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_input(p):
+    p.add_argument("input", help="graph file, or - for stdin")
+    p.add_argument("--format", choices=FORMATS, default="edges",
+                   help="input format (default: edges)")
 
-    def add_input(p):
-        p.add_argument("input", help="graph file, or - for stdin")
-        p.add_argument("--format", choices=FORMATS, default="edges",
-                       help="input format (default: edges)")
 
-    def add_out(p):
-        p.add_argument("--out", help="write output to this file instead of stdout")
+def _add_out(p):
+    p.add_argument("--out", help="write output to this file instead of stdout")
 
-    p = sub.add_parser("compute", help="analyse a graph")
-    add_input(p)
-    add_out(p)
+
+def _compute_arguments(p):
+    _add_input(p)
+    _add_out(p)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--cap", type=int, default=None,
                    help="largest b4 the exhaustive scan accepts "
@@ -406,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timing; breaks byte determinism")
 
-    p = sub.add_parser("generate", help="emit a catalog family graph")
+
+def _generate_arguments(p):
     p.add_argument("family", choices=("edgeless", "complete", "clique-string",
                                       "face-string", "grid", "hex-triangle"))
     p.add_argument("--n", type=int, default=0, help="vertices (edgeless/complete)")
@@ -419,33 +431,73 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", type=int, default=1, help="side length (hex-triangle)")
     p.add_argument("--format", choices=FORMATS, default="edges",
                    help="output format (default: edges)")
-    add_out(p)
+    _add_out(p)
 
-    p = sub.add_parser("form", help="print the cup-form template or a value")
-    add_input(p)
-    add_out(p)
+
+def _form_arguments(p):
+    _add_input(p)
+    _add_out(p)
     p.add_argument("--alpha", default=None,
                    help="0/1 string, position q = coefficient of 4-clique q; "
                         "prints the substituted GF(2) matrix")
 
-    p = sub.add_parser("export", help="convert a graph to another format")
-    add_input(p)
-    add_out(p)
+
+def _export_arguments(p):
+    _add_input(p)
+    _add_out(p)
     p.add_argument("--to", choices=FORMATS + ("dot",), default="edges",
                    help="output format (default: edges)")
     p.add_argument("--dot", action="store_true", help="shorthand for --to dot")
 
-    p = sub.add_parser("verify-paper",
-                       help="rerun the pinned acceptance corpus")
+
+def _verify_paper_arguments(p):
     p.add_argument("--only", action="append", metavar="CHECK",
                    help="run a single named check (repeatable)")
-    add_out(p)
+    _add_out(p)
 
+
+# command: (help in the command list, adds the command's arguments)
+_COMMANDS = {
+    "compute": ("analyse a graph", _compute_arguments),
+    "generate": ("emit a catalog family graph", _generate_arguments),
+    "form": ("print the cup-form template or a value", _form_arguments),
+    "export": ("convert a graph to another format", _export_arguments),
+    "verify-paper": ("rerun the pinned acceptance corpus", _verify_paper_arguments),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of command, which is the subparser of the full tree built
+    alone, or with None the full tree of every command; each is built on
+    first use and kept for the process."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog="raagh " + command)
+        _COMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="raagh",
+        description="h bounds and cup-form invariants for graph groups")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+def _parse_args(argv: list[str]):
+    """argv parsed by its command's own parser.  The full tree takes what
+    does not start with a command, and argv whose command leaves arguments
+    unparsed, so that it words their error (its usage line, its prog)."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # looked up per call, so a patched cmd_* attribute takes effect
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -16,7 +16,6 @@ formats (edge list, adjacency CSV, JSON).
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import combinations
 
@@ -906,11 +905,15 @@ def _parse_edge_list(text: str) -> Graph:
             elif key.startswith("certificate:"):
                 if certificate is not None:
                     raise ParseError(f"line {lineno}: repeated certificate comment")
+                import json  # here, so a plain edge list never loads it
                 try:
                     certificate = FamilyCertificate.from_dict(
                         json.loads(body.split(":", 1)[1]))
                 except ValueError as exc:  # ParseError, bad JSON, too many digits
                     raise ParseError(f"line {lineno}: bad certificate comment ({exc})") from None
+                except RecursionError:
+                    raise ParseError(f"line {lineno}: bad certificate comment "
+                                     "(nested too deeply)") from None
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {_clip(line.strip())!r}")
@@ -934,9 +937,11 @@ def _parse_edge_list(text: str) -> Graph:
     ids: dict[int, int] = {}
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
+    ascii_text = text.isascii()  # then so is every token
     for tu, tv, lineno in rows:
         try:  # plain ASCII decimals in range; anything else is worded by vertex()
-            if not (tu.isdigit() and tv.isdigit() and tu.isascii() and tv.isascii()):
+            if not (tu.isdigit() and tv.isdigit()
+                    and (ascii_text or (tu.isascii() and tv.isascii()))):
                 raise ValueError
             u, v = int(tu), int(tv)  # ValueError too over the digit limit
             if declared_n is not None and (u >= declared_n or v >= declared_n):
@@ -1006,12 +1011,15 @@ def _is_int(value) -> bool:
 
 
 def _parse_json(text: str) -> Graph:
+    import json
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
     except ValueError as exc:  # an integer literal over the digit limit
         raise ParseError(f"invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ParseError("invalid JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     n = data.get("vertices")
@@ -1046,6 +1054,7 @@ def serialize_graph(g: Graph, fmt: str = "edges") -> str:
     """Deterministic text form; parse_graph(serialize_graph(g, fmt), fmt)
     gives g back without its labels, which are not written (nor, in csv,
     its certificate)."""
+    import json
     if fmt == "edges":
         lines = [f"# vertices: {g.n}"]
         if g.certificate is not None:

@@ -1,6 +1,12 @@
+import hashlib
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from importlib import resources
+from importlib.util import find_spec
 from itertools import combinations
 
 import jsonschema
@@ -13,7 +19,7 @@ from raagh import (FamilyCertificate, betti, build_cup_form, compute_h,
                    parse_graph, serialize_graph, substitute)
 from raagh.cli import main
 from raagh.form import AlphaVector
-from raagh.solver import DEFAULT_CONFIG
+from raagh.solver import DEFAULT_CONFIG, SolverConfig
 
 from oracles import random_gnp, report_document_oracle, sparse_blocks_edges
 
@@ -274,11 +280,113 @@ def test_parser_is_built_once_and_handlers_resolve_per_call(
     first = run(capsys, "compute", join_file, "--json")
     second = run(capsys, "compute", join_file, "--json")
     assert first[0] == 0 and first == second
+    # only compute's own parser is built, not the full tree
     assert raagh.cli.build_parser.cache_info().misses == 1
+    assert raagh.cli.build_parser.cache_info().currsize == 1
+    assert raagh.cli.build_parser("compute").prog == "raagh compute"
     # a handler patched on the module is the one the next call runs
     monkeypatch.setattr(raagh.cli, "cmd_compute", lambda args: 7)
     assert main(["compute", join_file]) == 7
     assert raagh.cli.build_parser.cache_info().misses == 1
+    # another command builds its own parser once
+    for _ in range(2):
+        assert run(capsys, "export", join_file)[0] == 0
+    assert raagh.cli.build_parser.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("command", ["compute", "generate", "form", "export",
+                                     "verify-paper"])
+def test_command_help_is_the_help_of_the_full_tree(capsys, command):
+    with pytest.raises(SystemExit) as alone:
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    with pytest.raises(SystemExit) as full:
+        raagh.cli.build_parser().parse_args([command, "--help"])
+    assert alone.value.code == full.value.code == 0
+    assert text == capsys.readouterr().out
+    assert text.startswith(f"usage: raagh {command} [-h]")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["compute"], ["compute", "g", "--bogus"], ["compute", "g", "h"],
+    ["compute", "g", "--cap", "x"], ["compute", "g", "--format", "xml"],
+    ["generate", "nope"], ["export", "g", "--to", "nope"], ["verify-paper", "extra"],
+    ["-x", "compute"],
+], ids=repr)
+def test_bad_arguments_exit_2_with_the_full_tree_error(capsys, argv):
+    with pytest.raises(SystemExit) as alone:
+        main(argv)
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as full:
+        raagh.cli.build_parser().parse_args(argv)
+    assert alone.value.code == full.value.code == 2
+    assert err == capsys.readouterr().err and "error:" in err
+
+
+def test_compute_loads_neither_json_nor_openssl(tmp_path):
+    # a fresh interpreter, as `raagh compute` runs, on an edge list with no
+    # certificate
+    path = tmp_path / "k5.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in combinations(range(5), 2)))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import raagh.cli\n"
+        "code = raagh.cli.main(['compute', sys.argv[1], '--json', '--out', sys.argv[2]])\n"
+        "print(code, *(m for m in ('json', '_hashlib') if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", script, str(path),
+                          str(tmp_path / "report.json")],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    code, *loaded = out.stdout.split()
+    assert code == "0" and "json" not in loaded
+    if find_spec("_sha2") or find_spec("_sha256"):  # CPython's own sha256
+        assert "_hashlib" not in loaded
+    assert json.loads((tmp_path / "report.json").read_text())["input"]["edges"] == 10
+
+
+def test_graph_digest_is_the_sha256_of_the_edge_list():
+    rnd = random.Random(20261020)
+    for _ in range(60):
+        n = rnd.randint(0, 40)
+        g = make_graph(n, random_gnp(n, rnd.random(), rnd.randrange(10**6)))
+        payload = f"{g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges)
+        assert raagh.cli._graph_digest(g) == hashlib.sha256(
+            payload.encode()).hexdigest()
+
+
+def test_quoted_report_strings_need_no_escapes(monkeypatch):
+    quoted = []
+
+    def record(text):
+        quoted.append(text)
+        return json.dumps(text)
+
+    monkeypatch.setattr(raagh.cli, "_quote", record)
+    cases = _writer_cases() + [
+        (g, compute_h(g, config), "exhaustive")
+        for g in (generate_family(FamilyCertificate.complete(5)),
+                  generate_family(FamilyCertificate.clique_string(5, 3)),
+                  make_graph(0, []))
+        for config in (DEFAULT_CONFIG, SolverConfig(cap=0))]
+    for g, rep, mode in cases:
+        raagh.cli.render_json_report(g, rep, DEFAULT_CONFIG, mode)
+    assert {"", "exhaustive", "heuristic", "free-abelian"} <= set(quoted)
+    assert all(re.fullmatch("[0-9a-z-]*", text) for text in quoted)
+    monkeypatch.undo()
+    assert all(raagh.cli._quote(text) == json.dumps(text) for text in quoted)
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("edges", "0 1\n# certificate: " + "[" * 100000 + "\n",
+     "error: line 2: bad certificate comment (nested too deeply)\n"),
+    ("json", "[" * 100000, "error: invalid JSON (nested too deeply)\n"),
+], ids=["edges-certificate", "json"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, fmt, text, message):
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    assert run(capsys, "compute", str(path), "--format", fmt) == (2, "", message)
 
 
 def test_forged_huge_certificate_is_rejected_without_building_it(

@@ -630,6 +630,22 @@ def test_edge_list_parser_matches_the_reference_parser():
     assert graphs > 150 and errors > 150
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 2\n2 \u0663\n", "line 3: vertex '\u0663' is not an integer"),
+    ("# vertices: 9\n0 1\n1 \u00b2\n", "line 3: vertex '\u00b2' is not an integer"),
+    ("# caf\u00e9\n0 1\n\uff11 2\n1 -1\n", "line 3: vertex '\uff11' is not an integer"),
+    ("# caf\u00e9\n0 1\n1 2\n", None),
+], ids=["arabic-indic-three", "superscript-two", "fullwidth-one", "ascii-tokens"])
+def test_non_ascii_digit_tokens_are_worded_as_the_reference_words_them(text, message):
+    # the text is not ASCII, so each token's own check decides
+    got = _parse_outcome(lambda t: parse_graph(t, "edges"), text)
+    assert got == _parse_outcome(parse_edge_list_oracle, text)
+    if message is None:
+        assert got == make_graph(3, [(0, 1), (1, 2)])
+    else:
+        assert got == f"ParseError: {message}"
+
+
 @pytest.mark.parametrize("text,fmt,fragment", [
     ("0 0\n", "edges", "self-loop"),
     ("0 1\n1 0\n", "edges", "duplicate"),
