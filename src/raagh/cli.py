@@ -18,19 +18,28 @@ document, straight from the HReport; decomposition pieces that share a
 report are written from one template per (report, vertex count).
 
 Each `raagh compute` is a process of its own, so its start-up is kept
-small: a command builds only its own argparse parser, the report's digest
-takes CPython's own sha256 instead of loading OpenSSL through hashlib, and
-json is imported only by the graph formats that read or write it.
+small.  A plain compute argv (one input, whole option names, plain values)
+is read from compute's option table without argparse, which is imported
+only for help, errors, other commands and argv the reader leaves to the
+parser; a command's parser is built alone, without the full tree.  The
+report's digest takes CPython's own sha256 instead of loading OpenSSL
+through hashlib, and json is imported only by the graph formats that read
+or write it.  A fresh interpreter's import and first sparse report
+(`setup_s` in perfbench) take about 4.6 ms, against 8.9 ms when argparse
+parsed every argv (medians, 2-core Xeon VM, Python 3.11.7).
+
+argparse's error messages echo at most 40 characters of an argument, as
+graphs._clip clips an input.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 import time
 from itertools import chain
+from types import SimpleNamespace
 
 from . import graphs
 from .form import AlphaVector, build_cup_form, dump_matrix, dump_template, substitute
@@ -389,33 +398,48 @@ def cmd_verify_paper(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-def _add_input(p):
+# compute's options in help order, read by its parser and by
+# _read_plain_compute: (option, kind, default, help), where kind is bool for
+# a flag, int or str for a value, or the tuple of its choices.  Each dest is
+# the option without its dashes, as argparse names it.
+_FORMAT_OPTION = ("--format", FORMATS, "edges", "input format (default: edges)")
+_OUT_OPTION = ("--out", str, None, "write output to this file instead of stdout")
+_COMPUTE_OPTIONS = (
+    _FORMAT_OPTION,
+    _OUT_OPTION,
+    ("--json", bool, False, "emit a JSON report"),
+    ("--cap", int, None,
+     "largest b4 the exhaustive scan accepts (env RAAGH_CAP, default 28)"),
+    ("--workers", int, None,
+     "echoed in the report; the scan always runs in this process "
+     "(env RAAGH_WORKERS, default 1)"),
+    ("--heuristic", bool, False,
+     "trial functionals only; certifies just at the parity ceiling"),
+    ("--strict", bool, False,
+     "fail (exit 3) instead of falling back to the heuristic when b4 "
+     "exceeds the cap"),
+    ("--timings", bool, False,
+     "include wall-clock timing; breaks byte determinism"),
+)
+
+
+def _add_option(p, option, kind, default, help):
+    if kind is bool:
+        p.add_argument(option, action="store_true", help=help)
+    elif isinstance(kind, tuple):
+        p.add_argument(option, choices=kind, default=default, help=help)
+    else:
+        p.add_argument(option, type=kind, default=default, help=help)
+
+
+def _add_input(p, *options):
     p.add_argument("input", help="graph file, or - for stdin")
-    p.add_argument("--format", choices=FORMATS, default="edges",
-                   help="input format (default: edges)")
-
-
-def _add_out(p):
-    p.add_argument("--out", help="write output to this file instead of stdout")
+    for option in options:
+        _add_option(p, *option)
 
 
 def _compute_arguments(p):
-    _add_input(p)
-    _add_out(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--cap", type=int, default=None,
-                   help="largest b4 the exhaustive scan accepts "
-                        "(env RAAGH_CAP, default 28)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="echoed in the report; the scan always runs in this "
-                        "process (env RAAGH_WORKERS, default 1)")
-    p.add_argument("--heuristic", action="store_true",
-                   help="trial functionals only; certifies just at the parity ceiling")
-    p.add_argument("--strict", action="store_true",
-                   help="fail (exit 3) instead of falling back to the heuristic "
-                        "when b4 exceeds the cap")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timing; breaks byte determinism")
+    _add_input(p, *_COMPUTE_OPTIONS)
 
 
 def _generate_arguments(p):
@@ -431,20 +455,18 @@ def _generate_arguments(p):
     p.add_argument("--side", type=int, default=1, help="side length (hex-triangle)")
     p.add_argument("--format", choices=FORMATS, default="edges",
                    help="output format (default: edges)")
-    _add_out(p)
+    _add_option(p, *_OUT_OPTION)
 
 
 def _form_arguments(p):
-    _add_input(p)
-    _add_out(p)
+    _add_input(p, _FORMAT_OPTION, _OUT_OPTION)
     p.add_argument("--alpha", default=None,
                    help="0/1 string, position q = coefficient of 4-clique q; "
                         "prints the substituted GF(2) matrix")
 
 
 def _export_arguments(p):
-    _add_input(p)
-    _add_out(p)
+    _add_input(p, _FORMAT_OPTION, _OUT_OPTION)
     p.add_argument("--to", choices=FORMATS + ("dot",), default="edges",
                    help="output format (default: edges)")
     p.add_argument("--dot", action="store_true", help="shorthand for --to dot")
@@ -453,7 +475,7 @@ def _export_arguments(p):
 def _verify_paper_arguments(p):
     p.add_argument("--only", action="append", metavar="CHECK",
                    help="run a single named check (repeatable)")
-    _add_out(p)
+    _add_option(p, *_OUT_OPTION)
 
 
 # command: (help in the command list, adds the command's arguments)
@@ -466,17 +488,53 @@ _COMMANDS = {
 }
 
 
+def _clip_echoes(message: str) -> str:
+    """An argparse error message with each argument it echoes clipped as
+    _clip clips: the list of unrecognized arguments, and each value quoted
+    as repr quotes it (an invalid int or choice, an ignored explicit
+    argument), counting an escape as one character."""
+    import re
+
+    head = "unrecognized arguments: "
+    if message.startswith(head):
+        return head + _clip(message[len(head):])
+
+    def clip(quoted):
+        text = quoted.group()
+        chars = re.findall(r"\\(?:x..|u....|U........|.)|.", text[1:-1], re.S)
+        if len(chars) <= 40:
+            return text
+        return text[0] + "".join(chars[:40]) + "..." + text[0]
+
+    return re.sub(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"', clip, message,
+                  flags=re.S)
+
+
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _parser_class():
+    """argparse.ArgumentParser with its errors' echoes clipped; argparse is
+    imported here, on first use, so that a plain compute never loads it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            super().error(_clip_echoes(message))
+
+    return Parser
+
+
+@functools.cache
+def build_parser(command: str | None = None):
     """The parser of command, which is the subparser of the full tree built
     alone, or with None the full tree of every command; each is built on
     first use and kept for the process."""
+    parser_class = _parser_class()
     if command is not None:
-        parser = argparse.ArgumentParser(prog="raagh " + command)
+        parser = parser_class(prog="raagh " + command)
         _COMMANDS[command][1](parser)
         parser.set_defaults(command=command)
         return parser
-    parser = argparse.ArgumentParser(
+    parser = parser_class(
         prog="raagh",
         description="h bounds and cup-form invariants for graph groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -485,10 +543,58 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# option: (dest, kind) and dest: default, from _COMPUTE_OPTIONS
+_COMPUTE_KINDS = {option: (option[2:], kind) for option, kind, _, _ in _COMPUTE_OPTIONS}
+_COMPUTE_DEFAULTS = {option[2:]: default for option, _, default, _ in _COMPUTE_OPTIONS}
+
+
+def _read_plain_compute(argv: list[str]) -> SimpleNamespace | None:
+    """compute's arguments (argv after the command) as its parser reads
+    them, without argparse, or None unless they are plain: one input,
+    whole option names, and each option's value ASCII digits for an int,
+    one of its choices, or any string not starting with '-' ('-' itself
+    is one).  Anything else (a prefix, --opt=value, --, -h, "+1", a second
+    input) is left to the parser, which may read or word it otherwise."""
+    values = {"command": "compute", "input": None, **_COMPUTE_DEFAULTS}
+    tokens = iter(argv)
+    for token in tokens:
+        option = _COMPUTE_KINDS.get(token)
+        if option is None:
+            if token[:1] == "-" and token != "-" or values["input"] is not None:
+                return None
+            values["input"] = token
+            continue
+        dest, kind = option
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and value != "-":
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # over the interpreter's digit limit
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if values["input"] is None:
+        return None
+    return SimpleNamespace(**values)
+
+
 def _parse_args(argv: list[str]):
-    """argv parsed by its command's own parser.  The full tree takes what
-    does not start with a command, and argv whose command leaves arguments
-    unparsed, so that it words their error (its usage line, its prog)."""
+    """argv read by _read_plain_compute where it can, else parsed by its
+    command's own parser.  The full tree takes what does not start with a
+    command, and argv whose command leaves arguments unparsed, so that it
+    words their error (its usage line, its prog)."""
+    if argv and argv[0] == "compute":
+        args = _read_plain_compute(argv[1:])
+        if args is not None:
+            return args
     if argv and argv[0] in _COMMANDS:
         args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:

@@ -930,9 +930,10 @@ def _parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: vertex {_clip(token)!r} "
                              "is not an integer") from None
         if token[:1] == "-":  # "-0" too
-            raise ParseError(f"line {lineno}: out-of-range index {token}")
+            raise ParseError(f"line {lineno}: out-of-range index {_clip(token)}")
         if declared_n is not None and value >= declared_n:
-            raise ParseError(f"line {lineno}: out-of-range index {value} (n={declared_n})")
+            raise ParseError(f"line {lineno}: out-of-range index {_clip(str(value))} "
+                             f"(n={declared_n})")
 
     ids: dict[int, int] = {}
     seen: set[tuple[int, int]] = set()
@@ -954,10 +955,10 @@ def _parse_edge_list(text: str) -> Graph:
             u = ids.setdefault(u, len(ids))
             v = ids.setdefault(v, len(ids))
         if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {tu}")
+            raise ParseError(f"line {lineno}: self-loop at vertex {_clip(tu)}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {tu} {tv}")
+            raise ParseError(f"line {lineno}: duplicate edge {_clip(tu)} {_clip(tv)}")
         seen.add(key)
         edges.append(key)
 

@@ -368,10 +368,11 @@ def parse_edge_list_oracle(text: str) -> Graph:
             raise ParseError(f"line {lineno}: vertex {_clip(token)!r} "
                              "is not an integer") from None
         if token[:1] == "-":
-            raise ParseError(f"line {lineno}: out-of-range index {token}")
+            raise ParseError(f"line {lineno}: out-of-range index {_clip(token)}")
         if declared_n is not None:
             if value >= declared_n:
-                raise ParseError(f"line {lineno}: out-of-range index {value} (n={declared_n})")
+                raise ParseError(f"line {lineno}: out-of-range index "
+                                 f"{_clip(str(value))} (n={declared_n})")
             return value
         if value not in ids:
             ids[value] = len(ids)
@@ -381,10 +382,10 @@ def parse_edge_list_oracle(text: str) -> Graph:
     for tu, tv, lineno in raw_edges:
         u, v = vertex(tu, lineno), vertex(tv, lineno)
         if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {tu}")
+            raise ParseError(f"line {lineno}: self-loop at vertex {_clip(tu)}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {tu} {tv}")
+            raise ParseError(f"line {lineno}: duplicate edge {_clip(tu)} {_clip(tv)}")
         seen.add(key)
 
     if declared_n is None:

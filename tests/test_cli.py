@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -7,10 +9,12 @@ import subprocess
 import sys
 from importlib import resources
 from importlib.util import find_spec
-from itertools import combinations
+from itertools import chain, combinations
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import raagh.cli
 import raagh.graphs
@@ -257,13 +261,45 @@ _MEGABYTE = 1 << 20
     ("csv", "0," + "2" * _MEGABYTE + "\n0,0\n", "entry '2222"),
     ("json", '{"vertices": 2, "edges": [[0, "' + "x" * _MEGABYTE + '"]]}',
      "integers"),
-], ids=["edges-line", "edges-token", "edges-digits", "csv-cell", "json-endpoint"])
+    ("edges", f"{'7' * 4300} {'7' * 4300}\n", "self-loop at vertex 7777"),
+    ("edges", f"0 {'7' * 4300}\n{'7' * 4300} 0\n", "duplicate edge 7777"),
+    ("edges", f"0 -{'7' * 4299}\n", "out-of-range index -7777"),
+    ("edges", f"# vertices: 3\n0 {'7' * 4300}\n", "out-of-range index 7777"),
+], ids=["edges-line", "edges-token", "edges-digits", "csv-cell", "json-endpoint",
+        "edges-self-loop", "edges-duplicate", "edges-negative", "edges-over-n"])
 def test_error_messages_echo_a_bounded_excerpt(capsys, tmp_path, fmt, text, echoed):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run(capsys, "compute", str(path), "--format", fmt)
     assert code == 2 and out == "" and echoed in err
     assert len(err.encode()) < 1024
+
+
+_LONG = 100_000
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["compute", "g", "--cap", "1" * _LONG], "value: '%s...'\n" % ("1" * 40)),
+    (["compute", "g", "--workers", "1" * _LONG], "value: '%s...'\n" % ("1" * 40)),
+    (["generate", "complete", "--n", "1" * _LONG], "value: '%s...'\n" % ("1" * 40)),
+    (["compute", "g", "--format", "x" * _LONG], "choice: '%s...' (" % ("x" * 40)),
+    (["export", "g", "--to", "x" * _LONG], "choice: '%s...' (" % ("x" * 40)),
+    (["generate", "y" * _LONG], "choice: '%s...' (" % ("y" * 40)),
+    (["compute", "g", "h", "z" * _LONG], "arguments: h %s...\n" % ("z" * 38)),
+    (["compute", "g", "--json=" + "1" * _LONG], "argument '%s...'\n" % ("1" * 40)),
+    # values of 40 characters or fewer are echoed whole, escapes and all
+    (["compute", "g", "--cap", "x" * 40], "value: '%s'\n" % ("x" * 40)),
+    (["compute", "g", "--cap", "\n" * 40], "value: %r\n" % ("\n" * 40)),
+    (["compute", "g", "h", "z" * 38], "arguments: h %s\n" % ("z" * 38)),
+], ids=["cap", "workers", "generate-n", "format", "to", "family", "unrecognized",
+        "explicit", "cap-40", "cap-escapes-40", "unrecognized-40"])
+def test_argument_errors_echo_a_bounded_excerpt(capsys, argv, echoed):
+    # the per-command parser and the full tree clip alike
+    for parse in (main, raagh.cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and echoed in err and len(err.encode()) < 1024
 
 
 def test_huge_alpha_and_cells_are_not_echoed(capsys, join_file):
@@ -280,18 +316,63 @@ def test_parser_is_built_once_and_handlers_resolve_per_call(
     first = run(capsys, "compute", join_file, "--json")
     second = run(capsys, "compute", join_file, "--json")
     assert first[0] == 0 and first == second
-    # only compute's own parser is built, not the full tree
-    assert raagh.cli.build_parser.cache_info().misses == 1
-    assert raagh.cli.build_parser.cache_info().currsize == 1
-    assert raagh.cli.build_parser("compute").prog == "raagh compute"
+    # a plain compute builds no parser
+    assert raagh.cli.build_parser.cache_info().misses == 0
     # a handler patched on the module is the one the next call runs
     monkeypatch.setattr(raagh.cli, "cmd_compute", lambda args: 7)
     assert main(["compute", join_file]) == 7
-    assert raagh.cli.build_parser.cache_info().misses == 1
-    # another command builds its own parser once
+    assert raagh.cli.build_parser.cache_info().misses == 0
+    # another command builds its own parser once, not the full tree
     for _ in range(2):
         assert run(capsys, "export", join_file)[0] == 0
-    assert raagh.cli.build_parser.cache_info().misses == 2
+    assert raagh.cli.build_parser.cache_info().misses == 1
+    assert raagh.cli.build_parser.cache_info().currsize == 1
+    assert raagh.cli.build_parser("export").prog == "raagh export"
+
+
+# tokens on which argparse and a plain reading could differ
+_COMPUTE_TOKENS = (
+    "--format", "--out", "--json", "--cap", "--workers", "--heuristic",
+    "--strict", "--timings", "--form", "--o", "--js", "--c", "--w", "--heur",
+    "--s", "--t", "--cap=3", "--format=csv", "--json=1", "--out=x", "--",
+    "-", "", "-h", "--help", "-x", "-1", "-05", "2_8", "\u0663", "+3", " 3",
+    "3 ", "9" * 4300, "9" * 4301, "0", "28", "007", "edges", "csv", "json",
+    "xml", "EDGES", "g", "h", "a b", "x=y", "\u00e9")
+
+
+def _compute_parser_vars(argv):
+    """vars() of the namespace compute's own parser reads from argv, or
+    None where it stops with an error or help, or leaves arguments over."""
+    parser = raagh.cli.build_parser("compute")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args, rest = parser.parse_known_args(argv)
+    except SystemExit:
+        return None
+    return None if rest else vars(args)
+
+
+_COMPUTE_TOKEN = st.one_of(st.sampled_from(_COMPUTE_TOKENS), st.text(max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(  # lone tokens, and value options with a token
+    st.tuples(_COMPUTE_TOKEN),
+    st.tuples(st.sampled_from(("--format", "--out", "--cap", "--workers")),
+              _COMPUTE_TOKEN)), max_size=6),
+       st.sampled_from(["g", "-", None]), st.integers(0, 12))
+@example([("--json",), ("--out", "r.json"), ("--cap", "28"), ("--workers", "1"),
+          ("--heuristic",), ("--strict",), ("--timings",), ("--format", "csv")],
+         "g", 0)
+@example([("--out", "-"), ("--cap", "0028"), ("--cap", "3"), ("--json",), ("--json",)],
+         "-", 2)
+def test_plain_compute_reader_reads_as_the_parser_or_declines(chunks, input, at):
+    argv = list(chain.from_iterable(chunks))
+    if input is not None:  # most argv the reader takes have one input
+        argv.insert(at % (len(argv) + 1), input)
+    got = raagh.cli._read_plain_compute(argv)
+    assert got is None or vars(got) == _compute_parser_vars(argv)
 
 
 @pytest.mark.parametrize("command", ["compute", "generate", "form", "export",
@@ -325,7 +406,7 @@ def test_bad_arguments_exit_2_with_the_full_tree_error(capsys, argv):
 
 def test_compute_loads_neither_json_nor_openssl(tmp_path):
     # a fresh interpreter, as `raagh compute` runs, on an edge list with no
-    # certificate
+    # certificate and a plain argv
     path = tmp_path / "k5.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in combinations(range(5), 2)))
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -334,13 +415,16 @@ def test_compute_loads_neither_json_nor_openssl(tmp_path):
         f"sys.path.insert(0, {src!r})\n"
         "import raagh.cli\n"
         "code = raagh.cli.main(['compute', sys.argv[1], '--json', '--out', sys.argv[2]])\n"
-        "print(code, *(m for m in ('json', '_hashlib') if m in sys.modules))\n")
+        "print(code, *(m for m in ('json', '_hashlib', 'argparse', 'gettext', "
+        "'locale') if m in sys.modules))\n")
     out = subprocess.run([sys.executable, "-I", "-c", script, str(path),
                           str(tmp_path / "report.json")],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     code, *loaded = out.stdout.split()
     assert code == "0" and "json" not in loaded
+    # the argv is plain, so it is read without argparse
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
     if find_spec("_sha2") or find_spec("_sha256"):  # CPython's own sha256
         assert "_hashlib" not in loaded
     assert json.loads((tmp_path / "report.json").read_text())["input"]["edges"] == 10
