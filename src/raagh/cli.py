@@ -18,15 +18,16 @@ document, straight from the HReport; decomposition pieces that share a
 report are written from one template per (report, vertex count).
 
 Each `raagh compute` is a process of its own, so its start-up is kept
-small.  A plain compute argv (one input, whole option names, plain values)
-is read from compute's option table without argparse, which is imported
-only for help, errors, other commands and argv the reader leaves to the
-parser; a command's parser is built alone, without the full tree.  The
-report's digest takes CPython's own sha256 instead of loading OpenSSL
-through hashlib, and json is imported only by the graph formats that read
-or write it.  A fresh interpreter's import and first sparse report
-(`setup_s` in perfbench) take about 4.6 ms, against 8.9 ms when argparse
-parsed every argv (medians, 2-core Xeon VM, Python 3.11.7).
+small.  argv takes one of two paths.  A plain compute argv (one input,
+whole option names, plain values) is read from compute's option table
+without argparse; everything else (other commands, help, errors, argv the
+reader declines) is parsed by one argparse tree of every command, which
+is imported and built on first use.  The report's digest takes CPython's
+own sha256 instead of loading OpenSSL through hashlib, and json is
+imported only by the graph formats that read or write it.  A fresh
+interpreter's import and first sparse report (`setup_s` in perfbench)
+take about 4.6 ms, against 8.9 ms when argparse parsed every argv
+(medians, 2-core Xeon VM, Python 3.11.7).
 
 argparse's error messages echo at most 40 characters of an argument, as
 graphs._clip clips an input.
@@ -490,14 +491,21 @@ _COMMANDS = {
 
 def _clip_echoes(message: str) -> str:
     """An argparse error message with each argument it echoes clipped as
-    _clip clips: the list of unrecognized arguments, and each value quoted
-    as repr quotes it (an invalid int or choice, an ignored explicit
-    argument), counting an escape as one character."""
+    _clip clips: the list of unrecognized arguments, the option of an
+    ambiguous option, and each value quoted as repr quotes it (an invalid
+    int or choice, an ignored explicit argument), counting an escape as one
+    character."""
     import re
 
     head = "unrecognized arguments: "
     if message.startswith(head):
         return head + _clip(message[len(head):])
+    head = "ambiguous option: "
+    if message.startswith(head):
+        # the options it could match are ours, so the last " could match "
+        # ends the option echoed
+        option, sep, matches = message[len(head):].rpartition(" could match ")
+        return head + _clip(option) + sep + matches
 
     def clip(quoted):
         text = quoted.group()
@@ -511,32 +519,18 @@ def _clip_echoes(message: str) -> str:
 
 
 @functools.cache
-def _parser_class():
-    """argparse.ArgumentParser with its errors' echoes clipped; argparse is
-    imported here, on first use, so that a plain compute never loads it."""
+def build_parser():
+    """The parser of every command, built on first use and kept for the
+    process; argparse is imported here, so that a plain compute never
+    loads it.  Its errors' echoes are clipped by _clip_echoes."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
             super().error(_clip_echoes(message))
 
-    return Parser
-
-
-@functools.cache
-def build_parser(command: str | None = None):
-    """The parser of command, which is the subparser of the full tree built
-    alone, or with None the full tree of every command; each is built on
-    first use and kept for the process."""
-    parser_class = _parser_class()
-    if command is not None:
-        parser = parser_class(prog="raagh " + command)
-        _COMMANDS[command][1](parser)
-        parser.set_defaults(command=command)
-        return parser
-    parser = parser_class(
-        prog="raagh",
-        description="h bounds and cup-form invariants for graph groups")
+    parser = Parser(prog="raagh",
+                    description="h bounds and cup-form invariants for graph groups")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, add_arguments) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=summary))
@@ -587,17 +581,11 @@ def _read_plain_compute(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse_args(argv: list[str]):
-    """argv read by _read_plain_compute where it can, else parsed by its
-    command's own parser.  The full tree takes what does not start with a
-    command, and argv whose command leaves arguments unparsed, so that it
-    words their error (its usage line, its prog)."""
+    """argv read by _read_plain_compute where it can, else parsed by the
+    full tree, which words every help text and error."""
     if argv and argv[0] == "compute":
         args = _read_plain_compute(argv[1:])
         if args is not None:
-            return args
-    if argv and argv[0] in _COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
             return args
     return build_parser().parse_args(argv)
 

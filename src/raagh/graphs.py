@@ -1038,9 +1038,10 @@ def _parse_json(text: str) -> Graph:
         if not (_is_int(u) and _is_int(v)):
             raise ParseError(f"edge #{pos}: endpoints must be integers")
         if u == v:
-            raise ParseError(f"edge #{pos}: self-loop at vertex {u}")
+            raise ParseError(f"edge #{pos}: self-loop at vertex {_clip(str(u))}")
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge #{pos}: out-of-range index in [{u}, {v}] (n={n})")
+            raise ParseError(f"edge #{pos}: out-of-range index in "
+                             f"[{_clip(str(u))}, {_clip(str(v))}] (n={n})")
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ParseError(f"edge #{pos}: duplicate edge [{u}, {v}]")

@@ -265,8 +265,13 @@ _MEGABYTE = 1 << 20
     ("edges", f"0 {'7' * 4300}\n{'7' * 4300} 0\n", "duplicate edge 7777"),
     ("edges", f"0 -{'7' * 4299}\n", "out-of-range index -7777"),
     ("edges", f"# vertices: 3\n0 {'7' * 4300}\n", "out-of-range index 7777"),
+    ("json", f'{{"vertices": 2, "edges": [[{"7" * 4300}, {"7" * 4300}]]}}',
+     "self-loop at vertex 7777"),
+    ("json", f'{{"vertices": 2, "edges": [[{"7" * 4300}, -{"8" * 4300}]]}}',
+     "out-of-range index in [7777"),
 ], ids=["edges-line", "edges-token", "edges-digits", "csv-cell", "json-endpoint",
-        "edges-self-loop", "edges-duplicate", "edges-negative", "edges-over-n"])
+        "edges-self-loop", "edges-duplicate", "edges-negative", "edges-over-n",
+        "json-self-loop", "json-out-of-range"])
 def test_error_messages_echo_a_bounded_excerpt(capsys, tmp_path, fmt, text, echoed):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -287,14 +292,16 @@ _LONG = 100_000
     (["generate", "y" * _LONG], "choice: '%s...' (" % ("y" * 40)),
     (["compute", "g", "h", "z" * _LONG], "arguments: h %s...\n" % ("z" * 38)),
     (["compute", "g", "--json=" + "1" * _LONG], "argument '%s...'\n" % ("1" * 40)),
+    (["generate", "complete", "--c=" + "1" * _LONG],
+     "option: --c=%s... could match --count, --cells\n" % ("1" * 36)),
     # values of 40 characters or fewer are echoed whole, escapes and all
     (["compute", "g", "--cap", "x" * 40], "value: '%s'\n" % ("x" * 40)),
     (["compute", "g", "--cap", "\n" * 40], "value: %r\n" % ("\n" * 40)),
     (["compute", "g", "h", "z" * 38], "arguments: h %s\n" % ("z" * 38)),
 ], ids=["cap", "workers", "generate-n", "format", "to", "family", "unrecognized",
-        "explicit", "cap-40", "cap-escapes-40", "unrecognized-40"])
+        "explicit", "ambiguous", "cap-40", "cap-escapes-40", "unrecognized-40"])
 def test_argument_errors_echo_a_bounded_excerpt(capsys, argv, echoed):
-    # the per-command parser and the full tree clip alike
+    # main and the full tree clip alike
     for parse in (main, raagh.cli.build_parser().parse_args):
         with pytest.raises(SystemExit) as exc:
             parse(argv)
@@ -322,12 +329,35 @@ def test_parser_is_built_once_and_handlers_resolve_per_call(
     monkeypatch.setattr(raagh.cli, "cmd_compute", lambda args: 7)
     assert main(["compute", join_file]) == 7
     assert raagh.cli.build_parser.cache_info().misses == 0
-    # another command builds its own parser once, not the full tree
+    # another command builds the full tree once
     for _ in range(2):
         assert run(capsys, "export", join_file)[0] == 0
     assert raagh.cli.build_parser.cache_info().misses == 1
     assert raagh.cli.build_parser.cache_info().currsize == 1
-    assert raagh.cli.build_parser("export").prog == "raagh export"
+
+
+@pytest.mark.parametrize("flags", [
+    # the argv shapes perfbench/run.py sends, OUT the report file
+    ("--json", "--out", "OUT", "--cap", "28", "--workers", "1"),
+    ("--json", "--out", "OUT", "--cap", "28", "--workers", "1", "--heuristic"),
+    ("--json", "--out", "OUT", "--cap", "28", "--workers", "2"),
+    # other plain argv
+    ("--out", "OUT", "--strict"), ("--out", "OUT", "--timings"),
+    ("--format", "csv", "--json", "--out", "OUT"),
+], ids=" ".join)
+def test_plain_compute_builds_no_parser(capsys, tmp_path, join_file, flags):
+    # setup_s in perfbench is one such compute in a fresh interpreter
+    path = join_file
+    if "csv" in flags:
+        path = tmp_path / "join.csv"
+        with open(join_file) as fh:
+            path.write_text(serialize_graph(parse_graph(fh.read(), "edges"), "csv"))
+    report = tmp_path / "report"
+    raagh.cli.build_parser.cache_clear()
+    argv = [str(report) if flag == "OUT" else flag for flag in flags]
+    assert run(capsys, "compute", str(path), *argv) == (0, "", "")
+    assert report.read_text()
+    assert raagh.cli.build_parser.cache_info().misses == 0
 
 
 # tokens on which argparse and a plain reading could differ
@@ -341,13 +371,13 @@ _COMPUTE_TOKENS = (
 
 
 def _compute_parser_vars(argv):
-    """vars() of the namespace compute's own parser reads from argv, or
+    """vars() of the namespace the parser reads from compute's argv, or
     None where it stops with an error or help, or leaves arguments over."""
-    parser = raagh.cli.build_parser("compute")
+    parser = raagh.cli.build_parser()
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            args, rest = parser.parse_known_args(argv)
+            args, rest = parser.parse_known_args(["compute", *argv])
     except SystemExit:
         return None
     return None if rest else vars(args)
