@@ -840,7 +840,8 @@ MAX_EDGES = 1 << 20
 def parse_graph(text: str, fmt: str = "edges") -> Graph:
     """Parse a graph from one of the supported text formats.
 
-    - "edges": lines "u v"; '#' starts a comment; the directives
+    - "edges": lines "u v"; a line whose first non-blank character is '#'
+      is a comment, and "0 1 # note" is an error; the directives
       "# vertices: N" and "# certificate: {json}" are honoured, each at
       most once.  Without a vertices directive, vertex ids are compacted
       to 0..n-1 in order of first appearance.

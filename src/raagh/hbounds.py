@@ -78,7 +78,7 @@ class HReport(_Record):
     m2 is always set; m2_mode records how it was obtained ("exhaustive",
     "heuristic", or "assembled" from decomposition pieces).  Bounds satisfy
     lower_trivial <= lower_cohomological <= upper, and any exact value lies
-    inside them.
+    between lower_cohomological and upper.
     """
 
     _fields = ("graph", "betti_numbers", "m2", "m2_mode", "lower_trivial",
@@ -93,10 +93,10 @@ class HReport(_Record):
             raise ValueError(
                 f"violates lower_trivial <= lower_cohomological <= upper: "
                 f"{lower_trivial}, {lower_cohomological}, {upper}")
-        if exact is not None and not lower_trivial <= exact.value <= upper:
+        if exact is not None and not lower_cohomological <= exact.value <= upper:
             raise ValueError(
-                f"violates lower_trivial <= exact <= upper: "
-                f"{lower_trivial}, {exact.value}, {upper}")
+                f"violates lower_cohomological <= exact <= upper: "
+                f"{lower_cohomological}, {exact.value}, {upper}")
         self.__dict__.update(graph=graph, betti_numbers=betti_numbers, m2=m2,
                              m2_mode=m2_mode, lower_trivial=lower_trivial,
                              lower_cohomological=lower_cohomological,
@@ -260,12 +260,8 @@ def _report(g: Graph, numbers: tuple[int, ...], res: M2Result, mode: str,
     b2 = _b(numbers, 2)
     if exact is None and res.exhaustive:
         exact = ExactValue(2 * b2 - res.m2, CONJECTURAL_MINIMAL)
-    lower_coh = 2 * b2 - res.upper
-    if exact is not None and exact.theorem_grade:
-        # a heuristic that under-finds m2 would otherwise overstate the bound
-        lower_coh = min(lower_coh, exact.value)
-    return HReport(g, numbers, res, mode, b2, lower_coh, 2 * b2, exact,
-                   decomposition)
+    return HReport(g, numbers, res, mode, b2, 2 * b2 - res.upper, 2 * b2,
+                   exact, decomposition)
 
 
 def _piece_report(g: Graph, config: SolverConfig, heuristic: bool,

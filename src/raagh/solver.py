@@ -852,7 +852,8 @@ def m2_heuristic(g: Graph) -> M2Result:
     if len(seeds) > 1:
         rank, alpha, _nodes = _scan(plan, upper, best_rank - 1,
                                     trials=sorted(seeds[1:]))
-        if alpha is not None and (rank > best_rank or alpha < best_alpha):
+        # a hit ranks >= best_rank, and is below seeds[0], the all-ones value
+        if alpha is not None:
             best_rank, best_alpha = rank, alpha
         if best_rank >= ceiling:
             best_alpha = next(

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from functools import cache
 from itertools import combinations
 
 import raagh.solver
@@ -309,21 +310,23 @@ def count_automorphisms(g: Graph) -> int:
     return extend([])
 
 
+@cache
 def graphs_up_to(n: int) -> tuple[tuple[Graph, ...], ...]:
     """Every graph with at most n vertices up to isomorphism, one tuple per
-    vertex count.  Each graph on k vertices is a graph on k - 1 vertices
-    plus vertex k - 1 joined to some subset of the others, in all 2^(k-1)
-    ways; the first graph with each canonical_key is kept."""
-    levels = [(make_graph(0, []),)]
-    for k in range(1, n + 1):
-        kept = {}
-        for g in levels[-1]:
-            for mask in range(1 << (k - 1)):
-                h = make_graph(k, g.edges + tuple(
-                    (u, k - 1) for u in range(k - 1) if mask >> u & 1))
-                kept.setdefault(canonical_key(h), h)
-        levels.append(tuple(kept.values()))
-    return tuple(levels)
+    vertex count.  Each graph on n vertices is a graph on n - 1 vertices
+    plus vertex n - 1 joined to some subset of the others, in all 2^(n-1)
+    ways; the first graph with each canonical_key is kept.  Cached, so the
+    tests that walk the same census share one copy of it."""
+    if n == 0:
+        return ((make_graph(0, []),),)
+    levels = graphs_up_to(n - 1)
+    kept = {}
+    for g in levels[-1]:
+        for mask in range(1 << (n - 1)):
+            h = make_graph(n, g.edges + tuple(
+                (u, n - 1) for u in range(n - 1) if mask >> u & 1))
+            kept.setdefault(canonical_key(h), h)
+    return levels + (tuple(kept.values()),)
 
 
 def parse_edge_list_oracle(text: str) -> Graph:

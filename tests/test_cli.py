@@ -269,9 +269,11 @@ _MEGABYTE = 1 << 20
      "self-loop at vertex 7777"),
     ("json", f'{{"vertices": 2, "edges": [[{"7" * 4300}, -{"8" * 4300}]]}}',
      "out-of-range index in [7777"),
+    # only a line that starts with '#' is a comment
+    ("edges", "0 1 # note\n", "line 1: expected 'u v', got '0 1 # note'"),
 ], ids=["edges-line", "edges-token", "edges-digits", "csv-cell", "json-endpoint",
         "edges-self-loop", "edges-duplicate", "edges-negative", "edges-over-n",
-        "json-self-loop", "json-out-of-range"])
+        "json-self-loop", "json-out-of-range", "edges-trailing-comment"])
 def test_error_messages_echo_a_bounded_excerpt(capsys, tmp_path, fmt, text, echoed):
     path = tmp_path / "bad.txt"
     path.write_text(text)

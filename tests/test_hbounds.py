@@ -271,6 +271,24 @@ def test_hreport_rejects_inconsistent_bounds_even_under_optimization():
     assert out.stdout == "rejected\n"
 
 
+def test_hreport_rejects_exact_below_the_cohomological_bound_under_optimization():
+    # h >= 2 b2 - m2 >= 2 b2 - U, so a theorem value or a U that breaks
+    # this order is wrong, and the report is refused, not clamped
+    script = (
+        "from raagh import ExactValue, HReport, make_graph\n"
+        "try:\n"
+        "    HReport(make_graph(2, [(0, 1)]), (1, 2, 1), None, 'exhaustive',"
+        " 1, 2, 2, ExactValue(1, 'certified-example'))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "violates lower_cohomological <= exact <= upper: 2, 1, 2\n"
+
+
 @pytest.mark.parametrize("cert", [
     FamilyCertificate.clique_string(4, 2),
     FamilyCertificate.clique_string(4, 3),

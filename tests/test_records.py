@@ -164,7 +164,7 @@ def test_defaults_fill_the_fields_left_out():
      "violates lower_trivial <= lower_cohomological <= upper: 2, 5, 4"),
     (lambda: HReport(PATH, (1, 3, 2), M2, "exhaustive", 2, 2, 4,
                      ExactValue(6, "certified-example")),
-     "violates lower_trivial <= exact <= upper: 2, 6, 4"),
+     "violates lower_cohomological <= exact <= upper: 2, 6, 4"),
 ])
 def test_invalid_fields_raise_value_error(make, message):
     with pytest.raises(ValueError, match=message):
